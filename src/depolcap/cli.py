@@ -466,7 +466,7 @@ def cmd_capacity(config: RunConfig) -> Report:
                     "capacity-chain",
                     inputs={"d": d, "lam": lam},
                     values={"skipped": True},
-                    passed=True,
+                    passed=False,
                     warning="lambda outside the admissible range; skipped"))
                 continue
             ch = DepolarizingChannel(d, lam)

@@ -342,7 +342,10 @@ def superoperator_from_action(apply_fn: Callable[[np.ndarray], np.ndarray],
     """Superoperator of an arbitrary linear map given by its action.
 
     Columns are the vectorized images of the matrix units, so this works for
-    maps that are not completely positive (no Kraus form required).
+    maps that are not completely positive (no Kraus form required). It is
+    the generic reference path, one ``apply_fn`` call per matrix unit;
+    channels with a closed form (phase dampers, the depolarizing channel)
+    build their superoperators directly and are tested against it.
     """
     out_dim = np.asarray(apply_fn(np.eye(dim, dtype=complex))).shape[0]
     s = np.zeros((out_dim * out_dim, dim * dim), dtype=complex)
@@ -358,24 +361,13 @@ def choi_matrix(apply_fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.nd
     """Normalized Choi matrix (1/d) sum_ij fn(E_ij) (x) E_ij of a linear map.
 
     PSD exactly when the map is completely positive; unit trace when it is
-    trace preserving.
+    trace preserving. Entry ((a, i), (b, j)) is fn(E_ij)[a, b], which is a
+    reshuffle of the superoperator's entry ((a, b), (i, j)).
     """
-    blocks = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[i, j] = 1.0
-            row.append(np.asarray(apply_fn(unit)))
-        blocks.append(row)
-    out_dim = blocks[0][0].shape[0]
-    j_mat = np.zeros((out_dim * dim, out_dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[i, j] = 1.0
-            j_mat += np.kron(blocks[i][j], unit)
-    return j_mat / dim
+    s = superoperator_from_action(apply_fn, dim)
+    out_dim = int(round(math.sqrt(s.shape[0])))
+    return (s.reshape(out_dim, out_dim, dim, dim).transpose(0, 2, 1, 3)
+            .reshape(out_dim * dim, out_dim * dim) / dim)
 
 
 def min_choi_eigenvalue(apply_fn: Callable[[np.ndarray], np.ndarray], dim: int) -> float:

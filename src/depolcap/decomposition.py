@@ -68,8 +68,18 @@ def psi_state(d: int, k: int, a: int) -> PureState:
 
 
 def psi_basis(d: int, a: int) -> np.ndarray:
-    """Orthonormal basis matrix whose column k-1 is psi_{k,a}."""
-    return np.column_stack([np.asarray(psi_state(d, k, a)) for k in range(1, d + 1)])
+    """Orthonormal basis matrix whose column k-1 is psi_{k,a}.
+
+    Unlike psi_state, the columns are not validated one by one;
+    PhaseDampingChannel checks the whole basis against GRAM_TOL.
+    """
+    if not 1 <= a <= 2 * d * d:
+        raise ValueError(f"a must be in 1..{2 * d * d}, got {a}")
+    k = np.arange(1, d + 1)
+    g_diag = np.diagonal(build_g(d))
+    h_diag = np.diagonal(build_h(d))
+    theta = np.ones(d, dtype=complex) / math.sqrt(d)
+    return (g_diag[:, None] ** k) * ((h_diag ** a) * theta)[:, None]
 
 
 def phase_channel(d: int, lam: float, a: int) -> PhaseDampingChannel:

@@ -44,6 +44,7 @@ def ascend_on_sphere(objective: Objective, start: np.ndarray,
     The step size grows after accepted moves and halves on rejections;
     the run stops when the tangent gradient norm drops below grad_tol,
     when no improving step of size >= 1e-14 exists, or at max_iter.
+    ``converged`` is set only when the gradient norm is below grad_tol.
     """
     psi = np.asarray(start, dtype=complex).reshape(-1)
     psi = psi / np.linalg.norm(psi)
@@ -69,8 +70,10 @@ def ascend_on_sphere(objective: Objective, start: np.ndarray,
                 break
             step *= 0.5
         if not moved:
-            # Stationary within line-search resolution.
-            return AscentResult(value, psi, iteration, grad_norm, True)
+            # No improving step within line-search resolution: a stationary
+            # point only if the gradient agrees.
+            return AscentResult(value, psi, iteration, grad_norm,
+                                grad_norm < grad_tol)
     return AscentResult(value, psi, max_iter, grad_norm, False)
 
 

@@ -28,7 +28,6 @@ from .core import (
     PureState,
     choi_matrix,
     hermitize,
-    superoperator_from_action,
     _freeze,
 )
 
@@ -101,7 +100,9 @@ class PhaseDampingChannel:
         return bool(np.array_equal(self.basis, np.eye(self.dim)))
 
     def is_uniform(self) -> bool:
-        return all(is_uniform_vector(self.basis[:, i]) for i in range(self.dim))
+        """True when every basis column is a uniform vector."""
+        mags = np.abs(self.basis)
+        return bool(np.all(mags.max(axis=0) - mags.min(axis=0) < UNIFORM_TOL))
 
     # -- action ---------------------------------------------------------------
 
@@ -126,7 +127,14 @@ class PhaseDampingChannel:
         return phase_damp(self, rho)
 
     def superoperator(self) -> np.ndarray:
-        return superoperator_from_action(self.apply_matrix, self.dim)
+        """Closed form lam I + (1 - lam) V V^dag, where column i of V is
+        b_i (x) conj(b_i): row-major vectorization turns E_i rho E_i into
+        kron(E_i, E_i^T) = v_i v_i^dag."""
+        b = self.basis
+        v = (b[:, None, :] * b.conj()[None, :, :]).reshape(self.dim * self.dim, self.dim)
+        s = (1.0 - self.lam) * (v @ v.conj().T)
+        s[np.diag_indices_from(s)] += self.lam
+        return s
 
     def choi(self) -> np.ndarray:
         return choi_matrix(self.apply_matrix, self.dim)

@@ -132,6 +132,10 @@ class RunConfig:
         self.p_grid = tuple(float(p) for p in self.p_grid)
         if not self.dims or not self.lambdas or not self.p_grid:
             raise ConfigError("dims, lambdas and p-grid must be non-empty")
+        if not all(math.isfinite(x) for x in self.lambdas + self.p_grid):
+            raise ConfigError("lambdas and p-grid entries must be finite")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
+            raise ConfigError(f"trials must be an integer, got {self.trials!r}")
         if any(d < 2 for d in self.dims):
             raise ConfigError("dimensions must be at least 2")
         if any(d > 6 for d in self.dims):

@@ -181,6 +181,25 @@ class TestExitCodes:
         code, _, _ = run_cli(["measures", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["measures", "--unchecked-lambda", "--lambdas", "nan"],
+        ["verify", "--unchecked-lambda", "--lambdas", "inf"],
+        ["measures", "--p-grid", "inf"],
+    ])
+    def test_non_finite_grid_exits_two(self, capsys, argv):
+        code, out, err = run_cli(argv + ["--dims", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err and "Traceback" not in err
+
+    def test_non_integer_trials_in_config_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2.7}))
+        code, out, err = run_cli(["verify", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "trials must be an integer" in err
+
 
 # ---------------------------------------------------------------------------
 # Config file and flag precedence
@@ -368,15 +387,17 @@ class TestCapacityContent:
         assert mono["values"]["min_increment"] >= -1e-12
 
     def test_out_of_range_lambda_skipped_with_warning(self, capsys):
+        # A skipped check verified nothing, so it does not count as a pass.
         code, out, _ = run_cli(
             ["capacity", "--dims", "2", "--lambdas", "-0.5", "0.5",
              "--p-grid", "2", "--unchecked-lambda"], capsys)
-        assert code == 0
+        assert code == 1
         report = json.loads(out)
         skipped = [r for r in report["records"]
                    if r["values"].get("skipped")]
-        assert len(skipped) == 1 and skipped[0]["passed"]
+        assert len(skipped) == 1 and not skipped[0]["passed"]
         assert "skipped" in skipped[0]["warning"]
+        assert report["summary"]["failed"] == 1
 
 
 class TestVerifyContent:

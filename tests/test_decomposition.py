@@ -97,6 +97,17 @@ class TestPsiStates:
             psi_state(3, 0, 1)
         with pytest.raises(ValueError, match="a must be"):
             psi_state(3, 1, 19)
+        with pytest.raises(ValueError, match="a must be"):
+            psi_basis(3, 0)
+        with pytest.raises(ValueError, match="a must be"):
+            psi_basis(3, 19)
+
+    def test_basis_matches_stacked_states(self):
+        for d in (2, 3, 4, 5, 6):
+            for a in range(1, 2 * d * d + 1):
+                stacked = np.column_stack([np.asarray(psi_state(d, k, a))
+                                           for k in range(1, d + 1)])
+                assert np.allclose(psi_basis(d, a), stacked, rtol=0, atol=1e-15)
 
 
 class TestOmegaChannel:

@@ -14,8 +14,11 @@ from depolcap.core import (
     min_choi_eigenvalue,
     random_density_matrix,
     random_unitary,
+    superoperator_from_action,
 )
+from depolcap.decomposition import psi_basis
 from depolcap.phase_damping import (
+    UNIFORM_TOL,
     PhaseDampingChannel,
     damping_lambda_min,
     is_uniform_channel,
@@ -132,6 +135,24 @@ class TestRepresentations:
             assert min_choi_eigenvalue(ch.apply_matrix, d) < -1e-6
 
 
+class TestClosedFormSuperoperator:
+    @staticmethod
+    def _bases(d):
+        return {"computational": None,
+                "haar": random_unitary(d, seed=100 + d),
+                "psi": psi_basis(d, d + 1)}
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_action_built_superoperator(self, d):
+        lo = damping_lambda_min(d)
+        for name, basis in self._bases(d).items():
+            for lam in (lo, 0.0, 0.3, 1.0, lo - 0.4):
+                ch = PhaseDampingChannel.unchecked(d, lam, basis=basis)
+                ref = superoperator_from_action(ch.apply_matrix, d)
+                err = np.max(np.abs(ch.superoperator() - ref))
+                assert err < 1e-13, (name, lam, err)
+
+
 class TestUniformity:
     def test_theta_is_uniform(self):
         theta = np.ones(4) / 2.0
@@ -149,6 +170,22 @@ class TestUniformity:
         assert is_uniform_channel(ch)
         out = ch.apply_matrix(np.eye(d) / d)
         assert np.allclose(out, np.eye(d) / d, atol=1e-13)
+
+    def test_tilted_columns_break_uniformity(self):
+        d = 4
+        basis = fourier_basis(d)
+        assert PhaseDampingChannel(d, 0.3, basis=basis).is_uniform()
+        # Rotate the last two columns into each other. The basis stays
+        # orthonormal (no single column can tilt alone), the first two
+        # columns stay flat, and the tilted ones miss UNIFORM_TOL.
+        t = 10.0 * UNIFORM_TOL
+        rot = np.eye(d, dtype=complex)
+        rot[2:, 2:] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+        tilted = basis @ rot
+        mags = np.abs(tilted)
+        spread = mags.max(axis=0) - mags.min(axis=0)
+        assert np.all(spread[:2] < UNIFORM_TOL) and np.all(spread[2:] > UNIFORM_TOL)
+        assert not PhaseDampingChannel(d, 0.3, basis=tilted).is_uniform()
 
     def test_any_phase_damper_is_unital(self):
         # I/d is diagonal in every orthonormal basis, so all dampers fix it.
