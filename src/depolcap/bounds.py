@@ -258,30 +258,68 @@ def _channel_dim_in(channel) -> int:
     return getattr(channel, "dim_in", None) or channel.dim
 
 
+def _superoperator_of(channel) -> np.ndarray:
+    s = channel.superoperator
+    return s if isinstance(s, np.ndarray) else s()
+
+
+def pure_output_maps(channel):
+    """(outputs, pullback) of a channel on stacks of pure inputs.
+
+    ``outputs(psi)`` gives the Hermitian outputs Psi(psi_r psi_r*) of a stack
+    psi of shape (R, d_in), and ``pullback(m, psi)`` the rows
+    Psi^dag(m_r) psi_r, the gradient of Re Tr[m_r Psi(psi_r psi_r*)] in the
+    conjugate variable. Both act through the superoperator, one matrix
+    product per stack: the objectives sit in the optimizer's inner loop,
+    and one product beats a sum over Kraus conjugations at these dimensions.
+    """
+    superop = _superoperator_of(channel)
+    dim_out = math.isqrt(superop.shape[0])
+    dim_in = math.isqrt(superop.shape[1])
+    # Row-major vectorization: vec(Psi(x)) = S vec(x) and
+    # vec(Psi^dag(y)) = S^dag vec(y), applied here to row stacks.
+    forward, backward = superop.T, superop.conj()
+
+    def outputs(psi: np.ndarray) -> np.ndarray:
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        out = rho.reshape(len(psi), -1) @ forward
+        return hermitize(out.reshape(-1, dim_out, dim_out))
+
+    def pullback(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        back = (m.reshape(len(psi), -1) @ backward).reshape(-1, dim_in, dim_in)
+        return np.einsum("rij,rj->ri", back, psi)
+
+    return outputs, pullback
+
+
+def spectral_function(u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """u diag(f) u^dag for an eigenbasis u, or for each one in a stack."""
+    return (u * f[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
+
+
 def pnorm_power_objective(channel, p: float):
-    """Objective Tr (Psi(psi psi*))^p with its gradient; same maximizer as
-    the output p-norm."""
+    """Objective Tr (Psi(psi psi*))^p with its gradient, on stacks of pure
+    inputs; same maximizer as the output p-norm."""
+    outputs, pullback = pure_output_maps(channel)
+
     def objective(psi: np.ndarray):
-        a = hermitize(channel.apply_matrix(np.outer(psi, psi.conj())))
-        w, u = np.linalg.eigh(a)
+        w, u = np.linalg.eigh(outputs(psi))
         w = np.clip(w, 0.0, None)
-        value = float(np.sum(w ** p))
-        a_pm1 = (u * w ** (p - 1.0)) @ u.conj().T
-        grad = p * channel.adjoint_apply_matrix(a_pm1) @ psi
-        return value, grad
+        grad = p * pullback(spectral_function(u, w ** (p - 1.0)), psi)
+        return np.sum(w ** p, axis=1), grad
     return objective
 
 
 def neg_entropy_objective(channel, floor: float = 1e-18):
-    """Objective -S(Psi(psi psi*)) with its gradient."""
+    """Objective -S(Psi(psi psi*)) with its gradient, on stacks of pure
+    inputs."""
+    outputs, pullback = pure_output_maps(channel)
+
     def objective(psi: np.ndarray):
-        a = hermitize(channel.apply_matrix(np.outer(psi, psi.conj())))
-        w, u = np.linalg.eigh(a)
+        w, u = np.linalg.eigh(outputs(psi))
         w = np.clip(w, floor, None)
-        value = float(np.sum(w * np.log(w)))
-        log_a = (u * np.log(w)) @ u.conj().T
-        grad = channel.adjoint_apply_matrix(log_a) @ psi
-        return value, grad
+        grad = pullback(spectral_function(u, np.log(w)), psi)
+        return np.sum(w * np.log(w), axis=1), grad
     return objective
 
 

@@ -43,9 +43,21 @@ from .core import (
     tensor_channel,
     von_neumann_entropy,
 )
-from .bounds import InequalityCheck, rho2_blocks, _channel_dim_in
+from .bounds import (
+    InequalityCheck,
+    _channel_dim_in,
+    pure_output_maps,
+    rho2_blocks,
+    spectral_function,
+)
 from .depolarizing import DepolarizingChannel
-from .optimize import maximize_over_pure_states
+from .optimize import (
+    MIN_GAIN,
+    MIN_STEP,
+    maximize_over_pure_states,
+    tangent_part,
+    unit_rows,
+)
 from .phase_damping import PhaseDampingChannel
 
 PROB_SUM_TOL = 1e-12
@@ -53,6 +65,7 @@ POVM_TOL = 1e-10
 ROW_SUM_TOL = 1e-10
 ENTRY_TOL = 1e-12
 LOG_FLOOR = 1e-18
+JOINT_STEPS = 50
 
 
 def _as_kraus(channel) -> Channel:
@@ -279,38 +292,22 @@ def holevo_relative_form(channel, ensemble: Ensemble) -> float:
                for p, o in zip(ensemble.probs, outs) if p > 0.0)
 
 
-def _superoperator_of(channel) -> np.ndarray:
-    s = channel.superoperator
-    return s if isinstance(s, np.ndarray) else s()
-
-
 def relative_entropy_objective(channel, sigma, floor: float = LOG_FLOOR):
-    """Objective S(Psi(psi psi*), sigma) with gradient, for ascent over pure
+    """Objective S(Psi(psi psi*), sigma) with gradient, on stacks of pure
     inputs; sigma's spectrum is floored so the value stays finite (and
-    large) outside its support.
-
-    The channel acts through its superoperator matrix: the objective sits in
-    the optimizer's inner loop, and one matvec beats a sum over Kraus
-    conjugations at these dimensions.
-    """
+    large) outside its support."""
     w, u = np.linalg.eigh(hermitize(np.asarray(sigma, dtype=complex)))
-    log_sigma = (u * np.log(np.clip(w, floor, None))) @ u.conj().T
-    superop = _superoperator_of(channel)
-    adjoint_superop = superop.conj().T
-    dim_out = int(round(math.sqrt(superop.shape[0])))
-    dim_in = int(round(math.sqrt(superop.shape[1])))
+    log_sigma = spectral_function(u, np.log(np.clip(w, floor, None)))
+    outputs, pullback = pure_output_maps(channel)
 
     def objective(psi: np.ndarray):
-        a = (superop @ np.outer(psi, psi.conj()).reshape(-1)).reshape(dim_out, dim_out)
-        a = hermitize(a)
+        a = outputs(psi)
         wa, ua = np.linalg.eigh(a)
         wa = np.clip(wa, 0.0, None)
         log_wa = np.log(np.clip(wa, floor, None))
-        own = float(np.sum(np.where(wa > floor, wa * log_wa, 0.0)))
-        value = own - float(np.real(np.vdot(a, log_sigma)))
-        log_a = (ua * log_wa) @ ua.conj().T
-        back = (adjoint_superop @ (log_a - log_sigma).reshape(-1)).reshape(dim_in, dim_in)
-        return value, back @ psi
+        own = np.sum(np.where(wa > floor, wa * log_wa, 0.0), axis=1)
+        values = own - np.real(np.sum(a.conj() * log_sigma, axis=(1, 2)))
+        return values, pullback(spectral_function(ua, log_wa) - log_sigma, psi)
 
     return objective
 
@@ -470,6 +467,65 @@ def _polish_weights(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray,
     return probs, value, divs
 
 
+def _own_terms(outs: np.ndarray) -> np.ndarray:
+    """-S(out_i) for each output in a stack."""
+    w = psd_eigenvalues(outs)
+    return np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=-1)
+
+
+def _settle_weights(states: np.ndarray, probs: np.ndarray, outputs,
+                    inner_iters: int):
+    """Optimal weights for a fixed support: equalize, polish, then drop the
+    members whose weight the certificate shows useless. Returns
+    (states, probs, sigma, chi)."""
+    outs = outputs(states)
+    owns = _own_terms(outs)
+    probs, _, _ = _equalize_weights(probs, outs, owns, 1e-9,
+                                    max_rounds=inner_iters)
+    probs, chi, _ = _polish_weights(probs, outs, owns, 1e-12)
+    keep = probs > 1e-12
+    probs = probs[keep] / probs[keep].sum()
+    sigma = hermitize(np.tensordot(probs, outs[keep], axes=1))
+    return states[keep], probs, sigma, chi
+
+
+def _joint_support_ascent(channel, outputs, states: np.ndarray,
+                          probs: np.ndarray) -> np.ndarray:
+    """Projected gradient ascent of the ensemble value
+    chi(psi) = sum_i p_i S(Psi(psi_i psi_i*), sigma(psi)) over all support
+    states at once, at fixed weights.
+
+    For a trace-preserving channel the sigma-derivative terms cancel, so
+    the gradient in psi_i is p_i times that of S(Psi(psi_i psi_i*), sigma)
+    at the current sigma: one batched objective call per step. All states
+    share one step size, and a step is kept only when chi, with sigma
+    recomputed for the candidate states, improves. At most JOINT_STEPS
+    steps are taken: the step only has to break up twin support states,
+    and the witness search does the rest.
+    """
+    def value(states):
+        outs = outputs(states)
+        return _weight_stats(probs, outs, _own_terms(outs))[0], outs
+
+    chi, outs = value(states)
+    step = 0.5
+    for _ in range(JOINT_STEPS):
+        sigma = hermitize(np.tensordot(probs, outs, axes=1))
+        _, grad = relative_entropy_objective(channel, sigma)(states)
+        direction = probs[:, None] * tangent_part(states, grad)
+        while step >= MIN_STEP:
+            cand = unit_rows(states + step * direction)
+            cand_chi, cand_outs = value(cand)
+            if cand_chi > chi + MIN_GAIN:
+                states, chi, outs = cand, cand_chi, cand_outs
+                step = min(step * 1.5, 1e3)
+                break
+            step *= 0.5
+        else:
+            break
+    return states
+
+
 def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
                     max_outer: int = 200, sup_restarts: int = 8,
                     final_restarts: int = 32, inner_iters: int = 500,
@@ -478,11 +534,12 @@ def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
 
     The support holds at most d^2 pure states (enough for an optimal
     ensemble). Per round: Blahut-Arimoto style reweighting for the fixed
-    support, then a multi-start ascent of S(Psi(rho), Psi(rho_bar)); if the
-    best found state beats the ensemble value by less than cert_tol the
-    ensemble is equalized and optimal to that tolerance, otherwise the
-    state enters the support, displacing the lightest member when full.
-    Non-convergence within max_outer rounds is reported, not raised.
+    support, a joint gradient step on the support states, then a
+    multi-start ascent of S(Psi(rho), Psi(rho_bar)); if the best found state
+    beats the ensemble value by less than cert_tol the ensemble is
+    equalized and optimal to that tolerance, otherwise the state enters the
+    support, displacing the lightest member when full. Non-convergence
+    within max_outer rounds is reported, not raised.
     """
     dim = _channel_dim_in(channel)
     # d^2 states suffice for the optimum; the extra slots give iterates
@@ -490,78 +547,38 @@ def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
     cap = max_states if max_states is not None else dim * dim + dim
     seeds = _seed_ints(seed, max_outer + 2)
     rng = np.random.default_rng(seeds[0])
+    outputs, _ = pure_output_maps(channel)
 
-    states: list[np.ndarray] = []
-    eye = np.eye(dim, dtype=complex)
-    for i in range(min(dim, cap)):
-        states.append(eye[:, i].copy())
+    states = list(np.eye(dim, dtype=complex)[:min(dim, cap)])
     while len(states) < min(dim * dim, cap):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         states.append(v / np.linalg.norm(v))
+    states = np.array(states)
     probs = np.full(len(states), 1.0 / len(states))
 
-    def output_of(psi: np.ndarray) -> np.ndarray:
-        return hermitize(channel.apply_matrix(np.outer(psi, psi.conj())))
-
-    def own_entropy_term(out: np.ndarray) -> float:
-        w = psd_eigenvalues(out)
-        nz = w[w > 0.0]
-        return float(np.sum(nz * np.log(nz)))
-
-    outs = np.stack([output_of(s) for s in states])
-    owns = np.array([own_entropy_term(o) for o in outs])
-
-    chi = 0.0
-    gap = np.inf
     converged = False
     outer = 0
-    inner_tol = 1e-12
     for outer in range(1, max_outer + 1):
-        probs, chi, divs = _equalize_weights(probs, outs, owns,
-                                             max(inner_tol, 1e-9),
-                                             max_rounds=inner_iters)
-        probs, chi, divs = _polish_weights(probs, outs, owns, inner_tol)
-        # Equalized weights below threshold are certified useless; drop them.
-        keep = probs > 1e-12
-        if not keep.all() and keep.any():
-            states = [s for s, k in zip(states, keep) if k]
-            outs = outs[keep]
-            owns = owns[keep]
-            probs = probs[keep] / probs[keep].sum()
+        states, probs, sigma, chi = _settle_weights(states, probs, outputs,
+                                                    inner_iters)
 
-        sigma = hermitize(np.tensordot(probs, outs, axes=1))
+        # Move the support states themselves, and adopt the moved support
+        # only when its re-equalized value improves. Witness admission
+        # alone can limit-cycle: the search returns a slightly shifted copy
+        # of an existing member, weight oscillates between the twins, and
+        # the gap stalls.
+        moved = _joint_support_ascent(channel, outputs, states, probs)
+        m_settled = _settle_weights(moved, probs, outputs, inner_iters)
+        if m_settled[3] > chi:
+            states, probs, sigma, chi = m_settled
         objective = relative_entropy_objective(channel, sigma)
-
-        # Move each support state uphill against the frozen average output
-        # and adopt the moved support only when the re-equalized value
-        # improves. Witness admission alone can limit-cycle: the search
-        # returns a slightly shifted copy of an existing member, weight
-        # oscillates between the twins, and the gap stalls; repositioning
-        # the members themselves breaks the cycle.
-        moved = [maximize_over_pure_states(objective, dim, restarts=0,
-                                           extra_starts=[s],
-                                           max_iter=200).state
-                 for s in states]
-        m_outs = np.stack([output_of(s) for s in moved])
-        m_owns = np.array([own_entropy_term(o) for o in m_outs])
-        m_probs, m_chi, m_divs = _equalize_weights(
-            probs.copy(), m_outs, m_owns, max(inner_tol, 1e-9),
-            max_rounds=inner_iters)
-        m_probs, m_chi, m_divs = _polish_weights(m_probs, m_outs, m_owns,
-                                                 inner_tol)
-        if m_chi > chi:
-            states, outs, owns = moved, m_outs, m_owns
-            probs, chi, divs = m_probs, m_chi, m_divs
-            sigma = hermitize(np.tensordot(probs, outs, axes=1))
-            objective = relative_entropy_objective(channel, sigma)
 
         thin = np.linalg.eigh(sigma)[1][:, 0]
         # Mid-run witness searches only need to find some improving state;
         # start them from the heaviest support members. The final
         # certificate below re-checks from every member before convergence
         # is declared.
-        heavy = np.argsort(probs)[::-1][:8]
-        starts = [states[i] for i in heavy]
+        starts = list(states[np.argsort(probs)[::-1][:8]])
         if thin.size == dim:
             starts.append(thin)
         sup = maximize_over_pure_states(objective, dim, restarts=sup_restarts,
@@ -579,34 +596,18 @@ def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
                 break
             sup = final
         # Admit the witness into the support.
-        witness = sup.state
         if len(states) >= cap:
-            idx = int(np.argmin(probs))
-            states.pop(idx)
-            mask = np.ones(len(probs), dtype=bool)
-            mask[idx] = False
-            outs, owns = outs[mask], owns[mask]
-            probs = probs[mask] / probs[mask].sum()
-        states.append(witness)
-        outs = np.concatenate([outs, output_of(witness)[None]])
-        owns = np.append(owns, own_entropy_term(outs[-1]))
-        probs = np.concatenate([probs * 0.95, [0.05]])
+            keep = np.arange(len(probs)) != np.argmin(probs)
+            states, probs = states[keep], probs[keep] / probs[keep].sum()
+        states = np.vstack([states, sup.state])
+        probs = np.append(probs * 0.95, 0.05)
 
     if not converged:
         # The loop exited right after a witness admission, so the weights
         # are stale; re-equalize and re-certify so the returned ensemble,
         # its value, and the gap describe one consistent state.
-        probs, chi, divs = _equalize_weights(probs, outs, owns,
-                                             max(inner_tol, 1e-9),
-                                             max_rounds=inner_iters)
-        probs, chi, divs = _polish_weights(probs, outs, owns, inner_tol)
-        keep = probs > 1e-12
-        if not keep.all() and keep.any():
-            states = [s for s, k in zip(states, keep) if k]
-            outs = outs[keep]
-            owns = owns[keep]
-            probs = probs[keep] / probs[keep].sum()
-        sigma = hermitize(np.tensordot(probs, outs, axes=1))
+        states, probs, sigma, chi = _settle_weights(states, probs, outputs,
+                                                    inner_iters)
         final = maximize_over_pure_states(
             relative_entropy_objective(channel, sigma), dim,
             restarts=final_restarts, seed=seeds[-1],
@@ -614,9 +615,7 @@ def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
         gap = final.value - chi
         converged = bool(gap < cert_tol)
 
-    avg_input = hermitize(sum(p * np.outer(s, s.conj())
-                              for p, s in zip(probs, states)))
-    sigma = hermitize(np.tensordot(probs, outs, axes=1))
+    avg_input = hermitize(np.einsum("i,ij,ik->jk", probs, states, states.conj()))
     return HolevoResult(chi=chi, probs=probs, states=tuple(states),
                         average_input=DensityMatrix(avg_input),
                         average_output=DensityMatrix(sigma),

@@ -49,8 +49,9 @@ def nats_to_bits(x: float) -> float:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Average away the anti-Hermitian rounding residue of a matrix product."""
-    return 0.5 * (a + a.conj().T)
+    """Average away the anti-Hermitian rounding residue of a matrix product,
+    or of each matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def herm_defect(a: np.ndarray) -> float:
@@ -203,7 +204,8 @@ class BipartiteState:
 # ---------------------------------------------------------------------------
 
 def psd_eigenvalues(a, tol: float = TAU_PSD) -> np.ndarray:
-    """Eigenvalues of a Hermitian PSD matrix, ascending, clipped at zero.
+    """Eigenvalues of a Hermitian PSD matrix, or of each one in a stack,
+    ascending, clipped at zero.
 
     Eigenvalues in [-tol, 0) are rounding noise and are clipped to 0 so they
     cannot poison logarithms and fractional powers downstream. Anything below
@@ -211,8 +213,9 @@ def psd_eigenvalues(a, tol: float = TAU_PSD) -> np.ndarray:
     """
     m = np.asarray(a, dtype=complex)
     w = np.linalg.eigvalsh(hermitize(m))
-    if w.size and w[0] < -tol:
-        raise InvalidStateError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+    if w.size and w[..., 0].min() < -tol:
+        raise InvalidStateError(
+            f"matrix is not PSD: min eigenvalue {w[..., 0].min():.3e}")
     return np.clip(w, 0.0, None)
 
 

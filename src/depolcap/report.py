@@ -112,6 +112,20 @@ class ConfigError(ValueError):
     """Invalid run configuration; maps to the usage-error exit code."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _entries(name: str, value, valid, kind: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or not all(valid(x) for x in value):
+        raise ConfigError(f"{name} must be a list of {kind}, got {value!r}")
+    return tuple(value)
+
+
 @dataclass
 class RunConfig:
     dims: tuple = (2, 3)
@@ -127,15 +141,21 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.lambdas = tuple(float(x) for x in self.lambdas)
-        self.p_grid = tuple(float(p) for p in self.p_grid)
+        # Values from a config file arrive as whatever JSON held; check the
+        # types before converting, so that 2.7 is not truncated to 2.
+        self.dims = _entries("dims", self.dims, _is_int, "integers")
+        self.lambdas = tuple(float(x) for x in _entries(
+            "lambdas", self.lambdas, _is_number, "numbers"))
+        self.p_grid = tuple(float(p) for p in _entries(
+            "p_grid", self.p_grid, _is_number, "numbers"))
         if not self.dims or not self.lambdas or not self.p_grid:
             raise ConfigError("dims, lambdas and p-grid must be non-empty")
         if not all(math.isfinite(x) for x in self.lambdas + self.p_grid):
             raise ConfigError("lambdas and p-grid entries must be finite")
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
-            raise ConfigError(f"trials must be an integer, got {self.trials!r}")
+        for name in ("trials", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if any(d < 2 for d in self.dims):
             raise ConfigError("dimensions must be at least 2")
         if any(d > 6 for d in self.dims):
@@ -144,6 +164,8 @@ class RunConfig:
             raise ConfigError("p-grid entries must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if not self.unchecked_lambda:
@@ -154,9 +176,15 @@ class RunConfig:
                         raise ConfigError(
                             f"lambda {lam} outside [{lo:.6f}, 1] for d={d}; "
                             "pass --unchecked-lambda to allow")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError("tolerances must be an object of name: value")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance overrides {sorted(unknown)}")
+        for name, value in self.tolerances.items():
+            if not (_is_number(value) and 0.0 <= value < math.inf):
+                raise ConfigError(f"tolerance {name} must be a finite "
+                                  f"non-negative number, got {value!r}")
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))

@@ -261,6 +261,16 @@ class TestHolevoQuantity:
         assert result.converged
         assert abs(result.chi) < 1e-12
 
+    @pytest.mark.parametrize("seed", [72, 109])
+    def test_random_qutrit_channels_converge_in_few_rounds(self, seed):
+        # Witness admission alone piles up near-copies of support states on
+        # these channels and needs 34 and 172 rounds; moving the support
+        # states jointly closes the certificate well inside 30.
+        ch = random_channel(3, 3, 2, seed=seed)
+        result = holevo_quantity(ch, seed=seed, max_outer=30)
+        assert result.converged
+        assert result.certificate_gap < 1e-7
+
 
 class TestOpwswCertificate:
     def test_equals_chi_star_at_the_optimal_average(self):

@@ -192,6 +192,25 @@ class TestExitCodes:
         assert out == ""
         assert "must be finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("config", [
+        {"lambdas": ["abc"]},
+        {"lambdas": 0.5},
+        {"dims": [2.7]},
+        {"seed": 2.5},
+        {"seed": -1},
+        {"tolerances": {"additivity": "x"}},
+        {"tolerances": {"additivity": -1}},
+    ])
+    def test_wrongly_typed_config_value_exits_two(self, capsys, tmp_path,
+                                                   config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["measures", "--config", str(cfg),
+                                  "--p-grid", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+
     def test_non_integer_trials_in_config_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": 2.7}))

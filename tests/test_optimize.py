@@ -1,18 +1,38 @@
 import numpy as np
+import pytest
 
-from depolcap.optimize import ascend_on_sphere
+from depolcap.bounds import neg_entropy_objective, pnorm_power_objective
+from depolcap.capacity import relative_entropy_objective
+from depolcap.core import random_channel, random_density_matrix, spawn_rngs
+from depolcap.optimize import (
+    ascend_lockstep,
+    ascend_on_sphere,
+    maximize_over_pure_states,
+)
 
 VALUE_MATRIX = np.diag([3.0, 2.0, 1.0]).astype(complex)
 UNIFORM_START = np.ones(3, dtype=complex) / np.sqrt(3.0)
 
 
-def test_exact_gradient_converges_to_top_eigenvector():
+def quadratic_objective(h):
+    """<psi|h|psi> with its exact gradient h psi, row by row."""
     def objective(psi):
-        h_psi = VALUE_MATRIX @ psi
-        return float(np.real(np.vdot(psi, h_psi))), h_psi
+        h_psi = psi @ h.T
+        return np.real(np.sum(psi.conj() * h_psi, axis=1)), h_psi
+    return objective
 
-    result = ascend_on_sphere(objective, UNIFORM_START, grad_tol=1e-6)
+
+def random_starts(dim, n, seed):
+    starts = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+              for rng in spawn_rngs(seed, n)]
+    return np.array([s / np.linalg.norm(s) for s in starts])
+
+
+def test_exact_gradient_converges_to_top_eigenvector():
+    result = ascend_on_sphere(quadratic_objective(VALUE_MATRIX), UNIFORM_START,
+                              grad_tol=1e-6)
     assert result.converged
+    assert result.stop == "grad_tol"
     assert result.grad_norm < 1e-6
     assert abs(result.value - 3.0) < 1e-12
 
@@ -24,9 +44,112 @@ def test_stalled_line_search_with_wrong_gradient_is_not_converged():
     wrong = np.diag([1.0, 2.0, 3.0]).astype(complex)
 
     def objective(psi):
-        return float(np.real(np.vdot(psi, VALUE_MATRIX @ psi))), wrong @ psi
+        return quadratic_objective(VALUE_MATRIX)(psi)[0], psi @ wrong.T
 
     result = ascend_on_sphere(objective, UNIFORM_START)
     assert result.iterations == 1
     assert result.grad_norm > 0.5
     assert not result.converged
+    assert result.stop == "line_search"
+
+
+def test_iteration_budget_is_reported_as_max_iter():
+    result = ascend_on_sphere(quadratic_objective(VALUE_MATRIX), UNIFORM_START,
+                              max_iter=1)
+    assert result.iterations == 1
+    assert result.stop == "max_iter"
+    assert not result.converged
+
+
+def _reference_outputs(channel, psi):
+    return [channel.apply_matrix(np.outer(v, v.conj())) for v in psi]
+
+
+def _spectral(a, f):
+    w, u = np.linalg.eigh(0.5 * (a + a.conj().T))
+    return w, (u * f(w)) @ u.conj().T
+
+
+def _relative_entropy_rows(channel, sigma, psi, floor=1e-18):
+    _, log_sigma = _spectral(sigma, lambda w: np.log(np.clip(w, floor, None)))
+    rows = []
+    for v, a in zip(psi, _reference_outputs(channel, psi)):
+        w, log_a = _spectral(a, lambda w: np.log(np.clip(w, floor, None)))
+        w = np.clip(w, 0.0, None)
+        own = np.sum(np.where(w > floor, w * np.log(np.clip(w, floor, None)), 0.0))
+        value = own - np.real(np.trace(a @ log_sigma))
+        rows.append((value, channel.adjoint_apply_matrix(log_a - log_sigma) @ v))
+    return rows
+
+
+def _pnorm_rows(channel, p, psi):
+    rows = []
+    for v, a in zip(psi, _reference_outputs(channel, psi)):
+        w, a_pm1 = _spectral(a, lambda w: np.clip(w, 0.0, None) ** (p - 1.0))
+        value = np.sum(np.clip(w, 0.0, None) ** p)
+        rows.append((value, p * channel.adjoint_apply_matrix(a_pm1) @ v))
+    return rows
+
+
+def _neg_entropy_rows(channel, psi, floor=1e-18):
+    rows = []
+    for v, a in zip(psi, _reference_outputs(channel, psi)):
+        w, log_a = _spectral(a, lambda w: np.log(np.clip(w, floor, None)))
+        w = np.clip(w, floor, None)
+        rows.append((np.sum(w * np.log(w)), channel.adjoint_apply_matrix(log_a) @ v))
+    return rows
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["relative_entropy", "pnorm", "neg_entropy"])
+def test_batched_objective_matches_row_by_row_kraus_form(dim, kind):
+    # Output dimension 3 with a 3-dim environment: full-rank outputs, and
+    # input and output dimensions differ for d = 2 and 4.
+    channel = random_channel(dim, 3, 3, seed=40 + dim)
+    psi = random_starts(dim, 5, seed=dim)
+    if kind == "relative_entropy":
+        sigma = np.asarray(random_density_matrix(3, seed=dim))
+        objective = relative_entropy_objective(channel, sigma)
+        reference = _relative_entropy_rows(channel, sigma, psi)
+    elif kind == "pnorm":
+        objective = pnorm_power_objective(channel, 1.5)
+        reference = _pnorm_rows(channel, 1.5, psi)
+    else:
+        objective = neg_entropy_objective(channel)
+        reference = _neg_entropy_rows(channel, psi)
+    values, grads = objective(psi)
+    assert values.shape == (5,) and grads.shape == (5, dim)
+    for value, grad, (ref_value, ref_grad) in zip(values, grads, reference):
+        assert abs(value - ref_value) <= 1e-12
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+
+
+def test_lockstep_rows_match_single_ascents():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = g + g.conj().T
+    objective = quadratic_objective(h)
+    starts = random_starts(4, 6, seed=9)
+    batched = ascend_lockstep(objective, starts, grad_tol=1e-6)
+    for start, row in zip(starts, batched):
+        alone = ascend_on_sphere(objective, start, grad_tol=1e-6)
+        assert row.iterations == alone.iterations
+        assert row.stop == alone.stop == "grad_tol"
+        assert abs(row.value - alone.value) <= 1e-12
+    assert max(r.value for r in batched) == pytest.approx(np.linalg.eigvalsh(h)[-1],
+                                                          abs=1e-10)
+
+
+def test_maximize_returns_first_of_tied_maxima():
+    # |psi_0|^2: e_1 is a critical point of value 0, and e_0 and i e_0 both
+    # reach the maximum 1 exactly, with a zero tangent gradient.
+    def objective(psi):
+        grad = np.zeros_like(psi)
+        grad[:, 0] = psi[:, 0]
+        return np.abs(psi[:, 0]) ** 2, grad
+
+    e0, e1 = np.eye(3, dtype=complex)[:2]
+    best = maximize_over_pure_states(objective, 3, restarts=0,
+                                     extra_starts=[e1, 1j * e0, e0])
+    assert best.value == 1.0
+    assert np.array_equal(best.state, 1j * e0)
