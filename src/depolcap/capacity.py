@@ -8,8 +8,8 @@ Three layers:
     rule;
   * the Holevo quantity chi* = sup over ensembles of
     S(Psi(rho_bar)) - sum pi_i S(Psi(rho_i)), computed by alternating
-    maximization over at most d^2 pure states: a Blahut-Arimoto style
-    reweighting for fixed states, gradient ascent to find states whose
+    maximization over at most d^2 pure states: projected Newton steps on
+    the weights for fixed states, gradient ascent to find states whose
     output relative entropy against the current average exceeds the
     ensemble value, and the equalization certificate
     sup_rho S(Psi(rho), Psi(rho_bar)) - chi < tol, which bounds the
@@ -66,6 +66,10 @@ ROW_SUM_TOL = 1e-10
 ENTRY_TOL = 1e-12
 LOG_FLOOR = 1e-18
 JOINT_STEPS = 50
+# Guards the weight solver against its two acceptance tests (gap shrinks,
+# value rises) taking turns forever; no measured solve has needed more
+# than 16 weight evaluations.
+WEIGHT_ROUNDS = 500
 
 
 def _as_kraus(channel) -> Channel:
@@ -354,117 +358,104 @@ def _weight_stats(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray):
     return float(probs @ divs), divs, wc, u
 
 
-def _equalize_weights(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray,
-                      tol: float, max_rounds: int = 5000):
+def _weight_hessian(wc: np.ndarray, u: np.ndarray, outs: np.ndarray
+                    ) -> np.ndarray:
+    """Hessian of the ensemble value in the weights of the given outputs,
+    -Tr[out_i Dlog_sigma(out_j)], through the Loewner matrix of log at
+    sigma = u diag(wc) u*."""
+    logw = np.log(wc)
+    dw = wc[:, None] - wc[None, :]
+    near = np.abs(dw) < 1e-12 * np.maximum(wc[:, None], wc[None, :])
+    loewner = np.where(near, 2.0 / (wc[:, None] + wc[None, :]),
+                       (logw[:, None] - logw[None, :]) / np.where(dw == 0.0, 1.0, dw))
+    rotated = np.einsum("ba,ibc,cd->iad", u.conj(), outs, u)
+    return -np.real(np.einsum("kl,ikl,jkl->ij", loewner,
+                              rotated.conj(), rotated))
+
+
+def _solve_weights(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray,
+                   tol: float = 1e-12):
     """Maximize sum_i pi_i S(out_i, sigma(pi)) over the simplex for a fixed
-    output list, by multiplicative reweighting with an exponent line search.
+    output list, by projected Newton steps with a reweighting fallback.
 
-    The plain pi_i <- pi_i exp(D_i) update is monotone but decays weights
-    that belong on the boundary only like 1/k; growing the exponent while
-    the objective still improves restores a geometric rate. Returns
-    (probs, value, divergences); max(divs) - value < tol certifies
-    optimality on this support.
+    The optimum equalizes the divergences D_i = S(out_i, sigma) over the
+    members with weight, and no weightless member exceeds the value. The
+    value is quadratically flat around the optimal output average, while
+    the gap max_i D_i - value resolves the deviation linearly, so the
+    solver stops once the gap is below tol, or when no step improves.
+
+    Each round takes a Newton step on the free set: the members with
+    weight, and the weightless members whose D_i exceeds the value and
+    whose step is not negative. The Hessian is the closed form above,
+    shifted by a relative 1e-12 so that directions along which sigma does
+    not move (twin or linearly dependent outputs) follow the gradient to
+    the boundary instead of being dropped. The step is cut to its longest
+    feasible fraction, whose limiting member lands exactly on zero, and
+    halved until the gap shrinks or the value rises. When no Newton step
+    is accepted, one multiplicative step is taken instead. Returns
+    (probs, value, divergences).
     """
-
-    def evaluate(p):
-        value, divs, _, _ = _weight_stats(p, outs, owns)
-        return value, divs
-
-    def search(p, step, t0):
-        best = None
-        t = t0
-        while True:
-            cand = p * np.exp(t * step)
-            total = cand.sum()
-            if not np.isfinite(total) or total <= 0.0:
-                break
-            cand = cand / total
-            v, dv = evaluate(cand)
-            if best is not None and v <= best[1]:
-                break
-            best = (cand, v, dv, t)
-            if t > 1e12:
-                break
-            t *= 2.0
-        return best
-
-    value, divs = evaluate(probs)
-    t = 1.0
-    for _ in range(max_rounds):
-        if divs.max() - value < tol:
-            break
-        step = divs - divs.max()
-        best = search(probs, step, max(t * 0.5, 1.0))
-        if (best is None or best[1] <= value) and t > 2.0:
-            best = search(probs, step, 1.0)
-        if best is None or best[1] < value - 1e-12:
-            break
-        probs, value, divs, t = best
-    return probs, value, divs
-
-
-def _polish_weights(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray,
-                    tol: float, max_rounds: int = 40):
-    """Drive the weight optimality gap max_i D_i - sum_i pi_i D_i below tol
-    by Newton steps on the simplex.
-
-    The reweighting above converges in value, but the value is quadratically
-    flat around the optimal output average, so a value-level gap of eps
-    still leaves the average off by sqrt(eps) and inflates the relative
-    entropy certificate at first order. The divergences themselves resolve
-    that deviation linearly, and the Hessian of the ensemble value in the
-    weights is available in closed form through the derivative of the
-    matrix logarithm at sigma, so a few projected Newton steps reach the
-    gap floor that plain reweighting cannot.
-    """
-    n = probs.size
-    if n == 1:
-        value, divs, _, _ = _weight_stats(probs, outs, owns)
-        return probs, value, divs
     value, divs, wc, u = _weight_stats(probs, outs, owns)
-    ones = np.ones(n)
-    for _ in range(max_rounds):
+    for _ in range(WEIGHT_ROUNDS):
         gap = divs.max() - value
         if gap < tol:
             break
-        logw = np.log(wc)
-        dw = wc[:, None] - wc[None, :]
-        near = np.abs(dw) < 1e-12 * np.maximum(wc[:, None], wc[None, :])
-        loewner = np.where(near, 2.0 / (wc[:, None] + wc[None, :]),
-                           (logw[:, None] - logw[None, :]) / np.where(dw == 0.0, 1.0, dw))
-        rotated = np.einsum("ba,ibc,cd->iad", u.conj(), outs, u)
-        hess = -np.real(np.einsum("kl,ikl,jkl->ij", loewner,
-                                  rotated.conj(), rotated))
-        pinv = np.linalg.pinv(hess, rcond=1e-12, hermitian=True)
-        denom = float(ones @ pinv @ ones)
-        if abs(denom) > 1e-30:
-            mu = float(ones @ pinv @ divs) / denom
-        else:
-            mu = float(divs.mean())
-        delta = pinv @ (mu * ones - divs)
-        delta = delta - delta.mean()
-        norm = np.abs(delta).max()
-        if norm < 1e-16:
-            break
-        # Longest simplex-feasible fraction of the Newton step.
-        alpha = 1.0
-        shrinking = delta < 0.0
-        if shrinking.any():
-            alpha = min(1.0, float(np.min(probs[shrinking] / -delta[shrinking])))
-        accepted = False
+        hess = _weight_hessian(wc, u, outs)
+        free = (probs > 0.0) | (divs > value)
+        while True:
+            h = hess[np.ix_(free, free)]
+            inv = np.linalg.inv(h - 1e-12 * np.abs(h).max() * np.eye(len(h)))
+            ones = np.ones(len(h))
+            mu = float(ones @ inv @ divs[free]) / float(ones @ inv @ ones)
+            delta = np.zeros_like(probs)
+            delta[free] = inv @ (mu * ones - divs[free])
+            delta[free] -= delta[free].mean()
+            stuck = free & (probs == 0.0) & (delta < 0.0)
+            if not stuck.any():
+                break
+            free &= ~stuck
+        shrinking = np.flatnonzero(delta < 0.0)
+        ratios = probs[shrinking] / -delta[shrinking]
+        alpha = min(1.0, float(ratios.min())) if ratios.size else 1.0
+        blocking = shrinking[np.argmin(ratios)] if alpha < 1.0 else None
+        best = None
         for _ in range(25):
             cand = np.clip(probs + alpha * delta, 0.0, None)
+            if blocking is not None:
+                cand[blocking] = 0.0
+                blocking = None
             cand = cand / cand.sum()
-            v, dv, wcn, un = _weight_stats(cand, outs, owns)
-            cand_gap = dv.max() - v
-            if cand_gap < gap * (1.0 - 1e-4) or v > value + 1e-15:
-                probs, value, divs, wc, u = cand, v, dv, wcn, un
-                accepted = True
+            stats = _weight_stats(cand, outs, owns)
+            if (stats[1].max() - stats[0] < gap * (1.0 - 1e-4)
+                    or stats[0] > value + MIN_GAIN):
+                best = (cand, *stats)
                 break
             alpha *= 0.5
-        if not accepted:
-            break
+        if best is None:
+            best = _reweight_step(probs, value, divs, outs, owns)
+            if best is None:
+                break
+        probs, value, divs, wc, u = best
     return probs, value, divs
+
+
+def _reweight_step(probs, value, divs, outs, owns):
+    """One multiplicative step pi_i <- pi_i exp(t (D_i - max D)), with t
+    doubled from 1 while the value keeps rising. Returns (probs, *stats) of
+    the best step, or None when no step raises the value by MIN_GAIN."""
+    best, t = None, 1.0
+    while t <= 1e12:
+        cand = probs * np.exp(t * (divs - divs.max()))
+        total = cand.sum()
+        if not total > 0.0:
+            break
+        cand = cand / total
+        stats = _weight_stats(cand, outs, owns)
+        if stats[0] <= (value + MIN_GAIN if best is None else best[1]):
+            break
+        best = (cand, *stats)
+        t *= 2.0
+    return best
 
 
 def _own_terms(outs: np.ndarray) -> np.ndarray:
@@ -473,16 +464,12 @@ def _own_terms(outs: np.ndarray) -> np.ndarray:
     return np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=-1)
 
 
-def _settle_weights(states: np.ndarray, probs: np.ndarray, outputs,
-                    inner_iters: int):
-    """Optimal weights for a fixed support: equalize, polish, then drop the
-    members whose weight the certificate shows useless. Returns
-    (states, probs, sigma, chi)."""
+def _settle_weights(states: np.ndarray, probs: np.ndarray, outputs):
+    """Optimal weights for a fixed support, then drop the members the
+    solver leaves at (near) zero weight. Returns (states, probs, sigma,
+    chi)."""
     outs = outputs(states)
-    owns = _own_terms(outs)
-    probs, _, _ = _equalize_weights(probs, outs, owns, 1e-9,
-                                    max_rounds=inner_iters)
-    probs, chi, _ = _polish_weights(probs, outs, owns, 1e-12)
+    probs, chi, _ = _solve_weights(probs, outs, _own_terms(outs))
     keep = probs > 1e-12
     probs = probs[keep] / probs[keep].sum()
     sigma = hermitize(np.tensordot(probs, outs[keep], axes=1))
@@ -528,13 +515,13 @@ def _joint_support_ascent(channel, outputs, states: np.ndarray,
 
 def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
                     max_outer: int = 200, sup_restarts: int = 8,
-                    final_restarts: int = 32, inner_iters: int = 500,
+                    final_restarts: int = 32,
                     max_states: int | None = None) -> HolevoResult:
     """chi* by alternating maximization with an equalization certificate.
 
     The support holds at most d^2 pure states (enough for an optimal
-    ensemble). Per round: Blahut-Arimoto style reweighting for the fixed
-    support, a joint gradient step on the support states, then a
+    ensemble). Per round: projected Newton steps that equalize the weights
+    of the fixed support, a joint gradient step on the support states, then a
     multi-start ascent of S(Psi(rho), Psi(rho_bar)); if the best found state
     beats the ensemble value by less than cert_tol the ensemble is
     equalized and optimal to that tolerance, otherwise the state enters the
@@ -559,8 +546,7 @@ def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
     converged = False
     outer = 0
     for outer in range(1, max_outer + 1):
-        states, probs, sigma, chi = _settle_weights(states, probs, outputs,
-                                                    inner_iters)
+        states, probs, sigma, chi = _settle_weights(states, probs, outputs)
 
         # Move the support states themselves, and adopt the moved support
         # only when its re-equalized value improves. Witness admission
@@ -568,7 +554,7 @@ def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
         # of an existing member, weight oscillates between the twins, and
         # the gap stalls.
         moved = _joint_support_ascent(channel, outputs, states, probs)
-        m_settled = _settle_weights(moved, probs, outputs, inner_iters)
+        m_settled = _settle_weights(moved, probs, outputs)
         if m_settled[3] > chi:
             states, probs, sigma, chi = m_settled
         objective = relative_entropy_objective(channel, sigma)
@@ -606,8 +592,7 @@ def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
         # The loop exited right after a witness admission, so the weights
         # are stale; re-equalize and re-certify so the returned ensemble,
         # its value, and the gap describe one consistent state.
-        states, probs, sigma, chi = _settle_weights(states, probs, outputs,
-                                                    inner_iters)
+        states, probs, sigma, chi = _settle_weights(states, probs, outputs)
         final = maximize_over_pure_states(
             relative_entropy_objective(channel, sigma), dim,
             restarts=final_restarts, seed=seeds[-1],

@@ -516,12 +516,13 @@ def cmd_capacity(config: RunConfig) -> Report:
 # replay
 # ---------------------------------------------------------------------------
 
-def run_replay(path: str) -> tuple[dict, bool]:
-    """Re-run a single serialized failure witness; returns (record, passed)."""
-    with open(path) as fh:
-        data = json.load(fh)
+def _replay_check(data: dict):
+    """(name, inputs, values, slack, passed) of a witness re-run."""
     name = data["check"]
     inputs = data["inputs"]
+    dims = [inputs[k] for k in ("d", "dp") if k in inputs]
+    if not all(isinstance(d, int) and 2 <= d <= 6 for d in dims):
+        raise ConfigError(f"witness dimensions {dims} are out of scope")
     mats = {k: (deserialize_matrix(v) if isinstance(v, dict)
                 else [deserialize_matrix(x) for x in v])
             for k, v in data.get("matrices", {}).items()}
@@ -568,6 +569,39 @@ def run_replay(path: str) -> tuple[dict, bool]:
         passed = slack >= -scalars["tolerance"]
     else:
         raise ConfigError(f"witness file names unknown check {name!r}")
+    return name, inputs, values, slack, passed
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
+def run_replay(path: str) -> tuple[dict, bool]:
+    """Re-run a single serialized failure witness; returns (record, passed).
+
+    A file that cannot be read, is not a JSON object, lacks a key or holds
+    values that do not fit its check raises ConfigError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh, parse_float=_finite_float,
+                             parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read witness file: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError("witness file must hold a JSON object")
+    try:
+        name, inputs, values, slack, passed = _replay_check(data)
+    except KeyError as exc:
+        raise ConfigError(f"witness file lacks the key {exc}")
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ConfigError(f"witness file does not fit its check: {exc}")
+    if not all(math.isfinite(x) for x in (slack, *values.values())):
+        raise ConfigError("witness values give a non-finite result")
 
     record = {
         "tool": "depolcap",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depolcap.bounds import diagonalize_first_factor
+from depolcap import capacity
+from depolcap.bounds import diagonalize_first_factor, pure_output_maps
 from depolcap.capacity import (
     AdditivityCheck,
     ClassicalChannelMatrix,
@@ -21,6 +22,9 @@ from depolcap.capacity import (
     shannon_capacity_fixed,
     tensor_relative_entropy_bound,
     transition_matrix,
+    _own_terms,
+    _reweight_step,
+    _solve_weights,
 )
 from depolcap.core import (
     BipartiteState,
@@ -31,6 +35,7 @@ from depolcap.core import (
     random_channel,
     random_density_matrix,
     random_unitary,
+    relative_entropy,
 )
 from depolcap.depolarizing import DepolarizingChannel
 from depolcap.phase_damping import PhaseDampingChannel
@@ -270,6 +275,105 @@ class TestHolevoQuantity:
         result = holevo_quantity(ch, seed=seed, max_outer=30)
         assert result.converged
         assert result.certificate_gap < 1e-7
+
+
+def _random_states(n, dim, rng):
+    """n Haar-random unit vectors in C^dim."""
+    v = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _support(dim, n_random, seed):
+    """The computational basis followed by n_random Haar-random states."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([np.eye(dim), _random_states(n_random, dim, rng)])
+
+
+def _settle(channel, states):
+    """_solve_weights on the outputs of states, from uniform weights."""
+    outs = pure_output_maps(channel)[0](states)
+    probs = np.full(len(states), 1.0 / len(states))
+    return _solve_weights(probs, outs, _own_terms(outs))
+
+
+@pytest.fixture
+def weight_evaluations(monkeypatch):
+    """A list that grows by one entry per _weight_stats call."""
+    calls = []
+    inner = capacity._weight_stats
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(capacity, "_weight_stats", counted)
+    return calls
+
+
+class TestWeightSolver:
+    def test_boundary_members_reach_zero_weight(self):
+        # Only the basis members belong to the optimal ensemble; the random
+        # members must be driven onto the boundary of the simplex.
+        ch = DepolarizingChannel(3, 0.5)
+        probs, value, divs = _settle(ch, _support(3, 6, seed=4))
+        assert divs.max() - value < 1e-12
+        assert probs[3:].max() <= 1e-9
+        assert abs(value - ch.chi_star()) < 1e-10
+
+    def test_single_member_returns_its_divergence(self):
+        ch = random_channel(3, 3, 2, seed=1)
+        states = _support(3, 1, seed=2)[3:]
+        probs, value, divs = _settle(ch, states)
+        out = pure_output_maps(ch)[0](states)[0]
+        assert probs.tolist() == [1.0]
+        assert value == divs[0]
+        assert abs(value - relative_entropy(out, out)) < 1e-12
+
+    @pytest.mark.parametrize("seed,size", [(1, 6), (5, 9), (28, 9)])
+    def test_random_qutrit_support_closes_the_gap(self, seed, size,
+                                                  weight_evaluations):
+        # On these supports, Newton steps that let a weightless member be
+        # pushed below zero (and clipped) stall for thousands of
+        # evaluations instead of closing the gap.
+        states = _random_states(size, 3, np.random.default_rng(1000 + seed))
+        ch = random_channel(3, 3, 2, seed=seed)
+        probs, value, divs = _settle(ch, states)
+        assert divs.max() - value < 1e-12
+        assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() >= 0.0
+        assert len(weight_evaluations) <= 50
+
+    def test_weight_evaluation_budget(self, weight_evaluations):
+        ch = DepolarizingChannel(6, 0.25)
+        probs, value, divs = _settle(ch, _support(6, 36, seed=5))
+        assert divs.max() - value < 1e-12
+        assert len(weight_evaluations) <= 200
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_twin_members_settle_in_few_evaluations(self, seed,
+                                                    weight_evaluations):
+        # Two members whose outputs differ by about 1e-6 span a direction
+        # of almost zero curvature; the step along it must still reach
+        # the boundary rather than stall short of the 1e-12 gap.
+        rng = np.random.default_rng(seed)
+        states = _random_states(4, 3, rng)
+        twin = states[0] + 1e-6 * rng.standard_normal(3)
+        states = np.vstack([states, twin / np.linalg.norm(twin)])
+        ch = random_channel(3, 3, 2, seed=seed)
+        probs, value, divs = _settle(ch, states)
+        assert divs.max() - value < 1e-12
+        assert len(weight_evaluations) <= 50
+
+    def test_reweight_fallback_raises_value_until_optimal(self):
+        ch = DepolarizingChannel(3, 0.5)
+        states = _support(3, 6, seed=4)
+        outs = pure_output_maps(ch)[0](states)
+        owns = _own_terms(outs)
+        probs = np.full(len(states), 1.0 / len(states))
+        value, divs, _, _ = capacity._weight_stats(probs, outs, owns)
+        step = _reweight_step(probs, value, divs, outs, owns)
+        assert step is not None and step[1] > value
+        probs, value, divs = _solve_weights(probs, outs, owns)
+        assert _reweight_step(probs, value, divs, outs, owns) is None
 
 
 class TestOpwswCertificate:

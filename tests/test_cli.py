@@ -5,16 +5,22 @@ module stays fast. Determinism is asserted at the byte level after
 stripping the timestamp line.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depolcap.cli import main, run_replay
+from depolcap.core import random_bipartite_state
 from depolcap.report import (
     CheckRecord,
     ConfigError,
@@ -207,6 +213,18 @@ class TestExitCodes:
         cfg.write_text(json.dumps(config))
         code, out, err = run_cli(["measures", "--config", str(cfg),
                                   "--p-grid", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [
+        None, "{bad", "{}",
+        '{"check": "lieb-thirring", "inputs": {"p": 1e400}}'])
+    def test_bad_witness_file_exits_two(self, capsys, tmp_path, content):
+        path = tmp_path / "witness.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run_cli(["verify", "--replay", str(path)], capsys)
         assert code == 2
         assert out == ""
         assert "error:" in err and "Traceback" not in err
@@ -499,6 +517,144 @@ class TestReplay:
         code, _, err = run_cli(["verify", "--replay", str(path)], capsys)
         assert code == 2
         assert "unknown check" in err
+
+
+# ---------------------------------------------------------------------------
+# Exit contract under generated inputs
+# ---------------------------------------------------------------------------
+
+def _valid_witness() -> dict:
+    rho12 = random_bipartite_state(2, 2, seed=0)
+    return {"check": "tensor-output-norm-bound",
+            "inputs": {"d": 2, "dp": 2, "lam": 0.5, "p": 2.0},
+            "seed": 0,
+            "matrices": {"rho12": serialize_matrix(np.asarray(rho12))},
+            "scalars": {"tolerance": 1e-8}}
+
+
+WITNESS_PATHS = [("check",), ("inputs",), ("inputs", "d"), ("inputs", "dp"),
+                 ("inputs", "lam"), ("inputs", "p"), ("matrices",),
+                 ("matrices", "rho12"), ("matrices", "rho12", "shape"),
+                 ("matrices", "rho12", "re"), ("scalars",),
+                 ("scalars", "tolerance")]
+JUNK = st.sampled_from([None, True, 0, -1, 7, 100, 0.5, -2.5, 1e300, "x",
+                        [], [2, 2], {}])
+GRID_VALUE = st.one_of(st.floats(-2.0, 12.0),
+                       st.sampled_from(["nan", "inf", "-inf", "0", "1"]))
+
+
+@st.composite
+def witness_text(draw):
+    """A witness file's text: valid, with a key dropped or a value swapped
+    for junk, or not a witness at all. None stands for a missing file."""
+    kind = draw(st.sampled_from(["valid", "drop", "junk", "raw"]))
+    if kind == "raw":
+        return draw(st.sampled_from([None, "", "{bad", "[]", "null", "3",
+                                     '{"check": NaN}']))
+    data = _valid_witness()
+    path = draw(st.sampled_from(WITNESS_PATHS))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "junk":
+        parent[path[-1]] = draw(JUNK)
+    return json.dumps(data)
+
+
+CONFIG_VALUES = {
+    "dims": st.one_of(st.just([2]), JUNK),
+    "lambdas": st.one_of(st.lists(st.floats(-2.0, 2.0), max_size=2), JUNK),
+    "p_grid": st.one_of(st.lists(st.floats(0.0, 12.0), max_size=2), JUNK),
+    "trials": JUNK, "seed": JUNK,
+    "format": st.sampled_from(["json", "xml", 3]),
+    "bits": JUNK, "strict": JUNK, "unchecked_lambda": JUNK,
+    "tolerances": st.one_of(JUNK, st.dictionaries(
+        st.sampled_from(["multiplicativity", "reconstruction", "nope"]),
+        JUNK, max_size=2)),
+    "nope": JUNK,
+}
+
+
+@st.composite
+def run_case(draw):
+    """(argv, file texts) of a measures or decompose run with drawn flags
+    and config file; "{out}" and "{config}" are filled in by the test."""
+    argv = [draw(st.sampled_from(["measures", "decompose"])),
+            "--dims", "2", "--trials", "1"]
+    for flag in ("--lambdas", "--p-grid"):
+        values = draw(st.lists(GRID_VALUE, max_size=2))
+        if values:
+            argv += [flag] + [str(v) for v in values]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-2, 2**40)))]
+    for flag in ("--bits", "--strict", "--unchecked-lambda"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    if draw(st.booleans()):
+        argv += ["--out", "{out}"]
+    files = {}
+    if draw(st.booleans()):
+        argv += ["--config", "{config}"]
+        keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)),
+                             unique=True, max_size=3))
+        config = {k: draw(CONFIG_VALUES[k]) for k in keys}
+        files["config"] = draw(st.sampled_from(
+            [json.dumps(config), "{not json", "[1, 2]", None]))
+    return argv, files
+
+
+def _run_in(base, argv, texts):
+    """Write the texts under base (None: leave the file missing), run
+    main() there with DEPOLCAP_OUT_DIR unset, and return (code, stdout,
+    stderr, report path or None)."""
+    paths = {"out": str(base / "sub" / "report.json")}
+    for name, text in texts.items():
+        paths[name] = str(base / f"{name}.json")
+        if text is not None:
+            (base / f"{name}.json").write_text(text)
+    argv = [a.format(**paths) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    env = {k: v for k, v in os.environ.items() if k != "DEPOLCAP_OUT_DIR"}
+    with mock.patch.dict(os.environ, env, clear=True), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), \
+        (paths["out"] if "--out" in argv else None)
+
+
+def _assert_exit_contract(code, out, err, report_path):
+    # Exit is 0, 1 or 2, no input ends in a traceback, and whatever report
+    # is written parses as JSON.
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code != 2:
+        if report_path:
+            with open(report_path) as fh:
+                out = fh.read()
+        json.loads(out)
+
+
+class TestExitContract:
+    # Every file lives in a fresh temporary directory, since --out creates
+    # missing parent directories.
+    @settings(max_examples=100)
+    @given(case=run_case())
+    def test_runs_with_drawn_flags_and_config(self, tmp_path_factory, case):
+        argv, texts = case
+        _assert_exit_contract(*_run_in(tmp_path_factory.mktemp("run"),
+                                       argv, texts))
+
+    @settings(max_examples=100)
+    @given(text=witness_text())
+    def test_replay_of_drawn_witness_file(self, tmp_path_factory, text):
+        _assert_exit_contract(*_run_in(tmp_path_factory.mktemp("replay"),
+                                       ["verify", "--replay", "{witness}"],
+                                       {"witness": text}))
 
 
 # ---------------------------------------------------------------------------
