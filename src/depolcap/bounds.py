@@ -14,6 +14,15 @@ then caps the output p-norm by d^(1-1/p) nu_p(Delta_lam) times a Schatten
 sum over the conditional blocks. Taken together these give the
 multiplicativity of the maximal output p-norm for depolarizing tensor
 factors, checked here Monte-Carlo style.
+
+Product channels act one factor at a time (``core.apply_on_factor``), never
+through a product Kraus set: Phi_lam (x) I is the damper on factor one, and
+Delta (x) Psi is Psi on factor two followed by Delta on factor one, which is
+lam (id (x) Psi) tau + (1 - lam) I/d (x) Psi(tr_1 tau). Every Monte-Carlo
+check takes a stack ``(T, d d', d d')`` of trial states as well as a single
+state and returns one value per trial, so a whole (d, d', lam, p) cell of
+``verify`` costs one stacked channel application and one stacked
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -28,13 +37,14 @@ from .core import (
     Channel,
     DensityMatrix,
     InvalidStateError,
+    apply_on_factor,
     hermitize,
-    identity_channel,
     matrix_power_psd,
     psd_eigenvalues,
     ptrace_matrix,
+    random_density_matrices,
     schatten_p_norm,
-    tensor_channel,
+    spawn_rngs,
 )
 from .depolarizing import DepolarizingChannel
 from .optimize import AscentResult, maximize_over_pure_states
@@ -47,7 +57,8 @@ EQ_TOL = 1e-10
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """Outcome of a one-sided numerical comparison lhs <= rhs + tolerance."""
+    """Outcome of a one-sided numerical comparison lhs <= rhs + tolerance,
+    entrywise for a stack of inputs."""
 
     lhs: float
     rhs: float
@@ -64,6 +75,8 @@ class InequalityCheck:
 
 @dataclass(frozen=True)
 class EqualityCheck:
+    """|value_a - value_b| <= tolerance, entrywise for a stack of inputs."""
+
     value_a: float
     value_b: float
     tolerance: float
@@ -119,16 +132,35 @@ def block_factorize(rho12: BipartiteState) -> BlockFactorization:
     return BlockFactorization(rho12)
 
 
-def rho2_blocks(ch_basis: np.ndarray, rho12: BipartiteState) -> list[np.ndarray]:
-    """Conditional second-factor blocks <b_i| (x) I rho12 |b_i> (x) I for the
-    basis given by the columns of ch_basis."""
-    d, dp = rho12.dim1, rho12.dim2
-    mat = np.asarray(rho12, dtype=complex)
-    out = []
-    for i in range(d):
-        lift = np.kron(ch_basis[:, i].reshape(d, 1), np.eye(dp, dtype=complex))
-        out.append(lift.conj().T @ mat @ lift)
-    return out
+def split_dims(dim1: int, tau) -> tuple[np.ndarray, int]:
+    """(tau as a complex array, second-factor dimension) for a state or a
+    stack ``(..., n, n)`` on C^dim1 (x) C^(n/dim1)."""
+    m = np.asarray(tau, dtype=complex)
+    dim2 = m.shape[-1] // dim1
+    if dim1 * dim2 != m.shape[-1] or getattr(tau, "dim1", dim1) != dim1:
+        raise InvalidStateError(
+            f"channel dim {dim1} is not the first factor of a state of dim "
+            f"{m.shape[-1]}")
+    return m, dim2
+
+
+def conditional_blocks(basis: np.ndarray, tau) -> np.ndarray:
+    """Conditional blocks <b_i| (x) I tau |b_i> (x) I, shape (..., d, d', d'),
+    for the basis in the columns of ``basis``: the diagonal blocks of tau,
+    or of each state of a stack, with factor one rotated into that basis."""
+    d = basis.shape[0]
+    m, dp = split_dims(d, tau)
+    split = m.reshape(m.shape[:-2] + (d, dp, d, dp))
+    return np.einsum("ai,...ajbk,bi->...ijk", basis.conj(), split, basis)
+
+
+def tensor_output(phi, psi: Channel, tau) -> np.ndarray:
+    """(Phi (x) Psi) tau, hermitized, for a state or a stack on C^phi.dim (x)
+    C^d': Psi on factor two, then Phi on factor one. For a depolarizing Phi
+    this is lam (id (x) Psi) tau + (1 - lam) I/d (x) Psi(tr_1 tau)."""
+    m, dp = split_dims(phi.dim, tau)
+    mid = apply_on_factor(psi, m, phi.dim, dp, 2)
+    return hermitize(apply_on_factor(phi, mid, phi.dim, psi.dim_out, 1))
 
 
 def small_b_matrix(d: int, lam: float) -> np.ndarray:
@@ -146,8 +178,7 @@ def spectrum_identity_check(lam: float, rho12: BipartiteState) -> float:
     """
     d, dp = rho12.dim1, rho12.dim2
     ph = PhaseDampingChannel.unchecked(d, lam)
-    joint = tensor_channel(ph.kraus_channel(), identity_channel(dp))
-    damped = joint.apply_matrix(np.asarray(rho12, dtype=complex))
+    damped = apply_on_factor(ph, np.asarray(rho12), d, dp, 1)
     spec_small = psd_eigenvalues(damped)
 
     fact = block_factorize(rho12)
@@ -195,37 +226,38 @@ def b_matrix_diagonal_check(d: int, lam: float, p: float) -> EqualityCheck:
     return EqualityCheck(value_a=worst, value_b=closed, tolerance=1e-10)
 
 
-def tensor_output_norm_bound(ch: PhaseDampingChannel, rho12: BipartiteState,
-                             p: float, tolerance: float = INEQ_TOL
-                             ) -> InequalityCheck:
+def tensor_output_norm_bound(ch: PhaseDampingChannel, rho12, p: float,
+                             tolerance: float = INEQ_TOL) -> InequalityCheck:
     """|| (Phi_lam (x) I) rho12 ||_p against
-    d^(1-1/p) nu_p(Delta_lam) (sum_i Tr rho2_i^p)^(1/p)."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    d, dp = rho12.dim1, rho12.dim2
-    if ch.dim != d:
-        raise InvalidStateError(f"channel dim {ch.dim} != first factor dim {d}")
-    joint = tensor_channel(ch.kraus_channel(), identity_channel(dp))
-    lhs = schatten_p_norm(hermitize(joint.apply_matrix(np.asarray(rho12))), p)
-    blocks = rho2_blocks(ch.basis, rho12)
-    power_sum = sum(float(np.sum(psd_eigenvalues(blk) ** p)) for blk in blocks)
+    d^(1-1/p) nu_p(Delta_lam) (sum_i Tr rho2_i^p)^(1/p).
+
+    ``rho12`` is a state or a stack ``(T, d d', d d')`` of states; for a
+    stack, lhs and rhs hold one value per state."""
+    d = ch.dim
+    m, dp = split_dims(d, rho12)
+    lhs = schatten_p_norm(hermitize(apply_on_factor(ch, m, d, dp, 1)), p)
+    blocks = psd_eigenvalues(conditional_blocks(ch.basis, m))
+    power_sum = np.sum(blocks ** p, axis=(-2, -1))
     nu = DepolarizingChannel.unchecked(d, ch.lam)._nu_p_any(p)
     rhs = d ** (1.0 - 1.0 / p) * nu * power_sum ** (1.0 / p)
     return InequalityCheck(lhs=lhs, rhs=rhs, tolerance=tolerance)
 
 
 def local_unitary_invariance_check(dep: DepolarizingChannel, psi: Channel,
-                                   tau12: BipartiteState, u: np.ndarray,
+                                   tau12, u: np.ndarray,
                                    p: float) -> EqualityCheck:
     """|| (Delta (x) Psi) tau12 ||_p is unchanged by a unitary on factor one
-    applied before the channel (the depolarizing part commutes with it)."""
-    joint = tensor_channel(dep.kraus_channel(), psi)
-    mat = np.asarray(tau12, dtype=complex)
-    plain = schatten_p_norm(hermitize(joint.apply_matrix(mat)), p)
-    lift = np.kron(u, np.eye(tau12.dim2, dtype=complex))
-    rotated = schatten_p_norm(
-        hermitize(joint.apply_matrix(lift @ mat @ lift.conj().T)), p)
-    return EqualityCheck(value_a=plain, value_b=rotated, tolerance=EQ_TOL)
+    applied before the channel (the depolarizing part commutes with it).
+
+    ``tau12`` is a state or a stack ``(T, d d', d d')``, with one unitary or
+    a stack ``(T, d, d)`` of them; for a stack, both norms hold one value
+    per state."""
+    m, dp = split_dims(dep.dim, tau12)
+    split = m.reshape(m.shape[:-2] + (dep.dim, dp, dep.dim, dp))
+    rotated = np.einsum("...ai,...ijbl,...cb->...ajcl", u, split, np.conj(u))
+    norms = schatten_p_norm(tensor_output(dep, psi, np.stack(
+        [m, rotated.reshape(m.shape)])), p)
+    return EqualityCheck(value_a=norms[0], value_b=norms[1], tolerance=EQ_TOL)
 
 
 def diagonalize_first_factor(tau12: BipartiteState) -> tuple[BipartiteState, np.ndarray]:
@@ -380,31 +412,22 @@ def multiplicativity_check(dep: DepolarizingChannel, psi: Channel, p: float,
     A precomputed nu_p(Psi) measure can be passed in to amortize the
     optimizer across sweeps over lambda or trial batches.
     """
-    from .core import random_density_matrix, spawn_rngs
-
-    d, dp = dep.dim, psi.dim_in
-    joint = tensor_channel(dep.kraus_channel(), psi)
+    d = dep.dim
     if psi_measure is None:
         psi_measure = max_output_p_norm(psi, p, restarts=restarts, seed=seed)
     bound = dep.nu_p(p) * psi_measure.value
 
-    max_norm = 0.0
-    worst = None
-    for rng in spawn_rngs(seed + 1, trials):
-        tau = random_density_matrix(d * dp, seed=rng)
-        norm = schatten_p_norm(hermitize(joint.apply_matrix(np.asarray(tau))), p)
-        if norm > max_norm:
-            max_norm, worst = norm, np.asarray(tau)
-
-    # Any pure state maximizes the depolarizing factor, by covariance.
-    first = np.zeros(d, dtype=complex)
-    first[0] = 1.0
-    product_vec = np.kron(first, psi_measure.maximizer)
-    product_out = hermitize(joint.apply_matrix(np.outer(product_vec,
-                                                        product_vec.conj())))
-    product_norm = schatten_p_norm(product_out, p)
-    return MultiplicativityCheck(p=p, trials=trials, max_norm=max_norm,
-                                 bound=bound, product_norm=product_norm,
+    taus = random_density_matrices(d * psi.dim_in, spawn_rngs(seed + 1, trials))
+    # Any pure state maximizes the depolarizing factor, by covariance, so
+    # the product input rides at the end of the trial stack.
+    product_vec = np.kron(np.eye(d, dtype=complex)[0], psi_measure.maximizer)
+    product = np.outer(product_vec, product_vec.conj())
+    norms = schatten_p_norm(tensor_output(
+        dep, psi, np.concatenate([taus, product[None]])), p)
+    worst = int(np.argmax(norms[:-1]))
+    return MultiplicativityCheck(p=p, trials=trials,
+                                 max_norm=float(norms[worst]),
+                                 bound=bound, product_norm=float(norms[-1]),
                                  tolerance=tolerance,
                                  product_tolerance=product_tolerance,
-                                 worst_input=worst)
+                                 worst_input=taus[worst])

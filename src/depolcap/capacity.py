@@ -39,6 +39,7 @@ from .core import (
     SUPPORT_EIG_CUTOFF,
     hermitize,
     psd_eigenvalues,
+    ptrace_matrix,
     relative_entropy,
     tensor_channel,
     von_neumann_entropy,
@@ -46,9 +47,11 @@ from .core import (
 from .bounds import (
     InequalityCheck,
     _channel_dim_in,
+    conditional_blocks,
     pure_output_maps,
-    rho2_blocks,
     spectral_function,
+    split_dims,
+    tensor_output,
 )
 from .depolarizing import DepolarizingChannel
 from .optimize import (
@@ -70,13 +73,6 @@ JOINT_STEPS = 50
 # value rises) taking turns forever; no measured solve has needed more
 # than 16 weight evaluations.
 WEIGHT_ROUNDS = 500
-
-
-def _as_kraus(channel) -> Channel:
-    """Coerce a closed-form channel to its Kraus form for tensoring."""
-    if isinstance(channel, Channel):
-        return channel
-    return channel.kraus_channel()
 
 
 # ---------------------------------------------------------------------------
@@ -636,22 +632,21 @@ def opwsw_certificate(channel, omega, restarts: int = 64, seed: int = 0
 # ---------------------------------------------------------------------------
 
 def tensor_relative_entropy_bound(dep: DepolarizingChannel, psi: Channel,
-                                  tau12: BipartiteState,
+                                  tau12,
                                   psi_result: HolevoResult | None = None,
                                   tolerance: float = 1e-6,
                                   seed: int = 0) -> InequalityCheck:
     """S((Delta (x) Psi) tau12, (I/d) (x) Psi(omega*)) <= chi*(Delta) + chi*(Psi).
 
-    omega* and chi*(Psi) come from the Holevo optimizer (passed in to avoid
-    recomputation across sweeps); chi*(Delta) is closed form.
+    omega* and chi*(Psi) come from the Holevo optimizer's result, passed in
+    to avoid recomputation (only its chi and average_output are read);
+    chi*(Delta) is closed form. ``tau12`` may be a stack (T, d d', d d').
     """
     if psi_result is None:
         psi_result = holevo_quantity(psi, seed=seed)
     d = dep.dim
-    joint = tensor_channel(dep.kraus_channel(), _as_kraus(psi))
-    out = hermitize(joint.apply_matrix(np.asarray(tau12, dtype=complex)))
     reference = np.kron(np.eye(d) / d, np.asarray(psi_result.average_output))
-    lhs = relative_entropy(out, reference)
+    lhs = relative_entropy(tensor_output(dep, psi, tau12), reference)
     rhs = dep.chi_star() + psi_result.chi
     return InequalityCheck(lhs=lhs, rhs=rhs, tolerance=tolerance)
 
@@ -691,23 +686,19 @@ def entropy_lower_bound_check(ph: PhaseDampingChannel, psi: Channel,
     """
     if not ph.is_uniform():
         raise InvalidStateError("phase-damping channel must be uniform")
-    d, dp = tau12.dim1, tau12.dim2
-    if ph.dim != d:
-        raise InvalidStateError(f"channel dim {ph.dim} != first factor dim {d}")
-    from .core import ptrace_matrix
-    mat = np.asarray(tau12, dtype=complex)
+    d = ph.dim
+    mat, dp = split_dims(d, tau12)
     tau1 = ptrace_matrix(mat, d, dp, keep=1)
     off = tau1 - np.diag(np.diagonal(tau1))
     if np.max(np.abs(off)) > 1e-10:
         raise InvalidStateError("first reduction must be diagonal; rotate first")
 
-    blocks = rho2_blocks(ph.basis, tau12)
-    x_values = np.array([float(np.real(np.trace(b))) for b in blocks])
+    blocks = conditional_blocks(ph.basis, mat)
+    x_values = np.real(np.trace(blocks, axis1=-2, axis2=-1))
     tau2 = ptrace_matrix(mat, d, dp, keep=2)
-    block_sum_error = float(np.max(np.abs(sum(blocks) - tau2)))
+    block_sum_error = float(np.max(np.abs(blocks.sum(axis=0) - tau2)))
 
-    joint = tensor_channel(ph.kraus_channel(), _as_kraus(psi))
-    lhs = von_neumann_entropy(hermitize(joint.apply_matrix(mat)))
+    lhs = von_neumann_entropy(tensor_output(ph, psi, mat))
 
     chi_delta = DepolarizingChannel.unchecked(d, ph.lam).chi_star()
     branch = sum(von_neumann_entropy(hermitize(psi.apply_matrix(d * b)))
@@ -746,11 +737,11 @@ def chi_additivity_check(dep: DepolarizingChannel, psi: Channel,
                          max_outer: int = 300) -> AdditivityCheck:
     """chi*(Delta (x) Psi) against chi*(Delta) + chi*(Psi), all three from
     the numeric optimizer."""
-    if dep.dim * _channel_dim_in(psi) > 12:
+    if dep.dim * psi.dim_in > 12:
         raise ValueError("tensor dimension above 12 is outside optimizer scope")
     delta_result = holevo_quantity(dep, seed=seed, cert_tol=factor_tol)
     psi_result = holevo_quantity(psi, seed=seed + 1, cert_tol=factor_tol)
-    product = tensor_channel(dep.kraus_channel(), _as_kraus(psi))
+    product = tensor_channel(dep.kraus_channel(), psi)
     product_result = holevo_quantity(product, seed=seed + 2,
                                      cert_tol=tensor_tol, max_outer=max_outer)
     converged = (delta_result.converged and psi_result.converged

@@ -16,10 +16,12 @@ output apart from the timestamp field. Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .bounds import (
     local_unitary_invariance_check,
     max_output_p_norm,
     multiplicativity_check,
+    tensor_output,
     tensor_output_norm_bound,
 )
 from .capacity import (
@@ -43,14 +46,12 @@ from .capacity import (
 from .core import (
     BipartiteState,
     Channel,
-    hermitize,
-    random_bipartite_state,
+    DensityMatrix,
     random_channel,
+    random_density_matrices,
     random_unitary,
-    relative_entropy,
     schatten_p_norm,
     spawn_rngs,
-    tensor_channel,
 )
 from .decomposition import (
     diophantine_solutions,
@@ -195,6 +196,28 @@ def _dep_ok(d: int, lam: float) -> bool:
     return lambda_min(d) - 1e-12 <= lam <= 1.0 + 1e-12
 
 
+def _cells(config: RunConfig, lam_min):
+    """(i_d, d, i_dp, dp, i_l, lam) over the (d, d', lam) grid, in report
+    order, for the lambdas in [lam_min(d), 1]."""
+    for (i_d, d), (i_dp, dp), (i_l, lam) in itertools.product(
+            enumerate(config.dims), enumerate(config.dims),
+            enumerate(config.lambdas)):
+        if lam_min(d) - 1e-12 <= lam <= 1.0 + 1e-12:
+            yield i_d, d, i_dp, dp, i_l, lam
+
+
+def _family_record(name, inputs, seed, values, slack, passed, scalars,
+                   matrices) -> CheckRecord:
+    """A randomized family's record. A failed one carries the witness that
+    ``verify --replay`` re-runs; ``matrices()`` serializes its inputs and
+    is called only then."""
+    witness = None if passed else {"check": name, "inputs": inputs,
+                                   "seed": seed, "matrices": matrices(),
+                                   "scalars": scalars}
+    return CheckRecord(name, inputs=inputs, values=values, slack=slack,
+                       passed=passed, seed=seed, witness=witness)
+
+
 def cmd_verify(config: RunConfig) -> Report:
     """Run the randomized inequality suite over the configured grid.
 
@@ -233,89 +256,58 @@ def cmd_verify(config: RunConfig) -> Report:
                 chk = lieb_thirring_check(a, b, p)
                 if chk.slack < min_slack:
                     min_slack, worst = chk.slack, (a, b)
-            passed = min_slack >= -lt_tol
-            witness = None if passed else {
-                "check": "lieb-thirring", "inputs": {"dim": d, "p": p},
-                "seed": seed,
-                "matrices": {"a": serialize_matrix(worst[0]),
-                             "b": serialize_matrix(worst[1])},
-                "scalars": {"tolerance": lt_tol}}
-            records.append(CheckRecord(
-                "lieb-thirring",
-                inputs={"dim": d, "p": p},
-                values={"min_slack": min_slack, "trials": trials},
-                slack=min_slack, passed=passed, seed=seed, witness=witness))
+            records.append(_family_record(
+                "lieb-thirring", {"dim": d, "p": p}, seed,
+                {"min_slack": min_slack, "trials": trials}, min_slack,
+                min_slack >= -lt_tol, {"tolerance": lt_tol},
+                lambda: {"a": serialize_matrix(worst[0]),
+                         "b": serialize_matrix(worst[1])}))
 
     # One random reference channel per second-factor dimension, reused by
     # the invariance, multiplicativity, and relative-entropy families.
     psis = {dp: random_channel(dp, dp, 2, seed=child_seed(root, 2, i))
             for i, dp in enumerate(config.dims)}
+    psi_kraus = {dp: [serialize_matrix(k) for k in psi.kraus_ops]
+                 for dp, psi in psis.items()}
 
+    # Each (d, d', lam, p) cell below evaluates its trials as one stack.
     nb_tol = config.tolerance("norm_bound")
-    for i_d, d in enumerate(config.dims):
-        for i_dp, dp in enumerate(config.dims):
-            for i_l, lam in enumerate(config.lambdas):
-                if not damping_lambda_min(d) - 1e-12 <= lam <= 1.0 + 1e-12:
-                    continue
-                ph = PhaseDampingChannel.unchecked(d, lam)
-                for i_p, p in enumerate(config.p_grid):
-                    seed = child_seed(root, 3, i_d, i_dp, i_l, i_p)
-                    min_slack, worst = math.inf, None
-                    for rng in spawn_rngs(seed, trials):
-                        rho12 = random_bipartite_state(d, dp, seed=rng)
-                        chk = tensor_output_norm_bound(ph, rho12, p)
-                        if chk.slack < min_slack:
-                            min_slack, worst = chk.slack, rho12
-                    passed = min_slack >= -nb_tol
-                    witness = None if passed else {
-                        "check": "tensor-output-norm-bound",
-                        "inputs": {"d": d, "dp": dp, "lam": lam, "p": p},
-                        "seed": seed,
-                        "matrices": {"rho12": serialize_matrix(np.asarray(worst))},
-                        "scalars": {"tolerance": nb_tol}}
-                    records.append(CheckRecord(
-                        "tensor-output-norm-bound",
-                        inputs={"d": d, "dp": dp, "lam": lam, "p": p},
-                        values={"min_slack": min_slack, "trials": trials},
-                        slack=min_slack, passed=passed, seed=seed,
-                        witness=witness))
+    for i_d, d, i_dp, dp, i_l, lam in _cells(config, damping_lambda_min):
+        ph = PhaseDampingChannel.unchecked(d, lam)
+        for i_p, p in enumerate(config.p_grid):
+            seed = child_seed(root, 3, i_d, i_dp, i_l, i_p)
+            rho12 = random_density_matrices(d * dp, spawn_rngs(seed, trials))
+            slack = tensor_output_norm_bound(ph, rho12, p).slack
+            worst = int(np.argmin(slack))
+            min_slack = float(slack[worst])
+            records.append(_family_record(
+                "tensor-output-norm-bound",
+                {"d": d, "dp": dp, "lam": lam, "p": p}, seed,
+                {"min_slack": min_slack, "trials": trials}, min_slack,
+                min_slack >= -nb_tol, {"tolerance": nb_tol},
+                lambda: {"rho12": serialize_matrix(rho12[worst])}))
 
     inv_tol = config.tolerance("invariance")
     n_unitaries = min(trials, 20)
-    for i_d, d in enumerate(config.dims):
-        for i_dp, dp in enumerate(config.dims):
-            psi = psis[dp]
-            for i_l, lam in enumerate(config.lambdas):
-                if not _dep_ok(d, lam):
-                    continue
-                dep = DepolarizingChannel(d, lam)
-                for i_p, p in enumerate(config.p_grid):
-                    seed = child_seed(root, 4, i_d, i_dp, i_l, i_p)
-                    max_dev, worst = 0.0, None
-                    for rng in spawn_rngs(seed, n_unitaries):
-                        tau = random_bipartite_state(d, dp, seed=rng)
-                        u = random_unitary(d, seed=rng)
-                        chk = local_unitary_invariance_check(dep, psi, tau, u, p)
-                        if abs(chk.difference) > max_dev:
-                            max_dev, worst = abs(chk.difference), (tau, u)
-                    passed = max_dev <= inv_tol
-                    witness = None if passed else {
-                        "check": "local-unitary-invariance",
-                        "inputs": {"d": d, "dp": dp, "lam": lam, "p": p},
-                        "seed": seed,
-                        "matrices": {
-                            "tau12": serialize_matrix(np.asarray(worst[0])),
-                            "u": serialize_matrix(worst[1]),
-                            "psi_kraus": [serialize_matrix(k)
-                                          for k in psi.kraus_ops]},
-                        "scalars": {"tolerance": inv_tol}}
-                    records.append(CheckRecord(
-                        "local-unitary-invariance",
-                        inputs={"d": d, "dp": dp, "lam": lam, "p": p},
-                        values={"max_deviation": max_dev,
-                                "trials": n_unitaries},
-                        slack=inv_tol - max_dev, passed=passed, seed=seed,
-                        witness=witness))
+    for i_d, d, i_dp, dp, i_l, lam in _cells(config, lambda_min):
+        psi, dep = psis[dp], DepolarizingChannel(d, lam)
+        for i_p, p in enumerate(config.p_grid):
+            seed = child_seed(root, 4, i_d, i_dp, i_l, i_p)
+            # Each generator draws its state, then its unitary.
+            rngs = spawn_rngs(seed, n_unitaries)
+            tau = random_density_matrices(d * dp, rngs)
+            u = np.stack([random_unitary(d, seed=rng) for rng in rngs])
+            dev = local_unitary_invariance_check(dep, psi, tau, u, p).difference
+            worst = int(np.argmax(dev))
+            max_dev = float(dev[worst])
+            records.append(_family_record(
+                "local-unitary-invariance",
+                {"d": d, "dp": dp, "lam": lam, "p": p}, seed,
+                {"max_deviation": max_dev, "trials": n_unitaries},
+                inv_tol - max_dev, max_dev <= inv_tol, {"tolerance": inv_tol},
+                lambda: {"tau12": serialize_matrix(tau[worst]),
+                         "u": serialize_matrix(u[worst]),
+                         "psi_kraus": psi_kraus[dp]}))
 
     mult_tol = config.tolerance("multiplicativity")
     sat_tol = config.tolerance("product_saturation")
@@ -326,39 +318,26 @@ def cmd_verify(config: RunConfig) -> Report:
                 psi_norms[dp, p] = max_output_p_norm(
                     psis[dp], p, restarts=32,
                     seed=child_seed(root, 5, i_dp, i_p))
-    for i_d, d in enumerate(config.dims):
-        for i_dp, dp in enumerate(config.dims):
-            psi = psis[dp]
-            for i_l, lam in enumerate(config.lambdas):
-                if not _dep_ok(d, lam):
-                    continue
-                dep = DepolarizingChannel(d, lam)
-                for i_p, p in enumerate(config.p_grid):
-                    seed = child_seed(root, 6, i_d, i_dp, i_l, i_p)
-                    chk = multiplicativity_check(
-                        dep, psi, p, trials=trials, seed=seed,
-                        tolerance=mult_tol, product_tolerance=sat_tol,
-                        psi_measure=psi_norms[dp, p])
-                    passed = chk.holds and chk.product_attains
-                    witness = None if passed else {
-                        "check": "nu-p-multiplicativity",
-                        "inputs": {"d": d, "dp": dp, "lam": lam, "p": p},
-                        "seed": seed,
-                        "matrices": {
-                            "tau12": serialize_matrix(chk.worst_input),
-                            "psi_kraus": [serialize_matrix(k)
-                                          for k in psi.kraus_ops]},
-                        "scalars": {"bound": chk.bound,
-                                    "tolerance": mult_tol}}
-                    records.append(CheckRecord(
-                        "nu-p-multiplicativity",
-                        inputs={"d": d, "dp": dp, "lam": lam, "p": p},
-                        values={"max_norm": chk.max_norm, "bound": chk.bound,
-                                "product_norm": chk.product_norm,
-                                "saturation_gap": chk.product_norm - chk.bound,
-                                "trials": trials},
-                        slack=chk.bound + mult_tol - chk.max_norm,
-                        passed=passed, seed=seed, witness=witness))
+    for i_d, d, i_dp, dp, i_l, lam in _cells(config, lambda_min):
+        psi, dep = psis[dp], DepolarizingChannel(d, lam)
+        for i_p, p in enumerate(config.p_grid):
+            seed = child_seed(root, 6, i_d, i_dp, i_l, i_p)
+            chk = multiplicativity_check(
+                dep, psi, p, trials=trials, seed=seed,
+                tolerance=mult_tol, product_tolerance=sat_tol,
+                psi_measure=psi_norms[dp, p])
+            records.append(_family_record(
+                "nu-p-multiplicativity",
+                {"d": d, "dp": dp, "lam": lam, "p": p}, seed,
+                {"max_norm": chk.max_norm, "bound": chk.bound,
+                 "product_norm": chk.product_norm,
+                 "saturation_gap": chk.product_norm - chk.bound,
+                 "trials": trials},
+                chk.bound + mult_tol - chk.max_norm,
+                chk.holds and chk.product_attains,
+                {"bound": chk.bound, "tolerance": mult_tol},
+                lambda: {"tau12": serialize_matrix(chk.worst_input),
+                         "psi_kraus": psi_kraus[dp]}))
 
     re_tol = config.tolerance("relent_bound")
     re_sat_tol = config.tolerance("relent_saturation")
@@ -373,49 +352,30 @@ def cmd_verify(config: RunConfig) -> Report:
             ens = res.ensemble()
             witness_cache[dp] = np.asarray(
                 ens.states[int(np.argmax(ens.probs))], dtype=complex)
-    for i_d, d in enumerate(config.dims):
-        for i_dp, dp in enumerate(config.dims):
-            for i_l, lam in enumerate(config.lambdas):
-                if not _dep_ok(d, lam):
-                    continue
-                psi, res = psis[dp], holevo_cache[dp]
-                dep = DepolarizingChannel(d, lam)
-                seed = child_seed(root, 9, i_d, i_dp, i_l)
-                min_slack, worst = math.inf, None
-                for rng in spawn_rngs(seed, trials):
-                    tau = random_bipartite_state(d, dp, seed=rng)
-                    chk = tensor_relative_entropy_bound(dep, psi, tau,
-                                                        psi_result=res,
-                                                        tolerance=re_tol)
-                    if chk.slack < min_slack:
-                        min_slack, worst = chk.slack, tau
-                p0 = np.zeros((d, d), dtype=complex)
-                p0[0, 0] = 1.0
-                tau_prod = BipartiteState(d, dp, np.kron(p0, witness_cache[dp]))
-                sat = tensor_relative_entropy_bound(dep, psi, tau_prod,
-                                                    psi_result=res,
-                                                    tolerance=re_tol)
-                passed = (min_slack >= -re_tol
-                          and abs(sat.slack) <= re_sat_tol)
-                witness = None if passed else {
-                    "check": "relative-entropy-tensor-bound",
-                    "inputs": {"d": d, "dp": dp, "lam": lam},
-                    "seed": seed,
-                    "matrices": {
-                        "tau12": serialize_matrix(np.asarray(worst)),
-                        "psi_kraus": [serialize_matrix(k) for k in psi.kraus_ops],
-                        "average_output": serialize_matrix(
-                            np.asarray(res.average_output))},
-                    "scalars": {"rhs": sat.rhs, "tolerance": re_tol}}
-                records.append(CheckRecord(
-                    "relative-entropy-tensor-bound",
-                    inputs={"d": d, "dp": dp, "lam": lam},
-                    values={"relent_min_slack": min_slack,
-                            "relent_saturation_gap": sat.slack,
-                            "trials": trials,
-                            "certificate_gap": res.certificate_gap},
-                    slack=min_slack, passed=passed, seed=seed,
-                    witness=witness))
+    for i_d, d, i_dp, dp, i_l, lam in _cells(config, lambda_min):
+        psi, res = psis[dp], holevo_cache[dp]
+        seed = child_seed(root, 9, i_d, i_dp, i_l)
+        tau = random_density_matrices(d * dp, spawn_rngs(seed, trials))
+        p0 = np.diag(np.eye(d)[0])
+        tau_prod = BipartiteState(d, dp, np.kron(p0, witness_cache[dp]))
+        # The saturating product input rides at the end of the stack.
+        chk = tensor_relative_entropy_bound(
+            DepolarizingChannel(d, lam), psi,
+            np.concatenate([tau, np.asarray(tau_prod)[None]]),
+            psi_result=res, tolerance=re_tol)
+        worst = int(np.argmin(chk.slack[:-1]))
+        min_slack, sat_slack = float(chk.slack[worst]), float(chk.slack[-1])
+        records.append(_family_record(
+            "relative-entropy-tensor-bound", {"d": d, "dp": dp, "lam": lam},
+            seed,
+            {"relent_min_slack": min_slack, "relent_saturation_gap": sat_slack,
+             "trials": trials, "certificate_gap": res.certificate_gap},
+            min_slack, min_slack >= -re_tol and abs(sat_slack) <= re_sat_tol,
+            {"rhs": float(chk.rhs), "tolerance": re_tol},
+            lambda: {"tau12": serialize_matrix(tau[worst]),
+                     "psi_kraus": psi_kraus[dp],
+                     "average_output": serialize_matrix(
+                         np.asarray(res.average_output))}))
 
     add_tol = config.tolerance("additivity")
     live2 = sorted(lam for lam in config.lambdas if _dep_ok(2, lam))
@@ -530,46 +490,45 @@ def _replay_check(data: dict):
 
     if name == "lieb-thirring":
         chk = lieb_thirring_check(mats["a"], mats["b"], inputs["p"])
-        values = {"lhs": chk.lhs, "rhs": chk.rhs}
-        slack, passed = chk.slack, chk.slack >= -scalars["tolerance"]
-    elif name == "tensor-output-norm-bound":
-        ph = PhaseDampingChannel.unchecked(inputs["d"], inputs["lam"])
-        rho12 = BipartiteState(inputs["d"], inputs["dp"], mats["rho12"])
-        chk = tensor_output_norm_bound(ph, rho12, inputs["p"])
-        values = {"lhs": chk.lhs, "rhs": chk.rhs}
-        slack, passed = chk.slack, chk.slack >= -scalars["tolerance"]
-    elif name == "local-unitary-invariance":
-        dep = DepolarizingChannel(inputs["d"], inputs["lam"])
-        psi = Channel(mats["psi_kraus"])
-        tau = BipartiteState(inputs["d"], inputs["dp"], mats["tau12"])
-        chk = local_unitary_invariance_check(dep, psi, tau, mats["u"],
-                                             inputs["p"])
-        values = {"value_a": chk.value_a, "value_b": chk.value_b}
-        slack = scalars["tolerance"] - abs(chk.difference)
-        passed = abs(chk.difference) <= scalars["tolerance"]
-    elif name == "nu-p-multiplicativity":
-        dep = DepolarizingChannel(inputs["d"], inputs["lam"])
-        psi = Channel(mats["psi_kraus"])
-        joint = tensor_channel(dep.kraus_channel(), psi)
-        norm = schatten_p_norm(hermitize(joint.apply_matrix(mats["tau12"])),
-                               inputs["p"])
-        values = {"norm": norm, "bound": scalars["bound"]}
-        slack = scalars["bound"] + scalars["tolerance"] - norm
-        passed = slack >= 0.0
-    elif name == "relative-entropy-tensor-bound":
-        dep = DepolarizingChannel(inputs["d"], inputs["lam"])
-        psi = Channel(mats["psi_kraus"])
-        joint = tensor_channel(dep.kraus_channel(), psi)
-        out = hermitize(joint.apply_matrix(mats["tau12"]))
-        sigma = hermitize(mats["average_output"])
-        reference = np.kron(np.eye(inputs["d"]) / inputs["d"], sigma)
-        lhs = relative_entropy(out, reference)
-        values = {"lhs": lhs, "rhs": scalars["rhs"]}
-        slack = scalars["rhs"] - lhs
-        passed = slack >= -scalars["tolerance"]
-    else:
+        return (name, inputs, {"lhs": chk.lhs, "rhs": chk.rhs}, chk.slack,
+                chk.slack >= -scalars["tolerance"])
+    if name not in ("tensor-output-norm-bound", "local-unitary-invariance",
+                    "nu-p-multiplicativity", "relative-entropy-tensor-bound"):
         raise ConfigError(f"witness file names unknown check {name!r}")
-    return name, inputs, values, slack, passed
+    # The randomized families re-run through verify's own code, on a stack
+    # of one trial.
+    d, tol = inputs["d"], scalars["tolerance"]
+    key = "rho12" if name == "tensor-output-norm-bound" else "tau12"
+    tau = np.asarray(BipartiteState(d, inputs["dp"], mats[key]))[None]
+    if name == "tensor-output-norm-bound":
+        ph = PhaseDampingChannel.unchecked(d, inputs["lam"])
+        chk = tensor_output_norm_bound(ph, tau, inputs["p"])
+        values, slack = {"lhs": chk.lhs[0], "rhs": chk.rhs[0]}, chk.slack[0]
+        return name, inputs, values, float(slack), bool(slack >= -tol)
+    dep = DepolarizingChannel(d, inputs["lam"])
+    psi = Channel(mats["psi_kraus"])
+    if name == "local-unitary-invariance":
+        chk = local_unitary_invariance_check(dep, psi, tau, mats["u"][None],
+                                             inputs["p"])
+        values = {"value_a": chk.value_a[0], "value_b": chk.value_b[0]}
+        deviation = chk.difference[0]
+        return (name, inputs, values, float(tol - deviation),
+                bool(deviation <= tol))
+    if name == "nu-p-multiplicativity":
+        norm = schatten_p_norm(tensor_output(dep, psi, tau), inputs["p"])[0]
+        slack = scalars["bound"] + tol - norm
+        return (name, inputs, {"norm": norm, "bound": scalars["bound"]},
+                float(slack), bool(slack >= 0.0))
+    # The recorded rhs is chi*(Delta) + chi*(Psi); the check reads only
+    # chi*(Psi) and the average output from the optimizer's result.
+    psi_result = SimpleNamespace(
+        chi=scalars["rhs"] - dep.chi_star(),
+        average_output=DensityMatrix(mats["average_output"]))
+    lhs = tensor_relative_entropy_bound(dep, psi, tau,
+                                        psi_result=psi_result).lhs[0]
+    slack = scalars["rhs"] - lhs
+    return (name, inputs, {"lhs": lhs, "rhs": scalars["rhs"]}, float(slack),
+            bool(slack >= -tol))
 
 
 def _finite_float(token: str) -> float:

@@ -55,8 +55,8 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 
 def herm_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of ``a`` from its own adjoint."""
-    return float(np.max(np.abs(a - a.conj().T)))
+    """Largest entrywise deviation of ``a``, or of a stack, from its adjoint."""
+    return float(np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2))))
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -66,6 +66,28 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _scalar_or_stack(x):
+    """A float for the result on one matrix, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def check_states(m: np.ndarray) -> None:
+    """Raise InvalidStateError unless ``m``, or each matrix of a stack, is
+    Hermitian, of unit trace and PSD within TAU_HERM, TAU_TRACE, TAU_PSD."""
+    defect = herm_defect(m)
+    if defect > TAU_HERM:
+        raise InvalidStateError(
+            f"matrix is not Hermitian: defect {defect:.3e} > {TAU_HERM:.0e}")
+    worst = np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0))
+    if worst > TAU_TRACE:
+        raise InvalidStateError(
+            f"trace deviates from 1 by {worst:.3e}, beyond {TAU_TRACE:.0e}")
+    w = np.linalg.eigvalsh(hermitize(m))
+    if w[..., 0].min() < -TAU_PSD:
+        raise InvalidStateError(
+            f"matrix is not PSD: min eigenvalue {w[..., 0].min():.3e} < -{TAU_PSD:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -79,16 +101,7 @@ class DensityMatrix:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidStateError(f"expected a square matrix, got shape {m.shape}")
-        if herm_defect(m) > TAU_HERM:
-            raise InvalidStateError(
-                f"matrix is not Hermitian: defect {herm_defect(m):.3e} > {TAU_HERM:.0e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > TAU_TRACE:
-            raise InvalidStateError(f"trace {tr} deviates from 1 beyond {TAU_TRACE:.0e}")
-        w = np.linalg.eigvalsh(hermitize(m))
-        if w[0] < -TAU_PSD:
-            raise InvalidStateError(
-                f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -{TAU_PSD:.0e}")
+        check_states(m)
         self.matrix = _freeze(m)
         self.dim: int = m.shape[0]
 
@@ -236,13 +249,13 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def _p_norm_from_eigenvalues(w: np.ndarray, p: float) -> float:
+def _p_norm_from_eigenvalues(w: np.ndarray, p: float):
     # No domain check; the formula itself is fine for any p > 0.
-    return float(np.sum(w ** p) ** (1.0 / p))
+    return _scalar_or_stack(np.sum(w ** p, axis=-1) ** (1.0 / p))
 
 
-def schatten_p_norm(a, p: float) -> float:
-    """(Tr A^p)^(1/p) for PSD A and p >= 1."""
+def schatten_p_norm(a, p: float):
+    """(Tr A^p)^(1/p) for PSD A, or each A of a stack, and p >= 1."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     return _p_norm_from_eigenvalues(psd_eigenvalues(a), p)
@@ -260,10 +273,10 @@ def p_norm_derivative_at_1(a, h: float = 1e-4) -> float:
             - _p_norm_from_eigenvalues(w, 1.0 - h)) / (2.0 * h)
 
 
-def relative_entropy(rho, omega) -> float:
-    """Tr rho (ln rho - ln omega) in nats.
+def relative_entropy(rho, omega):
+    """Tr rho (ln rho - ln omega) in nats, for one rho or a stack of them.
 
-    Returns math.inf when rho carries more than SUPPORT_MASS_TOL of weight
+    Gives math.inf when rho carries more than SUPPORT_MASS_TOL of weight
     outside the support of omega (the divergent case is a distinguished
     value, not an error). Tiny negative results from rounding are clipped
     to zero.
@@ -272,18 +285,17 @@ def relative_entropy(rho, omega) -> float:
     mu, u = np.linalg.eigh(hermitize(np.asarray(omega, dtype=complex)))
     if mu[0] < -TAU_PSD:
         raise InvalidStateError(f"reference state is not PSD: {mu[0]:.3e}")
-    weights = np.real(np.einsum("ij,jk,ki->i", u.conj().T, r, u))
+    weights = np.real(np.einsum("ij,...jk,ki->...i", u.conj().T, r, u))
     null = mu <= SUPPORT_EIG_CUTOFF
-    if float(np.sum(weights[null])) > SUPPORT_MASS_TOL:
-        return math.inf
-    cross = -float(np.sum(weights[~null] * np.log(mu[~null])))
+    cross = -np.sum(weights[..., ~null] * np.log(mu[~null]), axis=-1)
     w = psd_eigenvalues(r)
-    nz = w[w > 0.0]
-    own = float(np.sum(nz * np.log(nz)))
+    own = np.sum(np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0),
+                 axis=-1)
     val = own + cross
-    if -1e-12 < val < 0.0:
-        return 0.0
-    return val
+    val = np.where((-1e-12 < val) & (val < 0.0), 0.0, val)
+    val = np.where(np.sum(weights[..., null], axis=-1) > SUPPORT_MASS_TOL,
+                   math.inf, val)
+    return _scalar_or_stack(val)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +329,22 @@ def apply_channel(psi: Channel, rho: DensityMatrix) -> DensityMatrix:
         raise InvalidChannelError(
             f"channel expects dim {psi.dim_in}, state has dim {mat.shape[0]}")
     return DensityMatrix(hermitize(psi.apply_matrix(mat)))
+
+
+def apply_on_factor(channel, mat, dim1: int, dim2: int, factor: int) -> np.ndarray:
+    """(channel (x) id) for ``factor`` 1, (id (x) channel) for 2, applied to
+    a (dim1*dim2)-square matrix or a stack of them without a product Kraus
+    set: the factor's axes go last, through ``channel.apply_matrix``, and
+    back. A channel that changes dimension changes that factor's."""
+    if factor not in (1, 2):
+        raise ValueError(f"factor must be 1 or 2, got {factor}")
+    m = np.asarray(mat, dtype=complex)
+    lead = m.shape[:-2]
+    axes = (len(lead) + factor - 1, len(lead) + factor + 1)
+    split = m.reshape(lead + (dim1, dim2, dim1, dim2))
+    out = np.moveaxis(channel.apply_matrix(np.moveaxis(split, axes, (-2, -1))),
+                      (-2, -1), axes)
+    return out.reshape(lead + (out.shape[-2] * out.shape[-1],) * 2)
 
 
 def tensor_channel(phi: Channel, psi: Channel) -> Channel:
@@ -414,6 +442,16 @@ def random_density_matrix(dim: int, seed=None, rank: int | None = None) -> Densi
     g = _ginibre(rng, dim, rank if rank is not None else dim)
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace())
+
+
+def random_density_matrices(dim: int, rngs) -> np.ndarray:
+    """A stack ``(T, dim, dim)`` of the states ``random_density_matrix(dim,
+    rng)`` draws from each generator in turn, validated as one stack."""
+    g = np.stack([_ginibre(rng, dim, dim) for rng in rngs])
+    m = g @ np.swapaxes(g.conj(), -1, -2)
+    m = m / np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+    check_states(m)
+    return m
 
 
 def random_unitary(dim: int, seed=None) -> np.ndarray:

@@ -82,9 +82,11 @@ class DepolarizingChannel:
     # -- action ------------------------------------------------------------
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Linear action lam*M + (1 - lam) * Tr(M)/d * I on a raw matrix."""
+        """Linear action lam*M + (1 - lam) * Tr(M)/d * I on a raw matrix, or
+        on each matrix of a stack ``(..., d, d)``."""
         m = np.asarray(mat, dtype=complex)
-        return self.lam * m + (1.0 - self.lam) * (m.trace() / self.dim) * np.eye(self.dim)
+        tr = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+        return self.lam * m + (1.0 - self.lam) * (tr / self.dim) * np.eye(self.dim)
 
     def adjoint_apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         # Self-adjoint in the Hilbert-Schmidt inner product.
@@ -172,22 +174,6 @@ def depolarize(ch: DepolarizingChannel, rho: DensityMatrix) -> DensityMatrix:
         raise InvalidChannelError(
             f"channel expects dim {ch.dim}, state has dim {mat.shape[0]}")
     return DensityMatrix(hermitize(ch.apply_matrix(mat)))
-
-
-def s_min_closed(ch: DepolarizingChannel) -> float:
-    return ch.s_min()
-
-
-def nu_p_closed(ch: DepolarizingChannel, p: float) -> float:
-    return ch.nu_p(p)
-
-
-def chi_star_closed(ch: DepolarizingChannel) -> float:
-    return ch.chi_star()
-
-
-def pure_output_spectrum(ch: DepolarizingChannel) -> np.ndarray:
-    return ch.pure_output_spectrum()
 
 
 def min_choi_eig(dim: int, lam: float) -> float:

@@ -107,14 +107,15 @@ class PhaseDampingChannel:
     # -- action ---------------------------------------------------------------
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Linear action on a raw matrix: off-diagonals scaled by lam in the
-        channel's own basis, diagonal untouched."""
+        """Linear action on a raw matrix, or on each matrix of a stack
+        ``(..., d, d)``: off-diagonals scaled by lam in the channel's own
+        basis, diagonal untouched."""
         m = np.asarray(mat, dtype=complex)
         if self.is_computational_basis:
             inner = m
         else:
             inner = self.basis.conj().T @ m @ self.basis
-        damped = self.lam * inner + (1.0 - self.lam) * np.diag(np.diagonal(inner))
+        damped = self.lam * inner + (1.0 - self.lam) * (inner * np.eye(self.dim))
         if self.is_computational_basis:
             return damped
         return self.basis @ damped @ self.basis.conj().T

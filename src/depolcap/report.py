@@ -64,15 +64,15 @@ CLAIM_REGISTRY = {
         "first-factor unitaries before the depolarizing channel leave "
         "output p-norms unchanged",
     "nu-p-multiplicativity":
-        "the maximal output p-norm of depolarizing tensor a channel equals "
-        "the product of the factor norms",
+        "the maximal output p-norm of the depolarizing channel tensored "
+        "with any channel equals the product of the factor norms",
     "relative-entropy-tensor-bound":
         "output relative entropy against the product reference is at most "
         "the sum of the factor Holevo quantities, saturated by product "
         "optimizers",
     "chi-additivity":
-        "the Holevo quantity of depolarizing tensor a channel is the sum "
-        "of the factor quantities",
+        "the Holevo quantity of the depolarizing channel tensored with any "
+        "channel is the sum of the factor quantities",
     "capacity-chain":
         "Shannon capacity with basis encoding equals chi_star equals "
         "ln d minus S_min, and the optimal prior is uniform",

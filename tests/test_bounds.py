@@ -11,27 +11,33 @@ from depolcap.bounds import (
     local_unitary_invariance_check,
     max_output_p_norm,
     min_output_entropy,
+    conditional_blocks,
     multiplicativity_check,
-    rho2_blocks,
     small_b_matrix,
     spectrum_identity_check,
+    tensor_output,
     tensor_output_norm_bound,
 )
 from depolcap.core import (
     BipartiteState,
     DensityMatrix,
     basis_state,
+    hermitize,
+    identity_channel,
     ptrace_matrix,
     psd_eigenvalues,
     random_bipartite_state,
     random_channel,
+    random_density_matrices,
     random_density_matrix,
     random_unitary,
+    schatten_p_norm,
     spawn_rngs,
+    tensor_channel,
     von_neumann_entropy,
 )
-from depolcap.depolarizing import DepolarizingChannel
-from depolcap.phase_damping import PhaseDampingChannel
+from depolcap.depolarizing import DepolarizingChannel, lambda_min
+from depolcap.phase_damping import PhaseDampingChannel, damping_lambda_min
 
 # Frozen reference: (1-lam)^p + ((d lam + 1 - lam)^p - (1-lam)^p)/d
 # at d=3, lam=0.5, p=2.
@@ -86,9 +92,10 @@ class TestBlockFactorization:
     def test_rho2_blocks_in_custom_basis_sum_to_reduction(self):
         rho12 = random_bipartite_state(3, 2, seed=6)
         u = random_unitary(3, seed=7)
-        blocks = rho2_blocks(u, rho12)
+        blocks = conditional_blocks(u, rho12)
         tau2 = ptrace_matrix(np.asarray(rho12), 3, 2, keep=2)
-        assert np.allclose(sum(blocks), tau2, atol=1e-12)
+        assert blocks.shape == (3, 2, 2)
+        assert np.allclose(blocks.sum(axis=0), tau2, atol=1e-12)
 
 
 class TestSpectrumIdentity:
@@ -279,3 +286,88 @@ class TestMultiplicativity:
         expected = DepolarizingChannel(2, 0.7).nu_p(3.0) \
             * DepolarizingChannel(3, 0.4).nu_p(3.0)
         assert abs(check.bound - expected) < 1e-8
+
+
+class TestLocalForms:
+    """The per-factor forms against the product Kraus set, and the stacked
+    family checks against one call per state."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("dp", [2, 3])
+    def test_product_output_matches_kraus_product(self, d, dp):
+        psi = random_channel(dp, dp + 1, 2, seed=d + 5 * dp)
+        stack = random_density_matrices(d * dp, spawn_rngs(d * dp, 3))
+        phis = [DepolarizingChannel(d, lam) for lam in (lambda_min(d), 0.3, 1.0)]
+        phis += [PhaseDampingChannel(d, lam, basis=random_unitary(d, seed=d))
+                 for lam in (damping_lambda_min(d), 0.5)]
+        for phi in phis:
+            joint = tensor_channel(phi.kraus_channel(), psi)
+            out = tensor_output(phi, psi, stack)
+            for t, tau in enumerate(stack):
+                ref = hermitize(joint.apply_matrix(tau))
+                assert np.max(np.abs(out[t] - ref)) < 1e-13
+
+    def test_norm_bound_stack_matches_single_calls(self):
+        for d, dp in ((2, 3), (3, 2)):
+            stack = random_density_matrices(d * dp, spawn_rngs(d + dp, 6))
+            ch = PhaseDampingChannel(d, 0.4, basis=random_unitary(d, seed=dp))
+            for p in (1.5, 3.0):
+                chk = tensor_output_norm_bound(ch, stack, p)
+                assert chk.slack.shape == (6,)
+                for t, rho in enumerate(stack):
+                    one = tensor_output_norm_bound(
+                        ch, BipartiteState(d, dp, rho), p)
+                    assert abs(chk.lhs[t] - one.lhs) < 1e-13
+                    assert abs(chk.rhs[t] - one.rhs) < 1e-13
+
+    def test_norm_bound_blocks_match_kraus_path(self):
+        # The reference damps through the product Kraus set and takes
+        # the conditional blocks by lifting each basis vector.
+        d, dp, lam, p = 3, 2, 0.6, 2.0
+        ch = PhaseDampingChannel(d, lam, basis=random_unitary(d, seed=3))
+        rho = np.asarray(random_density_matrix(d * dp, seed=4))
+        joint = tensor_channel(ch.kraus_channel(), identity_channel(dp))
+        lhs = schatten_p_norm(hermitize(joint.apply_matrix(rho)), p)
+        power_sum = 0.0
+        for i in range(d):
+            lift = np.kron(ch.basis[:, i].reshape(d, 1), np.eye(dp))
+            power_sum += np.sum(psd_eigenvalues(lift.conj().T @ rho @ lift) ** p)
+        rhs = (d ** (1 - 1 / p) * DepolarizingChannel(d, lam).nu_p(p)
+               * power_sum ** (1 / p))
+        chk = tensor_output_norm_bound(ch, BipartiteState(d, dp, rho), p)
+        assert abs(chk.lhs - lhs) < 1e-13
+        assert abs(chk.rhs - rhs) < 1e-13
+
+    def test_invariance_stack_matches_single_calls(self):
+        dep = DepolarizingChannel(3, 0.4)
+        psi = random_channel(2, 3, 2, seed=76)
+        rngs = spawn_rngs(77, 5)
+        stack = random_density_matrices(6, rngs)
+        us = np.stack([random_unitary(3, seed=rng) for rng in rngs])
+        chk = local_unitary_invariance_check(dep, psi, stack, us, 2.5)
+        assert chk.difference.shape == (5,)
+        for t in range(5):
+            one = local_unitary_invariance_check(
+                dep, psi, BipartiteState(3, 2, stack[t]), us[t], 2.5)
+            assert abs(chk.value_a[t] - one.value_a) < 1e-13
+            assert abs(chk.value_b[t] - one.value_b) < 1e-13
+
+    def test_multiplicativity_matches_trial_loop(self):
+        # Reference: the per-trial loop through the product Kraus set.
+        dep = DepolarizingChannel(2, 0.5)
+        psi = random_channel(3, 3, 2, seed=91)
+        chk = multiplicativity_check(dep, psi, 2.0, trials=12, seed=9,
+                                     restarts=8)
+        joint = tensor_channel(dep.kraus_channel(), psi)
+        norms = [schatten_p_norm(hermitize(joint.apply_matrix(
+            np.asarray(random_density_matrix(6, seed=rng)))), 2.0)
+            for rng in spawn_rngs(10, 12)]
+        worst = int(np.argmax(norms))
+        assert abs(chk.max_norm - norms[worst]) < 1e-13
+        expected = np.asarray(random_density_matrix(6, seed=spawn_rngs(10, 12)[worst]))
+        assert np.max(np.abs(chk.worst_input - expected)) < 1e-15
+        maximizer = max_output_p_norm(psi, 2.0, restarts=8, seed=9).maximizer
+        product = np.kron(np.array([1.0, 0.0]), maximizer)
+        product_norm = schatten_p_norm(hermitize(joint.apply_matrix(
+            np.outer(product, product.conj()))), 2.0)
+        assert abs(chk.product_norm - product_norm) < 1e-13

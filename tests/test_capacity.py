@@ -33,9 +33,11 @@ from depolcap.core import (
     SupportError,
     random_bipartite_state,
     random_channel,
+    random_density_matrices,
     random_density_matrix,
     random_unitary,
     relative_entropy,
+    spawn_rngs,
 )
 from depolcap.depolarizing import DepolarizingChannel
 from depolcap.phase_damping import PhaseDampingChannel
@@ -423,6 +425,21 @@ class TestTensorRelativeEntropyBound:
                                             psi_result=psi_result)
         assert chk.holds
         assert abs(chk.slack) < 1e-6
+
+
+    def test_stack_matches_single_calls(self):
+        dep = DepolarizingChannel(3, 0.7)
+        psi = random_channel(2, 2, 2, seed=3)
+        psi_result = holevo_quantity(psi, seed=0)
+        stack = random_density_matrices(6, spawn_rngs(12, 5))
+        chk = tensor_relative_entropy_bound(dep, psi, stack,
+                                            psi_result=psi_result)
+        assert chk.slack.shape == (5,)
+        for t, tau in enumerate(stack):
+            one = tensor_relative_entropy_bound(
+                dep, psi, BipartiteState(3, 2, tau), psi_result=psi_result)
+            assert abs(chk.lhs[t] - one.lhs) < 1e-13
+            assert chk.rhs == one.rhs
 
 
 class TestEntropyLowerBound:

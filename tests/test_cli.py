@@ -483,7 +483,48 @@ def forced_failure(tmp_path_factory):
     return failed, str(path)
 
 
+@pytest.fixture(scope="module")
+def zero_tolerance_witnesses(tmp_path_factory):
+    """One verify run with zero invariance and relent-saturation
+    tolerances: returns {check name: (failed record, witness file path)}
+    for the first failed record of each check."""
+    base = tmp_path_factory.mktemp("replay0")
+    cfg = base / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"invariance": 0,
+                                              "relent_saturation": 0}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "depolcap.cli", "verify"] + FAST
+        + ["--config", str(cfg), "--seed", "11"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    out = {}
+    for rec in json.loads(proc.stdout)["records"]:
+        if not rec["passed"] and rec["name"] not in out:
+            path = base / f"{rec['name']}.json"
+            path.write_text(json.dumps(rec["witness"]))
+            out[rec["name"]] = (rec, str(path))
+    return out
+
+
 class TestReplay:
+    def test_invariance_round_trip(self, zero_tolerance_witnesses):
+        failed, path = zero_tolerance_witnesses["local-unitary-invariance"]
+        record, passed = run_replay(path)
+        values = record["values"]
+        deviation = abs(values["value_a"] - values["value_b"])
+        assert deviation == pytest.approx(failed["values"]["max_deviation"],
+                                          abs=1e-12)
+        assert record["slack"] == pytest.approx(-deviation, abs=1e-15)
+
+    def test_relent_round_trip(self, zero_tolerance_witnesses):
+        failed, path = zero_tolerance_witnesses["relative-entropy-tensor-bound"]
+        record, passed = run_replay(path)
+        # Only the saturation tolerance was zeroed; the bound itself holds.
+        assert passed
+        assert record["slack"] == pytest.approx(
+            failed["values"]["relent_min_slack"], abs=1e-12)
+
+
     def test_witness_written_on_failure_and_replays(self, forced_failure):
         failed, path = forced_failure
         assert failed["witness"]["check"] == "nu-p-multiplicativity"

@@ -14,7 +14,9 @@ from depolcap.core import (
     InvalidStateError,
     PureState,
     apply_channel,
+    apply_on_factor,
     basis_state,
+    check_states,
     choi_matrix,
     identity_channel,
     kraus_superoperator,
@@ -25,6 +27,7 @@ from depolcap.core import (
     partial_trace,
     ptrace_matrix,
     random_channel,
+    random_density_matrices,
     random_density_matrix,
     random_pure_state,
     random_unitary,
@@ -35,6 +38,8 @@ from depolcap.core import (
     tensor_channel,
     von_neumann_entropy,
 )
+from depolcap.depolarizing import DepolarizingChannel, lambda_min
+from depolcap.phase_damping import PhaseDampingChannel, damping_lambda_min
 
 LN2 = math.log(2.0)
 
@@ -264,6 +269,79 @@ class TestTensorChannel:
         phi = random_channel(2, 2, 3, seed=54)
         psi = random_channel(2, 2, 4, seed=55)
         assert len(tensor_channel(phi, psi).kraus_ops) == 12
+
+
+def _factor_cases():
+    """(d, d', first-factor channel) over the depolarizing channel at
+    lambda_min(d), 0.3 and 1, and a Haar-basis damper at -1/(d-1) and 0.5."""
+    for d in (2, 3, 4):
+        for dp in (2, 3):
+            for lam in (lambda_min(d), 0.3, 1.0):
+                yield d, dp, DepolarizingChannel(d, lam)
+            for lam in (damping_lambda_min(d), 0.5):
+                yield d, dp, PhaseDampingChannel(
+                    d, lam, basis=random_unitary(d, seed=10 * d + dp))
+
+
+class TestApplyOnFactor:
+    @pytest.mark.parametrize("d,dp,phi", list(_factor_cases()))
+    def test_matches_kraus_product(self, d, dp, phi):
+        # Reference: the product Kraus set, one matrix at a time.
+        psi = random_channel(dp, dp + 1, 2, seed=d * dp)
+        stack = random_density_matrices(d * dp, spawn_rngs(d + dp, 4))
+        first = tensor_channel(phi.kraus_channel(), identity_channel(dp))
+        second = tensor_channel(identity_channel(d), psi)
+        on_first = apply_on_factor(phi, stack, d, dp, 1)
+        on_second = apply_on_factor(psi, stack, d, dp, 2)
+        assert on_second.shape == (4, d * (dp + 1), d * (dp + 1))
+        for t, tau in enumerate(stack):
+            assert np.max(np.abs(on_first[t] - first.apply_matrix(tau))) < 1e-13
+            assert np.max(np.abs(on_second[t] - second.apply_matrix(tau))) < 1e-13
+        single = apply_on_factor(phi, stack[0], d, dp, 1)
+        assert np.max(np.abs(single - on_first[0])) < 1e-15
+
+    def test_factor_argument_validation(self):
+        with pytest.raises(ValueError, match="factor"):
+            apply_on_factor(identity_channel(2), np.eye(4), 2, 2, 3)
+
+
+class TestStacks:
+    def test_sampler_matches_single_draws(self):
+        for dim in (2, 6):
+            stack = random_density_matrices(dim, spawn_rngs(5, 7))
+            for rng, rho in zip(spawn_rngs(5, 7), stack):
+                single = np.asarray(random_density_matrix(dim, rng))
+                assert np.max(np.abs(rho - single)) < 1e-15
+
+    def test_stack_validation_flags_one_bad_matrix(self):
+        stack = random_density_matrices(3, spawn_rngs(6, 4))
+        check_states(stack)
+        bad = stack.copy()
+        bad[2] = np.diag([1.2, 0.0, -0.2])
+        with pytest.raises(InvalidStateError, match="PSD"):
+            check_states(bad)
+        bad[2] = 2.0 * stack[2]
+        with pytest.raises(InvalidStateError, match="trace"):
+            check_states(bad)
+
+    def test_norm_and_relative_entropy_take_stacks(self):
+        stack = random_density_matrices(4, spawn_rngs(7, 5))
+        omega = np.asarray(random_density_matrix(4, seed=8))
+        norms = schatten_p_norm(stack, 2.5)
+        relents = relative_entropy(stack, omega)
+        assert norms.shape == relents.shape == (5,)
+        for t, rho in enumerate(stack):
+            assert abs(norms[t] - schatten_p_norm(rho, 2.5)) < 1e-15
+            assert abs(relents[t] - relative_entropy(rho, omega)) < 1e-14
+
+    def test_relative_entropy_stack_marks_support_violation(self):
+        omega = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        inside = np.diag([0.3, 0.7, 0.0]).astype(complex)
+        outside = np.diag([0.3, 0.3, 0.4]).astype(complex)
+        values = relative_entropy(np.stack([inside, outside]), omega)
+        assert values[0] == pytest.approx(relative_entropy(inside, omega),
+                                          abs=1e-15)
+        assert values[1] == math.inf
 
 
 class TestSuperoperatorsAndChoi:

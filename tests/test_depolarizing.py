@@ -15,14 +15,10 @@ from depolcap.core import (
 )
 from depolcap.depolarizing import (
     DepolarizingChannel,
-    chi_star_closed,
     clock_matrix,
     depolarize,
     lambda_min,
     min_choi_eig,
-    nu_p_closed,
-    pure_output_spectrum,
-    s_min_closed,
     shift_matrix,
 )
 
@@ -124,9 +120,9 @@ class TestRepresentations:
 
 class TestClosedForms:
     def test_pure_output_spectrum_values(self):
-        spec = pure_output_spectrum(DepolarizingChannel(2, 0.5))
+        spec = DepolarizingChannel(2, 0.5).pure_output_spectrum()
         assert np.allclose(sorted(spec), [0.25, 0.75])
-        spec = pure_output_spectrum(DepolarizingChannel(4, 1.0))
+        spec = DepolarizingChannel(4, 1.0).pure_output_spectrum()
         assert np.allclose(sorted(spec), [0, 0, 0, 1])
 
     def test_pure_output_spectrum_matches_action(self):
@@ -138,28 +134,28 @@ class TestClosedForms:
                 rho = random_pure_state(d, seed=17 * d).projector()
                 actual = np.linalg.eigvalsh(np.asarray(depolarize(ch, rho)))
                 assert np.allclose(np.sort(actual),
-                                   np.sort(pure_output_spectrum(ch)), atol=1e-12)
+                                   np.sort(ch.pure_output_spectrum()), atol=1e-12)
 
     def test_s_min_endpoints_and_frozen_value(self):
-        assert s_min_closed(DepolarizingChannel(3, 1.0)) == 0.0
-        assert abs(s_min_closed(DepolarizingChannel(3, 0.0)) - math.log(3)) < 1e-14
-        assert abs(s_min_closed(DepolarizingChannel(2, 0.5)) - S_MIN_D2_HALF) < 1e-15
+        assert DepolarizingChannel(3, 1.0).s_min() == 0.0
+        assert abs(DepolarizingChannel(3, 0.0).s_min() - math.log(3)) < 1e-14
+        assert abs(DepolarizingChannel(2, 0.5).s_min() - S_MIN_D2_HALF) < 1e-15
 
     def test_s_min_matches_sampled_minimum(self):
         ch = DepolarizingChannel(3, 0.4)
         sampled = min(von_neumann_entropy(depolarize(ch, random_pure_state(3, seed=s).projector()))
                       for s in range(200))
         # Covariance makes every pure input optimal, so sampling is exact.
-        assert abs(sampled - s_min_closed(ch)) < 1e-8
+        assert abs(sampled - ch.s_min()) < 1e-8
 
     def test_nu_p_endpoints_and_frozen_value(self):
-        assert abs(nu_p_closed(DepolarizingChannel(2, 1.0), 3.7) - 1.0) < 1e-14
-        assert abs(nu_p_closed(DepolarizingChannel(2, 0.0), 2.0) - 1 / math.sqrt(2)) < 1e-14
-        assert abs(nu_p_closed(DepolarizingChannel(3, 0.5), 2.0) - NU2_D3_HALF) < 1e-15
+        assert abs(DepolarizingChannel(2, 1.0).nu_p(3.7) - 1.0) < 1e-14
+        assert abs(DepolarizingChannel(2, 0.0).nu_p(2.0) - 1 / math.sqrt(2)) < 1e-14
+        assert abs(DepolarizingChannel(3, 0.5).nu_p(2.0) - NU2_D3_HALF) < 1e-15
 
     def test_nu_p_rejects_p_below_one(self):
         with pytest.raises(ValueError, match="p must be >= 1"):
-            nu_p_closed(DepolarizingChannel(2, 0.5), 0.99)
+            DepolarizingChannel(2, 0.5).nu_p(0.99)
 
     def test_nu_p_matches_output_norm_for_random_pure_inputs(self):
         for d in (2, 4):
@@ -167,20 +163,20 @@ class TestClosedForms:
             for s in range(10):
                 out = depolarize(ch, random_pure_state(d, seed=s).projector())
                 for p in (1.5, 2.0, 3.0):
-                    assert abs(schatten_p_norm(out, p) - nu_p_closed(ch, p)) < 1e-12
+                    assert abs(schatten_p_norm(out, p) - ch.nu_p(p)) < 1e-12
 
     def test_derivative_identity(self):
         for d in (2, 3, 6):
             for lam in (0.2, 0.5, 0.9):
                 ch = DepolarizingChannel(d, lam)
-                assert abs(-ch.nu_p_derivative_at_1() - s_min_closed(ch)) < 1e-5
+                assert abs(-ch.nu_p_derivative_at_1() - ch.s_min()) < 1e-5
 
     def test_chi_star_endpoints_and_frozen_value(self):
-        assert abs(chi_star_closed(DepolarizingChannel(4, 1.0)) - math.log(4)) < 1e-14
-        assert chi_star_closed(DepolarizingChannel(4, 0.0)) == 0.0
-        assert abs(chi_star_closed(DepolarizingChannel(2, 0.5)) - CHI_D2_HALF) < 1e-15
+        assert abs(DepolarizingChannel(4, 1.0).chi_star() - math.log(4)) < 1e-14
+        assert DepolarizingChannel(4, 0.0).chi_star() == 0.0
+        assert abs(DepolarizingChannel(2, 0.5).chi_star() - CHI_D2_HALF) < 1e-15
 
     def test_entropy_of_actual_output_matches_s_min(self):
         ch = DepolarizingChannel(5, 0.3)
         out = depolarize(ch, random_pure_state(5, seed=9).projector())
-        assert abs(von_neumann_entropy(out) - s_min_closed(ch)) < 1e-12
+        assert abs(von_neumann_entropy(out) - ch.s_min()) < 1e-12
