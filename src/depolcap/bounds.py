@@ -128,10 +128,6 @@ class BlockFactorization:
         return a
 
 
-def block_factorize(rho12: BipartiteState) -> BlockFactorization:
-    return BlockFactorization(rho12)
-
-
 def split_dims(dim1: int, tau) -> tuple[np.ndarray, int]:
     """(tau as a complex array, second-factor dimension) for a state or a
     stack ``(..., n, n)`` on C^dim1 (x) C^(n/dim1)."""
@@ -181,7 +177,7 @@ def spectrum_identity_check(lam: float, rho12: BipartiteState) -> float:
     damped = apply_on_factor(ph, np.asarray(rho12), d, dp, 1)
     spec_small = psd_eigenvalues(damped)
 
-    fact = block_factorize(rho12)
+    fact = BlockFactorization(rho12)
     a = fact.a_matrix()
     b = np.kron(small_b_matrix(d, lam), np.eye(d * dp, dtype=complex))
     a_half = matrix_power_psd(a, 0.5)
@@ -286,15 +282,6 @@ class NumericMeasure:
     ascent: AscentResult
 
 
-def _channel_dim_in(channel) -> int:
-    return getattr(channel, "dim_in", None) or channel.dim
-
-
-def _superoperator_of(channel) -> np.ndarray:
-    s = channel.superoperator
-    return s if isinstance(s, np.ndarray) else s()
-
-
 def pure_output_maps(channel):
     """(outputs, pullback) of a channel on stacks of pure inputs.
 
@@ -305,7 +292,7 @@ def pure_output_maps(channel):
     product per stack: the objectives sit in the optimizer's inner loop,
     and one product beats a sum over Kraus conjugations at these dimensions.
     """
-    superop = _superoperator_of(channel)
+    superop = channel.superoperator()
     dim_out = math.isqrt(superop.shape[0])
     dim_in = math.isqrt(superop.shape[1])
     # Row-major vectorization: vec(Psi(x)) = S vec(x) and
@@ -361,8 +348,8 @@ def max_output_p_norm(channel, p: float, restarts: int = 64,
     over pure inputs (pure inputs suffice by convexity of the p-norm)."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    dim = _channel_dim_in(channel)
-    best = maximize_over_pure_states(pnorm_power_objective(channel, p), dim,
+    best = maximize_over_pure_states(pnorm_power_objective(channel, p),
+                                     channel.dim_in,
                                      restarts=restarts, seed=seed)
     return NumericMeasure(value=best.value ** (1.0 / p), maximizer=best.state,
                           ascent=best)
@@ -370,8 +357,8 @@ def max_output_p_norm(channel, p: float, restarts: int = 64,
 
 def min_output_entropy(channel, restarts: int = 64, seed: int = 0) -> NumericMeasure:
     """Minimal output entropy by maximizing its negative over pure inputs."""
-    dim = _channel_dim_in(channel)
-    best = maximize_over_pure_states(neg_entropy_objective(channel), dim,
+    best = maximize_over_pure_states(neg_entropy_objective(channel),
+                                     channel.dim_in,
                                      restarts=restarts, seed=seed)
     return NumericMeasure(value=-best.value, maximizer=best.state, ascent=best)
 

@@ -37,16 +37,17 @@ from .core import (
     PureState,
     SupportError,
     SUPPORT_EIG_CUTOFF,
+    _ginibre,
     hermitize,
     psd_eigenvalues,
     ptrace_matrix,
     relative_entropy,
+    rng_from_seed,
     tensor_channel,
     von_neumann_entropy,
 )
 from .bounds import (
     InequalityCheck,
-    _channel_dim_in,
     conditional_blocks,
     pure_output_maps,
     spectral_function,
@@ -152,12 +153,10 @@ class Povm:
     @classmethod
     def random(cls, dim: int, n_elements: int, seed=None) -> "Povm":
         """Random POVM: Ginibre Grams whitened by their total."""
-        from .core import rng_from_seed
         rng = rng_from_seed(seed)
         raws = []
         for _ in range(n_elements):
-            g = (rng.standard_normal((dim, dim))
-                 + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+            g = _ginibre(rng, dim, dim)
             raws.append(g @ g.conj().T)
         total = sum(raws)
         w, u = np.linalg.eigh(hermitize(total))
@@ -185,7 +184,7 @@ class ClassicalChannelMatrix:
 def transition_matrix(channel, ensemble: Ensemble, povm: Povm
                       ) -> ClassicalChannelMatrix:
     """p_ij = Tr[Psi(rho_i) E_j]."""
-    if ensemble.dim != _channel_dim_in(channel):
+    if ensemble.dim != channel.dim_in:
         raise ValueError(f"ensemble dim {ensemble.dim} does not match channel")
     rows = []
     for rho in ensemble.states:
@@ -524,7 +523,7 @@ def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
     support, displacing the lightest member when full. Non-convergence
     within max_outer rounds is reported, not raised.
     """
-    dim = _channel_dim_in(channel)
+    dim = channel.dim_in
     # d^2 states suffice for the optimum; the extra slots give iterates
     # room before any support member has to be evicted.
     cap = max_states if max_states is not None else dim * dim + dim
@@ -621,7 +620,7 @@ def opwsw_certificate(channel, omega, restarts: int = 64, seed: int = 0
     sigma = hermitize(channel.apply_matrix(np.asarray(omega, dtype=complex)))
     if np.linalg.eigvalsh(sigma)[0] <= SUPPORT_EIG_CUTOFF:
         raise SupportError("channel output of the reference state is rank deficient")
-    dim = _channel_dim_in(channel)
+    dim = channel.dim_in
     best = maximize_over_pure_states(relative_entropy_objective(channel, sigma),
                                      dim, restarts=restarts, seed=seed)
     return CertificateResult(value=best.value, witness=PureState(best.state))

@@ -47,6 +47,7 @@ from .core import (
     BipartiteState,
     Channel,
     DensityMatrix,
+    _ginibre,
     random_channel,
     random_density_matrices,
     random_unitary,
@@ -60,7 +61,7 @@ from .decomposition import (
     phase_average_check,
 )
 from .depolarizing import DepolarizingChannel, lambda_min, min_choi_eig
-from .phase_damping import PhaseDampingChannel, damping_lambda_min
+from .phase_damping import PhaseDampingChannel
 from .report import (
     CheckRecord,
     ConfigError,
@@ -71,6 +72,14 @@ from .report import (
     resolve_out_path,
     serialize_matrix,
 )
+
+
+def _cp_up_to_rounding(d: int, lam: float) -> bool:
+    """Whether lam lies in the depolarizing CP range [lambda_min(d), 1]
+    widened by 1e-12: the reading a report gives of a Choi eigenvalue whose
+    sign it judges at the edge of the range. Which channels get built is
+    decided by the exact range, ``DepolarizingChannel.in_cp_range``."""
+    return lambda_min(d) - 1e-12 <= lam <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +94,7 @@ def cmd_measures(config: RunConfig) -> Report:
         for lam in config.lambdas:
             ch = DepolarizingChannel.unchecked(d, lam)
             choi_eig = min_choi_eig(d, lam)
-            cp = lambda_min(d) - 1e-12 <= lam <= 1.0 + 1e-12
+            cp = _cp_up_to_rounding(d, lam)
             spectrum_ok = bool(np.all(ch.pure_output_spectrum() >= 0.0))
             s_min = ch.s_min() if spectrum_ok else math.nan
             chi = ch.chi_star() if spectrum_ok else math.nan
@@ -186,23 +195,13 @@ def cmd_decompose(config: RunConfig) -> Report:
 # verify
 # ---------------------------------------------------------------------------
 
-def _random_psd(dim: int, rng) -> np.ndarray:
-    g = (rng.standard_normal((dim, dim))
-         + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-    return g @ g.conj().T
-
-
-def _dep_ok(d: int, lam: float) -> bool:
-    return lambda_min(d) - 1e-12 <= lam <= 1.0 + 1e-12
-
-
-def _cells(config: RunConfig, lam_min):
+def _cells(config: RunConfig, family):
     """(i_d, d, i_dp, dp, i_l, lam) over the (d, d', lam) grid, in report
-    order, for the lambdas in [lam_min(d), 1]."""
+    order, for the lambdas at which the channel ``family`` can be built."""
     for (i_d, d), (i_dp, dp), (i_l, lam) in itertools.product(
             enumerate(config.dims), enumerate(config.dims),
             enumerate(config.lambdas)):
-        if lam_min(d) - 1e-12 <= lam <= 1.0 + 1e-12:
+        if family.in_cp_range(d, lam):
             yield i_d, d, i_dp, dp, i_l, lam
 
 
@@ -233,13 +232,13 @@ def cmd_verify(config: RunConfig) -> Report:
     # Families built on a valid depolarizing channel run only for lambda
     # inside the admissible range of that dimension; out-of-range values
     # (reachable with the unchecked flag) still get their CP witness row.
-    any_live = any(_dep_ok(d, lam)
+    any_live = any(DepolarizingChannel.in_cp_range(d, lam)
                    for d in config.dims for lam in config.lambdas)
 
     for i_d, d in enumerate(config.dims):
         for i_l, lam in enumerate(config.lambdas):
             eig = min_choi_eig(d, lam)
-            cp = _dep_ok(d, lam)
+            cp = _cp_up_to_rounding(d, lam)
             records.append(CheckRecord(
                 "cp-range-witness",
                 inputs={"d": d, "lam": lam},
@@ -252,7 +251,8 @@ def cmd_verify(config: RunConfig) -> Report:
             seed = child_seed(root, 1, i_d, i_p)
             min_slack, worst = math.inf, None
             for rng in spawn_rngs(seed, trials):
-                a, b = _random_psd(d, rng), _random_psd(d, rng)
+                pair = [_ginibre(rng, d, d) for _ in range(2)]
+                a, b = (g @ g.conj().T for g in pair)
                 chk = lieb_thirring_check(a, b, p)
                 if chk.slack < min_slack:
                     min_slack, worst = chk.slack, (a, b)
@@ -272,7 +272,7 @@ def cmd_verify(config: RunConfig) -> Report:
 
     # Each (d, d', lam, p) cell below evaluates its trials as one stack.
     nb_tol = config.tolerance("norm_bound")
-    for i_d, d, i_dp, dp, i_l, lam in _cells(config, damping_lambda_min):
+    for i_d, d, i_dp, dp, i_l, lam in _cells(config, PhaseDampingChannel):
         ph = PhaseDampingChannel.unchecked(d, lam)
         for i_p, p in enumerate(config.p_grid):
             seed = child_seed(root, 3, i_d, i_dp, i_l, i_p)
@@ -289,7 +289,7 @@ def cmd_verify(config: RunConfig) -> Report:
 
     inv_tol = config.tolerance("invariance")
     n_unitaries = min(trials, 20)
-    for i_d, d, i_dp, dp, i_l, lam in _cells(config, lambda_min):
+    for i_d, d, i_dp, dp, i_l, lam in _cells(config, DepolarizingChannel):
         psi, dep = psis[dp], DepolarizingChannel(d, lam)
         for i_p, p in enumerate(config.p_grid):
             seed = child_seed(root, 4, i_d, i_dp, i_l, i_p)
@@ -318,7 +318,7 @@ def cmd_verify(config: RunConfig) -> Report:
                 psi_norms[dp, p] = max_output_p_norm(
                     psis[dp], p, restarts=32,
                     seed=child_seed(root, 5, i_dp, i_p))
-    for i_d, d, i_dp, dp, i_l, lam in _cells(config, lambda_min):
+    for i_d, d, i_dp, dp, i_l, lam in _cells(config, DepolarizingChannel):
         psi, dep = psis[dp], DepolarizingChannel(d, lam)
         for i_p, p in enumerate(config.p_grid):
             seed = child_seed(root, 6, i_d, i_dp, i_l, i_p)
@@ -352,7 +352,7 @@ def cmd_verify(config: RunConfig) -> Report:
             ens = res.ensemble()
             witness_cache[dp] = np.asarray(
                 ens.states[int(np.argmax(ens.probs))], dtype=complex)
-    for i_d, d, i_dp, dp, i_l, lam in _cells(config, lambda_min):
+    for i_d, d, i_dp, dp, i_l, lam in _cells(config, DepolarizingChannel):
         psi, res = psis[dp], holevo_cache[dp]
         seed = child_seed(root, 9, i_d, i_dp, i_l)
         tau = random_density_matrices(d * dp, spawn_rngs(seed, trials))
@@ -378,7 +378,8 @@ def cmd_verify(config: RunConfig) -> Report:
                          np.asarray(res.average_output))}))
 
     add_tol = config.tolerance("additivity")
-    live2 = sorted(lam for lam in config.lambdas if _dep_ok(2, lam))
+    live2 = sorted(lam for lam in config.lambdas
+                   if DepolarizingChannel.in_cp_range(2, lam))
     if 2 in config.dims and live2:
         lam_mid = live2[len(live2) // 2]
         partners = [("depolarizing", DepolarizingChannel(2, 0.7).kraus_channel()),
@@ -421,7 +422,7 @@ def cmd_capacity(config: RunConfig) -> Report:
     for i_d, d in enumerate(config.dims):
         chain = []
         for i_l, lam in enumerate(sorted(config.lambdas)):
-            if not _dep_ok(d, lam):
+            if not DepolarizingChannel.in_cp_range(d, lam):
                 records.append(CheckRecord(
                     "capacity-chain",
                     inputs={"d": d, "lam": lam},

@@ -5,12 +5,22 @@ validation (Hermiticity, positivity, trace and norm constraints) and freeze
 the wrapped buffers so instances are immutable and safe to share. Entropies
 are computed in nats throughout; :func:`nats_to_bits` is the one
 presentation-layer conversion.
+
+Every channel class shares one protocol. :class:`LinearMap` is the base: a
+subclass supplies ``dim_in``, ``dim_out``, ``apply_matrix`` (the raw linear
+action on a matrix or a stack) and ``superoperator()``, and inherits the
+action on a state (``ch(rho)``, with a dimension check) and the normalized
+Choi matrix ``choi()``. :class:`Channel` is an arbitrary Kraus channel.
+:class:`LambdaChannel` is the base of the one-parameter families on C^dim
+(the depolarizing channel, the phase dampers and the intermediate map
+Omega): each names its complete-positivity edge ``lam_min(dim)``, the
+constructor refuses lam outside [lam_min(dim), 1], and ``unchecked`` builds
+the same linear, trace-preserving map without that check.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -143,7 +153,37 @@ class PureState:
         return f"PureState(dim={self.dim})"
 
 
-class Channel:
+class LinearMap:
+    """A linear map on matrices; the protocol every channel class shares.
+
+    Subclasses set ``dim_in`` and ``dim_out`` and define ``apply_matrix``
+    and ``superoperator()``; the action on a state and the Choi matrix are
+    derived from ``apply_matrix`` here.
+    """
+
+    dim_in: int
+    dim_out: int
+
+    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def superoperator(self) -> np.ndarray:
+        """Matrix of the map on row-major vectorized inputs."""
+        raise NotImplementedError
+
+    def __call__(self, rho: DensityMatrix) -> DensityMatrix:
+        """Apply to a state; the output is validated as a state."""
+        mat = np.asarray(rho, dtype=complex)
+        if mat.shape[0] != self.dim_in:
+            raise InvalidChannelError(
+                f"channel expects dim {self.dim_in}, state has dim {mat.shape[0]}")
+        return DensityMatrix(hermitize(self.apply_matrix(mat)))
+
+    def choi(self) -> np.ndarray:
+        return choi_matrix(self.apply_matrix, self.dim_in)
+
+
+class Channel(LinearMap):
     """A completely positive trace-preserving map in Kraus form.
 
     Complete positivity is automatic from the Kraus representation; trace
@@ -168,10 +208,14 @@ class Channel:
         self.kraus_ops = tuple(_freeze(k) for k in ops)
         self.dim_in: int = dim_in
         self.dim_out: int = dim_out
+        self._superoperator: np.ndarray | None = None
 
-    @cached_property
     def superoperator(self) -> np.ndarray:
-        return kraus_superoperator(self.kraus_ops)
+        # Kept on the instance: the Holevo optimizer asks for it once per
+        # outer round.
+        if self._superoperator is None:
+            self._superoperator = _freeze(kraus_superoperator(self.kraus_ops))
+        return self._superoperator
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Apply to a raw matrix without validating the result as a state."""
@@ -181,15 +225,60 @@ class Channel:
         """Apply the adjoint (Heisenberg-picture) map to a raw matrix."""
         return sum(k.conj().T @ mat @ k for k in self.kraus_ops)
 
-    def choi(self) -> np.ndarray:
-        return choi_matrix(self.apply_matrix, self.dim_in)
-
-    def __call__(self, rho: DensityMatrix) -> DensityMatrix:
-        return apply_channel(self, rho)
-
     def __repr__(self) -> str:
         return (f"Channel(dim_in={self.dim_in}, dim_out={self.dim_out}, "
                 f"kraus={len(self.kraus_ops)})")
+
+
+class LambdaChannel(LinearMap):
+    """A one-parameter channel family on C^dim, trace preserving for every
+    lam and completely positive exactly for lam_min(dim) <= lam <= 1.
+
+    Subclasses set ``lam_min`` and may extend ``_setup`` with their own
+    fields and validation; the constructor and ``unchecked`` pass any
+    further arguments on to it.
+    """
+
+    @staticmethod
+    def lam_min(dim: int) -> float:
+        raise NotImplementedError
+
+    def __init__(self, dim: int, lam: float, *args, **kwargs) -> None:
+        self._setup(dim, lam, *args, **kwargs)
+        if not self.in_cp_range(self.dim, self.lam):
+            raise InvalidChannelError(
+                f"lam {self.lam} outside the CP range "
+                f"[{self.lam_min(self.dim)}, 1] for dim {self.dim}")
+
+    @classmethod
+    def unchecked(cls, dim: int, lam: float, *args, **kwargs):
+        """Build without the CP range check.
+
+        The map stays linear and trace preserving for any lam, which is what
+        Choi-negativity witnesses and identity checks on wide lam grids
+        need; only complete positivity fails outside the range.
+        """
+        self = object.__new__(cls)
+        self._setup(dim, lam, *args, **kwargs)
+        return self
+
+    def _setup(self, dim: int, lam: float) -> None:
+        if dim < 2:
+            raise InvalidChannelError(f"dim must be >= 2, got {dim}")
+        self.dim = self.dim_in = self.dim_out = int(dim)
+        self.lam = float(lam)
+
+    @classmethod
+    def in_cp_range(cls, dim: int, lam: float) -> bool:
+        """Whether lam lies in the closed CP range [lam_min(dim), 1]."""
+        return cls.lam_min(dim) <= lam <= 1.0
+
+    @property
+    def is_cp(self) -> bool:
+        return self.in_cp_range(self.dim, self.lam)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim}, lam={self.lam})"
 
 
 class BipartiteState:
@@ -320,15 +409,6 @@ def partial_trace(rho12: BipartiteState, keep: int) -> DensityMatrix:
     """Reduced density matrix of a bipartite state on the kept factor."""
     red = ptrace_matrix(rho12.state.matrix, rho12.dim1, rho12.dim2, keep)
     return DensityMatrix(hermitize(red))
-
-
-def apply_channel(psi: Channel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply a channel to a state: sum_i K_i rho K_i^dag."""
-    mat = np.asarray(rho, dtype=complex)
-    if mat.shape[0] != psi.dim_in:
-        raise InvalidChannelError(
-            f"channel expects dim {psi.dim_in}, state has dim {mat.shape[0]}")
-    return DensityMatrix(hermitize(psi.apply_matrix(mat)))
 
 
 def apply_on_factor(channel, mat, dim1: int, dim2: int, factor: int) -> np.ndarray:

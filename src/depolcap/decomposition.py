@@ -30,7 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frobenius_distance, superoperator_from_action, PureState
+from .core import (
+    LambdaChannel,
+    PureState,
+    frobenius_distance,
+    superoperator_from_action,
+)
 from .depolarizing import DepolarizingChannel
 from .phase_damping import PhaseDampingChannel, damping_lambda_min
 
@@ -91,33 +96,21 @@ def phase_channel(d: int, lam: float, a: int) -> PhaseDampingChannel:
 # Omega
 # ---------------------------------------------------------------------------
 
-class OmegaChannel:
+class OmegaChannel(LambdaChannel):
     """Intermediate channel Delta_lam + ((1 - lam)/d)(rho - diag rho).
 
     Trace preserving for every lam; completely positive exactly for
     -1/(d - 1) <= lam <= 1 (it is an average of phase-damping channels).
     """
 
-    def __init__(self, dim: int, lam: float) -> None:
-        lo = damping_lambda_min(dim)
-        if not lo <= lam <= 1.0:
-            from .core import InvalidChannelError
-            raise InvalidChannelError(
-                f"lam {lam} outside the CP range [{lo}, 1] for dim {dim}")
-        self.dim = int(dim)
-        self.lam = float(lam)
-
-    @classmethod
-    def unchecked(cls, dim: int, lam: float) -> "OmegaChannel":
-        self = object.__new__(cls)
-        self.dim = int(dim)
-        self.lam = float(lam)
-        return self
+    lam_min = staticmethod(damping_lambda_min)
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        """Linear action on a raw matrix, or on each matrix of a stack
+        ``(..., d, d)``."""
         m = np.asarray(mat, dtype=complex)
         delta = DepolarizingChannel.unchecked(self.dim, self.lam).apply_matrix(m)
-        return delta + (1.0 - self.lam) / self.dim * (m - np.diag(np.diagonal(m)))
+        return delta + (1.0 - self.lam) / self.dim * (m - m * np.eye(self.dim))
 
     def alt_apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Equivalent closed form for unit-trace input:
@@ -128,14 +121,6 @@ class OmegaChannel:
 
     def superoperator(self) -> np.ndarray:
         return superoperator_from_action(self.apply_matrix, self.dim)
-
-    def __repr__(self) -> str:
-        return f"OmegaChannel(dim={self.dim}, lam={self.lam})"
-
-
-def omega_apply(om: OmegaChannel, rho) -> np.ndarray:
-    """Apply Omega to a state; returns the raw output matrix."""
-    return om.apply_matrix(np.asarray(rho, dtype=complex))
 
 
 def dephasing_average(d: int, mat: np.ndarray) -> np.ndarray:

@@ -13,16 +13,13 @@ output p-norm and the Holevo quantity all available in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     Channel,
-    DensityMatrix,
     InvalidChannelError,
-    choi_matrix,
-    hermitize,
+    LambdaChannel,
     min_choi_eigenvalue,
 )
 
@@ -45,41 +42,10 @@ def clock_matrix(dim: int) -> np.ndarray:
     return np.diag(np.exp(2j * math.pi * np.arange(dim) / dim))
 
 
-@dataclass(frozen=True)
-class DepolarizingChannel:
+class DepolarizingChannel(LambdaChannel):
     """Depolarizing channel with mixing parameter lam on C^dim."""
 
-    dim: int
-    lam: float
-
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise InvalidChannelError(f"dim must be >= 2, got {self.dim}")
-        lo = lambda_min(self.dim)
-        if not lo <= self.lam <= 1.0:
-            raise InvalidChannelError(
-                f"lam {self.lam} outside the CP range [{lo}, 1] for dim {self.dim}")
-
-    @classmethod
-    def unchecked(cls, dim: int, lam: float) -> "DepolarizingChannel":
-        """Build without the CP range check.
-
-        The map stays linear and trace preserving for any lam, which is what
-        the Choi-negativity witness needs; only complete positivity fails
-        outside [-1/(d^2 - 1), 1].
-        """
-        if dim < 2:
-            raise InvalidChannelError(f"dim must be >= 2, got {dim}")
-        self = object.__new__(cls)
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "lam", float(lam))
-        return self
-
-    @property
-    def is_cp(self) -> bool:
-        return lambda_min(self.dim) - 1e-15 <= self.lam <= 1.0 + 1e-15
-
-    # -- action ------------------------------------------------------------
+    lam_min = staticmethod(lambda_min)
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Linear action lam*M + (1 - lam) * Tr(M)/d * I on a raw matrix, or
@@ -88,22 +54,12 @@ class DepolarizingChannel:
         tr = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
         return self.lam * m + (1.0 - self.lam) * (tr / self.dim) * np.eye(self.dim)
 
-    def adjoint_apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        # Self-adjoint in the Hilbert-Schmidt inner product.
-        return self.apply_matrix(mat)
-
-    def __call__(self, rho: DensityMatrix) -> DensityMatrix:
-        return depolarize(self, rho)
-
     def superoperator(self) -> np.ndarray:
         """Matrix on row-major vectorized inputs; valid for any lam."""
         d = self.dim
         vec_eye = np.eye(d, dtype=complex).reshape(-1)
         return (self.lam * np.eye(d * d, dtype=complex)
                 + (1.0 - self.lam) / d * np.outer(vec_eye, vec_eye))
-
-    def choi(self) -> np.ndarray:
-        return choi_matrix(self.apply_matrix, self.dim)
 
     def kraus_channel(self) -> Channel:
         """Weyl (generalized Pauli) Kraus form with d^2 operators.
@@ -165,15 +121,6 @@ class DepolarizingChannel:
         """Holevo quantity in nats: ln d - s_min, attained by a uniform
         ensemble over any orthonormal basis."""
         return math.log(self.dim) - self.s_min()
-
-
-def depolarize(ch: DepolarizingChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the depolarizing channel to a state."""
-    mat = np.asarray(rho, dtype=complex)
-    if mat.shape[0] != ch.dim:
-        raise InvalidChannelError(
-            f"channel expects dim {ch.dim}, state has dim {mat.shape[0]}")
-    return DensityMatrix(hermitize(ch.apply_matrix(mat)))
 
 
 def min_choi_eig(dim: int, lam: float) -> float:

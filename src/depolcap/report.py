@@ -76,9 +76,6 @@ CLAIM_REGISTRY = {
     "capacity-chain":
         "Shannon capacity with basis encoding equals chi_star equals "
         "ln d minus S_min, and the optimal prior is uniform",
-    "holevo-numeric-agreement":
-        "the ensemble optimizer reproduces the closed-form Holevo quantity "
-        "with a maximally mixed average input",
     "capacity-monotone":
         "capacity is nondecreasing in lambda on [0, 1]",
 }
@@ -86,7 +83,7 @@ CLAIM_REGISTRY = {
 # Value keys denominated in nats, converted when bits output is requested.
 ENTROPY_VALUE_KEYS = {
     "s_min", "chi_star", "chi_closed", "shannon_capacity", "holevo_chi",
-    "chi_product", "chi_delta", "chi_psi", "chi_sum", "additivity_gap",
+    "chi_product", "chi_delta", "chi_psi", "additivity_gap",
     "capacity_gap", "holevo_gap", "lhs", "rhs", "relent_min_slack",
     "relent_saturation_gap", "certificate_gap",
 }

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from depolcap.bounds import (
+    BlockFactorization,
     b_matrix_diagonal_check,
-    block_factorize,
     diagonalize_first_factor,
     lieb_thirring_check,
     local_unitary_invariance_check,
@@ -52,13 +52,13 @@ def random_psd(dim, rng, scale=1.0):
 class TestBlockFactorization:
     def test_gram_reassembly_validated_at_construction(self):
         rho12 = random_bipartite_state(3, 2, seed=1)
-        fact = block_factorize(rho12)
+        fact = BlockFactorization(rho12)
         assert fact.d == 3 and fact.d_prime == 2
         assert all(v.shape == (6, 2) for v in fact.blocks)
 
     def test_blocks_give_conditional_reductions(self):
         rho12 = random_bipartite_state(2, 3, seed=2)
-        fact = block_factorize(rho12)
+        fact = BlockFactorization(rho12)
         mat = np.asarray(rho12)
         for i in range(2):
             e = np.zeros((2, 2))
@@ -70,18 +70,18 @@ class TestBlockFactorization:
         probs = np.array([0.7, 0.3])
         sigma = np.asarray(random_density_matrix(3, seed=3))
         rho12 = BipartiteState(2, 3, DensityMatrix(np.kron(np.diag(probs), sigma)))
-        fact = block_factorize(rho12)
+        fact = BlockFactorization(rho12)
         for i in range(2):
             assert np.allclose(fact.rho2_block(i), probs[i] * sigma, atol=1e-10)
 
     def test_block_trace_sums_to_one(self):
-        fact = block_factorize(random_bipartite_state(3, 3, seed=4))
+        fact = BlockFactorization(random_bipartite_state(3, 3, seed=4))
         total = sum(np.trace(fact.rho2_block(i)).real for i in range(3))
         assert abs(total - 1.0) < 1e-12
 
     def test_transposed_gram_traces_match(self):
         # Tr (V_i V_i^dag)^p = Tr (V_i^dag V_i)^p
-        fact = block_factorize(random_bipartite_state(3, 2, seed=5))
+        fact = BlockFactorization(random_bipartite_state(3, 2, seed=5))
         for i in range(3):
             v = fact.blocks[i]
             for p in (1.5, 2.0, 3.0):

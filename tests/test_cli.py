@@ -697,6 +697,22 @@ class TestExitContract:
                                        ["verify", "--replay", "{witness}"],
                                        {"witness": text}))
 
+    # Lambdas a hair outside the CP range: inside the 1e-12 band that the
+    # CP witness allows for rounding, outside the range channels are built on.
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--dims", "2", "--lambdas", "1.0000000000001",
+         "--p-grid", "2", "--trials", "2", "--unchecked-lambda"],
+        ["verify", "--dims", "2", "--lambdas", "-0.33333333333343",
+         "--p-grid", "2", "--trials", "2", "--unchecked-lambda"],
+        ["capacity", "--dims", "2", "--lambdas", "1.0000000000001",
+         "--unchecked-lambda"],
+    ])
+    def test_lambda_just_past_the_cp_edge(self, tmp_path, argv):
+        code, out, err, _ = _run_in(tmp_path, argv, {})
+        _assert_exit_contract(code, out, err, None)
+        records = json.loads(out)["records"]
+        assert code == (0 if all(r["passed"] for r in records) else 1)
+
 
 # ---------------------------------------------------------------------------
 # Module entry point

@@ -12,12 +12,13 @@ from depolcap.core import (
     DensityMatrix,
     InvalidChannelError,
     InvalidStateError,
+    LambdaChannel,
     PureState,
-    apply_channel,
     apply_on_factor,
     basis_state,
     check_states,
     choi_matrix,
+    hermitize,
     identity_channel,
     kraus_superoperator,
     maximally_mixed,
@@ -38,6 +39,7 @@ from depolcap.core import (
     tensor_channel,
     von_neumann_entropy,
 )
+from depolcap.decomposition import OmegaChannel
 from depolcap.depolarizing import DepolarizingChannel, lambda_min
 from depolcap.phase_damping import PhaseDampingChannel, damping_lambda_min
 
@@ -120,19 +122,19 @@ class TestChannel:
     def test_output_is_valid_state(self):
         ch = random_channel(3, 3, 4, seed=7)
         rho = random_density_matrix(3, seed=8)
-        out = apply_channel(ch, rho)
+        out = ch(rho)
         assert isinstance(out, DensityMatrix)
         assert abs(np.trace(np.asarray(out)) - 1.0) < 1e-12
 
     def test_dimension_mismatch(self):
         ch = identity_channel(2)
         with pytest.raises(InvalidChannelError, match="dim"):
-            apply_channel(ch, random_density_matrix(3, seed=1))
+            ch(random_density_matrix(3, seed=1))
 
     def test_superoperator_matches_action(self):
         ch = random_channel(3, 3, 2, seed=11)
         rho = np.asarray(random_density_matrix(3, seed=12))
-        via_super = (ch.superoperator @ rho.reshape(-1)).reshape(3, 3)
+        via_super = (ch.superoperator() @ rho.reshape(-1)).reshape(3, 3)
         assert np.allclose(via_super, ch.apply_matrix(rho), atol=1e-13)
 
     def test_adjoint_is_unital_map_adjoint(self):
@@ -365,6 +367,70 @@ class TestSuperoperatorsAndChoi:
         v = np.zeros(d * d, dtype=complex)
         v[0], v[3] = 1 / math.sqrt(2), 1 / math.sqrt(2)
         assert np.allclose(j, np.outer(v, v.conj()), atol=1e-14)
+
+
+# One channel of every class: a Kraus channel that changes dimension, then
+# each one-parameter family, the damper in its own and in a Haar basis.
+PROTOCOL_CASES = {
+    "kraus": random_channel(2, 3, 2, seed=70),
+    "depolarizing": DepolarizingChannel(3, -0.1),
+    "damper": PhaseDampingChannel(3, 0.4),
+    "damper-haar": PhaseDampingChannel(3, -0.3, basis=random_unitary(3, seed=71)),
+    "omega": OmegaChannel(3, 0.6),
+}
+
+# (family, extra keyword arguments) of every one-parameter family.
+LAMBDA_FAMILIES = {
+    "depolarizing": (DepolarizingChannel, lambda d: {}),
+    "damper": (PhaseDampingChannel, lambda d: {}),
+    "damper-haar": (PhaseDampingChannel,
+                    lambda d: {"basis": random_unitary(d, seed=d)}),
+    "omega": (OmegaChannel, lambda d: {}),
+}
+
+
+class TestChannelProtocol:
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+    def test_action_choi_and_superoperator(self, name):
+        ch = PROTOCOL_CASES[name]
+        rho = random_density_matrix(ch.dim_in, seed=72)
+        out = ch(rho)
+        assert isinstance(out, DensityMatrix)
+        assert np.array_equal(np.asarray(out),
+                              hermitize(ch.apply_matrix(np.asarray(rho))))
+        with pytest.raises(InvalidChannelError, match="dim"):
+            ch(random_density_matrix(ch.dim_in + 1, seed=73))
+        stack = random_density_matrices(ch.dim_in, spawn_rngs(74, 3))
+        for t, out_t in enumerate(ch.apply_matrix(stack)):
+            assert np.max(np.abs(out_t - ch.apply_matrix(stack[t]))) < 1e-15
+        assert np.array_equal(ch.choi(), choi_matrix(ch.apply_matrix, ch.dim_in))
+        s = ch.superoperator()
+        assert s.shape == (ch.dim_out ** 2, ch.dim_in ** 2)
+        ref = superoperator_from_action(ch.apply_matrix, ch.dim_in)
+        assert np.max(np.abs(s - ref)) < 1e-13
+
+    @pytest.mark.parametrize("name", sorted(LAMBDA_FAMILIES))
+    def test_cp_range_gate(self, name):
+        family, extra = LAMBDA_FAMILIES[name]
+        for d in (2, 3, 4):
+            lo = family.lam_min(d)
+            for lam in (lo, 0.5, 1.0):
+                ch = family(d, lam, **extra(d))
+                assert isinstance(ch, LambdaChannel)
+                assert ch.is_cp and family.in_cp_range(d, lam)
+                assert (ch.dim_in, ch.dim_out) == (d, d)
+            for lam in (np.nextafter(lo, -np.inf), np.nextafter(1.0, np.inf),
+                        lo - 0.5):
+                with pytest.raises(InvalidChannelError, match="CP range"):
+                    family(d, lam, **extra(d))
+                ch = family.unchecked(d, lam, **extra(d))
+                assert ch.lam == lam
+                assert not ch.is_cp and not family.in_cp_range(d, lam)
+                out = ch.apply_matrix(np.asarray(random_density_matrix(d, seed=d)))
+                assert abs(np.trace(out) - 1.0) < 1e-12
+        for build in (family, family.unchecked):
+            with pytest.raises(InvalidChannelError, match="dim"):
+                build(1, 0.5)
 
 
 class TestRandomGeneration:

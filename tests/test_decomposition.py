@@ -21,7 +21,6 @@ from depolcap.decomposition import (
     diophantine_solutions,
     full_decomposition,
     mixing_weights,
-    omega_apply,
     omega_split_check,
     phase_average_check,
     phase_channel,
@@ -113,7 +112,7 @@ class TestPsiStates:
 class TestOmegaChannel:
     def test_identity_at_lam_one(self):
         rho = random_density_matrix(3, seed=1)
-        assert np.allclose(omega_apply(OmegaChannel(3, 1.0), rho),
+        assert np.allclose(OmegaChannel(3, 1.0).apply_matrix(np.asarray(rho)),
                            np.asarray(rho), atol=1e-14)
 
     def test_two_algebraic_forms_agree(self):

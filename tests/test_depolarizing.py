@@ -16,7 +16,6 @@ from depolcap.core import (
 from depolcap.depolarizing import (
     DepolarizingChannel,
     clock_matrix,
-    depolarize,
     lambda_min,
     min_choi_eig,
     shift_matrix,
@@ -58,27 +57,27 @@ class TestAction:
     def test_identity_endpoint(self):
         ch = DepolarizingChannel(3, 1.0)
         rho = random_pure_state(3, seed=1).projector()
-        assert np.allclose(np.asarray(depolarize(ch, rho)), np.asarray(rho))
+        assert np.allclose(np.asarray(ch(rho)), np.asarray(rho))
 
     def test_fully_depolarizing_endpoint(self):
         ch = DepolarizingChannel(3, 0.0)
         rho = random_pure_state(3, seed=2).projector()
-        assert np.allclose(np.asarray(depolarize(ch, rho)), np.eye(3) / 3, atol=1e-14)
+        assert np.allclose(np.asarray(ch(rho)), np.eye(3) / 3, atol=1e-14)
 
     def test_qubit_half_on_ground_state(self):
         ch = DepolarizingChannel(2, 0.5)
-        out = depolarize(ch, basis_state(2, 0).projector())
+        out = ch(basis_state(2, 0).projector())
         assert np.allclose(np.asarray(out), np.diag([0.75, 0.25]), atol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidChannelError, match="dim"):
-            depolarize(DepolarizingChannel(2, 0.5), basis_state(3, 0).projector())
+            DepolarizingChannel(2, 0.5)(basis_state(3, 0).projector())
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(2, 5), st.floats(0.0, 1.0))
     def test_output_valid_on_cp_range(self, d, lam):
         ch = DepolarizingChannel(d, lam)
-        out = depolarize(ch, random_pure_state(d, seed=d).projector())
+        out = ch(random_pure_state(d, seed=d).projector())
         assert abs(np.trace(np.asarray(out)) - 1.0) < 1e-12
 
 
@@ -89,7 +88,7 @@ class TestRepresentations:
                 if lam < lambda_min(d):
                     continue
                 ch = DepolarizingChannel(d, lam)
-                dist = frobenius_distance(ch.kraus_channel().superoperator,
+                dist = frobenius_distance(ch.kraus_channel().superoperator(),
                                           ch.superoperator())
                 assert dist < 1e-10, (d, lam, dist)
 
@@ -132,7 +131,7 @@ class TestClosedForms:
                     continue
                 ch = DepolarizingChannel(d, lam)
                 rho = random_pure_state(d, seed=17 * d).projector()
-                actual = np.linalg.eigvalsh(np.asarray(depolarize(ch, rho)))
+                actual = np.linalg.eigvalsh(np.asarray(ch(rho)))
                 assert np.allclose(np.sort(actual),
                                    np.sort(ch.pure_output_spectrum()), atol=1e-12)
 
@@ -143,7 +142,7 @@ class TestClosedForms:
 
     def test_s_min_matches_sampled_minimum(self):
         ch = DepolarizingChannel(3, 0.4)
-        sampled = min(von_neumann_entropy(depolarize(ch, random_pure_state(3, seed=s).projector()))
+        sampled = min(von_neumann_entropy(ch(random_pure_state(3, seed=s).projector()))
                       for s in range(200))
         # Covariance makes every pure input optimal, so sampling is exact.
         assert abs(sampled - ch.s_min()) < 1e-8
@@ -161,7 +160,7 @@ class TestClosedForms:
         for d in (2, 4):
             ch = DepolarizingChannel(d, 0.35)
             for s in range(10):
-                out = depolarize(ch, random_pure_state(d, seed=s).projector())
+                out = ch(random_pure_state(d, seed=s).projector())
                 for p in (1.5, 2.0, 3.0):
                     assert abs(schatten_p_norm(out, p) - ch.nu_p(p)) < 1e-12
 
@@ -178,5 +177,5 @@ class TestClosedForms:
 
     def test_entropy_of_actual_output_matches_s_min(self):
         ch = DepolarizingChannel(5, 0.3)
-        out = depolarize(ch, random_pure_state(5, seed=9).projector())
+        out = ch(random_pure_state(5, seed=9).projector())
         assert abs(von_neumann_entropy(out) - ch.s_min()) < 1e-12

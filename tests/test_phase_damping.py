@@ -21,9 +21,7 @@ from depolcap.phase_damping import (
     UNIFORM_TOL,
     PhaseDampingChannel,
     damping_lambda_min,
-    is_uniform_channel,
     is_uniform_vector,
-    phase_damp,
     uniform_diag_expectation,
 )
 
@@ -68,11 +66,11 @@ class TestAction:
     def test_identity_endpoint(self):
         rho = random_density_matrix(3, seed=1)
         ch = PhaseDampingChannel(3, 1.0)
-        assert np.allclose(np.asarray(phase_damp(ch, rho)), np.asarray(rho))
+        assert np.allclose(np.asarray(ch(rho)), np.asarray(rho))
 
     def test_full_dephasing(self):
         rho = random_density_matrix(3, seed=2)
-        out = phase_damp(PhaseDampingChannel(3, 0.0), rho)
+        out = PhaseDampingChannel(3, 0.0)(rho)
         assert np.allclose(np.asarray(out), np.diag(np.diagonal(np.asarray(rho))),
                            atol=1e-14)
 
@@ -108,7 +106,7 @@ class TestAction:
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidChannelError, match="dim"):
-            phase_damp(PhaseDampingChannel(2, 0.5), random_density_matrix(3, seed=1))
+            PhaseDampingChannel(2, 0.5)(random_density_matrix(3, seed=1))
 
 
 class TestRepresentations:
@@ -116,7 +114,7 @@ class TestRepresentations:
         for d, lam in ((2, 0.5), (3, -0.3), (4, 0.0), (3, 1.0)):
             u = random_unitary(d, seed=d + 10)
             ch = PhaseDampingChannel(d, lam, basis=u)
-            dist = frobenius_distance(ch.kraus_channel().superoperator,
+            dist = frobenius_distance(ch.kraus_channel().superoperator(),
                                       ch.superoperator())
             assert dist < 1e-10, (d, lam, dist)
 
@@ -162,12 +160,12 @@ class TestUniformity:
         assert not is_uniform_vector(basis_state(3, 1))
 
     def test_computational_dephaser_not_uniform(self):
-        assert not is_uniform_channel(PhaseDampingChannel(3, 0.5))
+        assert not PhaseDampingChannel(3, 0.5).is_uniform()
 
     def test_fourier_dephaser_uniform_and_unital(self):
         d = 5
         ch = PhaseDampingChannel(d, 0.3, basis=fourier_basis(d))
-        assert is_uniform_channel(ch)
+        assert ch.is_uniform()
         out = ch.apply_matrix(np.eye(d) / d)
         assert np.allclose(out, np.eye(d) / d, atol=1e-13)
 
@@ -227,7 +225,7 @@ class TestUniformDiagExpectation:
 
 def test_unital_on_maximally_mixed_via_channel_api():
     ch = PhaseDampingChannel(3, 0.5, basis=fourier_basis(3))
-    out = phase_damp(ch, maximally_mixed(3))
+    out = ch(maximally_mixed(3))
     assert np.allclose(np.asarray(out), np.eye(3) / 3, atol=1e-14)
 
 
