@@ -16,8 +16,8 @@ Three layers:
     optimizer error directly (chi <= chi* <= sup);
   * inequality checks built on those quantities: the relative-entropy bound
     for depolarizing tensor factors, the output-entropy lower bound for
-    uniform phase dampers, and the additivity gap of chi* across tensor
-    products.
+    uniform phase dampers, and the additivity of chi* across tensor
+    products, bracketed by the factor sum and a min-max upper bound.
 
 Entropic values are in nats.
 """
@@ -731,21 +731,20 @@ class AdditivityCheck:
 
 def chi_additivity_check(dep: DepolarizingChannel, psi: Channel,
                          seed: int = 0, tolerance: float = 1e-4,
-                         factor_tol: float = 1e-7,
-                         tensor_tol: float = 1e-6,
-                         max_outer: int = 300) -> AdditivityCheck:
-    """chi*(Delta (x) Psi) against chi*(Delta) + chi*(Psi), all three from
-    the numeric optimizer."""
-    if dep.dim * psi.dim_in > 12:
-        raise ValueError("tensor dimension above 12 is outside optimizer scope")
+                         factor_tol: float = 1e-7) -> AdditivityCheck:
+    """chi*(Delta (x) Psi) bracketed against chi*(Delta) + chi*(Psi).
+
+    The factor sum is the lower side (product ensembles). ``chi_product`` is
+    the min-max upper side sup_rho S((Delta (x) Psi) rho, I/d (x) Psi(omega*))
+    with omega* the optimal average input of Psi, so no optimizer runs on
+    the product channel; ``converged`` covers the two factor runs."""
     delta_result = holevo_quantity(dep, seed=seed, cert_tol=factor_tol)
     psi_result = holevo_quantity(psi, seed=seed + 1, cert_tol=factor_tol)
-    product = tensor_channel(dep.kraus_channel(), psi)
-    product_result = holevo_quantity(product, seed=seed + 2,
-                                     cert_tol=tensor_tol, max_outer=max_outer)
-    converged = (delta_result.converged and psi_result.converged
-                 and product_result.converged)
-    return AdditivityCheck(chi_product=product_result.chi,
+    omega = np.kron(np.eye(dep.dim) / dep.dim,
+                    np.asarray(psi_result.average_input))
+    upper = opwsw_certificate(tensor_channel(dep.kraus_channel(), psi), omega,
+                              seed=seed + 2)
+    return AdditivityCheck(chi_product=upper.value,
                            chi_delta=delta_result.chi,
-                           chi_psi=psi_result.chi,
-                           tolerance=tolerance, converged=converged)
+                           chi_psi=psi_result.chi, tolerance=tolerance,
+                           converged=delta_result.converged and psi_result.converged)

@@ -387,8 +387,7 @@ def cmd_verify(config: RunConfig) -> Report:
         for i, (label, partner) in enumerate(partners):
             seed = child_seed(root, 10, i)
             chk = chi_additivity_check(DepolarizingChannel(2, lam_mid),
-                                       partner, seed=seed,
-                                       tolerance=add_tol, tensor_tol=1e-5)
+                                       partner, seed=seed, tolerance=add_tol)
             warning = None if chk.converged else "optimizer did not converge"
             passed = chk.holds and (chk.converged or not config.strict)
             records.append(CheckRecord(

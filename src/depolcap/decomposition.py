@@ -113,11 +113,11 @@ class OmegaChannel(LambdaChannel):
         return delta + (1.0 - self.lam) / self.dim * (m - m * np.eye(self.dim))
 
     def alt_apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Equivalent closed form for unit-trace input:
-        (lam + (1-lam)/d) rho + ((1-lam)/d)(I - diag rho)."""
+        """Equivalent closed form for unit-trace input, or for each matrix
+        of a stack: (lam + (1-lam)/d) rho + ((1-lam)/d)(I - diag rho)."""
         m = np.asarray(mat, dtype=complex)
         c = (1.0 - self.lam) / self.dim
-        return (self.lam + c) * m + c * (np.eye(self.dim) - np.diag(np.diagonal(m)))
+        return (self.lam + c) * m + c * (np.eye(self.dim) - m * np.eye(self.dim))
 
     def superoperator(self) -> np.ndarray:
         return superoperator_from_action(self.apply_matrix, self.dim)

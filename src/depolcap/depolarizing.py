@@ -67,14 +67,14 @@ class DepolarizingChannel(LambdaChannel):
         The identity carries weight lam + (1 - lam)/d^2 and each of the other
         d^2 - 1 shift-clock words X^j Z^k carries (1 - lam)/d^2; the identity
         weight is nonnegative exactly on the CP range, so no Kraus form
-        exists outside it.
+        exists outside it. At the lower edge it is zero up to rounding.
         """
         d = self.dim
-        w0 = self.lam + (1.0 - self.lam) / (d * d)
-        w = (1.0 - self.lam) / (d * d)
-        if w0 < 0.0 or w < 0.0:
+        if not self.is_cp:
             raise InvalidChannelError(
                 f"no Kraus form: lam {self.lam} outside the CP range for dim {d}")
+        w = (1.0 - self.lam) / (d * d)
+        w0 = max(self.lam + w, 0.0)
         x, z = shift_matrix(d), clock_matrix(d)
         x_pows = [np.linalg.matrix_power(x, j) for j in range(d)]
         z_pows = [np.linalg.matrix_power(z, k) for k in range(d)]

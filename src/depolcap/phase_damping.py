@@ -119,14 +119,14 @@ class PhaseDampingChannel(LambdaChannel):
         W^k over k = 1..d dephases in the channel basis, so the Kraus set
         sqrt(lam + (1-lam)/d) I together with sqrt((1-lam)/d) (W*)^k for
         k = 1..d-1 reproduces the channel. The identity weight is
-        nonnegative exactly on the CP range.
+        nonnegative exactly on the CP range, zero up to rounding at its edge.
         """
         d = self.dim
-        w0 = self.lam + (1.0 - self.lam) / d
-        w = (1.0 - self.lam) / d
-        if w0 < 0.0 or w < 0.0:
+        if not self.is_cp:
             raise InvalidChannelError(
                 f"no Kraus form: lam {self.lam} outside the CP range for dim {d}")
+        w = (1.0 - self.lam) / d
+        w0 = max(self.lam + w, 0.0)
         phases = np.exp(2j * math.pi * np.arange(d) / d)
         ops = [math.sqrt(w0) * np.eye(d, dtype=complex)]
         for k in range(1, d):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -38,9 +40,12 @@ from depolcap.core import (
     random_unitary,
     relative_entropy,
     spawn_rngs,
+    tensor_channel,
 )
+from depolcap.cli import main
 from depolcap.depolarizing import DepolarizingChannel
 from depolcap.phase_damping import PhaseDampingChannel
+from depolcap.report import child_seed
 
 # Capacity of the binary symmetric channel with flip probability 1/4,
 # ln 2 - (3/4 ln 4/3 + 1/4 ln 4), frozen from an independent evaluation.
@@ -479,10 +484,58 @@ class TestChiAdditivity:
         assert chk.holds
         assert abs(chk.gap) < 1e-6
 
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            chi_additivity_check(DepolarizingChannel(4, 0.5),
-                                 DepolarizingChannel(4, 0.5).kraus_channel())
+    def test_bracket_beyond_qubit_factors(self):
+        # No optimizer runs on the product channel, so the 16- and 12-dim
+        # products are as cheap as the qubit ones.
+        chk = chi_additivity_check(DepolarizingChannel(4, 0.5),
+                                   DepolarizingChannel(4, 0.5).kraus_channel())
+        assert chk.holds
+        assert abs(chk.gap) < 1e-10
+        chk = chi_additivity_check(DepolarizingChannel(6, 0.5),
+                                   random_channel(2, 2, 2, seed=3))
+        assert chk.holds
+
+    @staticmethod
+    def _verify_partners():
+        """The (lam, partner, seed) triples of a default ``verify`` run."""
+        partners = [DepolarizingChannel(2, 0.7).kraus_channel(),
+                    random_channel(2, 2, 2, seed=child_seed(0, 2, 0))]
+        return [(0.5, psi, child_seed(0, 10, i)) for i, psi in enumerate(partners)]
+
+    def test_bracket_is_an_upper_side(self):
+        for lam, psi, seed in self._verify_partners():
+            chk = chi_additivity_check(DepolarizingChannel(2, lam), psi, seed=seed)
+            assert chk.converged
+            assert chk.chi_product >= chk.chi_sum - 1e-12
+
+    def test_bracket_matches_product_optimizer(self):
+        lam, psi, seed = self._verify_partners()[0]
+        dep = DepolarizingChannel(2, lam)
+        chk = chi_additivity_check(dep, psi, seed=seed)
+        product = holevo_quantity(tensor_channel(dep.kraus_channel(), psi),
+                                  seed=seed + 2)
+        assert abs(chk.chi_product - product.chi) < 1e-6
+
+    def test_bracket_fails_when_partner_chi_is_raised(self, monkeypatch, capsys):
+        # A partner chi* 1e-3 above the truth puts the factor sum above the
+        # upper side: the check must fail, and so must a verify run.
+        real = capacity.holevo_quantity
+
+        def raised(channel, *args, **kwargs):
+            res = real(channel, *args, **kwargs)
+            if isinstance(channel, DepolarizingChannel):
+                return res
+            return dataclasses.replace(res, chi=res.chi + 1e-3)
+
+        monkeypatch.setattr(capacity, "holevo_quantity", raised)
+        lam, psi, seed = self._verify_partners()[1]
+        chk = chi_additivity_check(DepolarizingChannel(2, lam), psi, seed=seed)
+        assert not chk.holds
+        assert main(["verify", "--dims", "2", "--lambdas", "0.5",
+                     "--p-grid", "2", "--trials", "3"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = {r["name"] for r in report["records"] if not r["passed"]}
+        assert failed == {"chi-additivity"}
 
     def test_gap_properties(self):
         chk = AdditivityCheck(chi_product=1.0, chi_delta=0.4, chi_psi=0.6,

@@ -122,6 +122,15 @@ class TestOmegaChannel:
             assert np.allclose(om.apply_matrix(rho), om.alt_apply_matrix(rho),
                                atol=1e-13)
 
+    def test_alt_form_on_a_stack(self):
+        om = OmegaChannel(3, 0.4)
+        stack = np.stack([np.asarray(random_density_matrix(3, seed=8 + t))
+                          for t in range(4)])
+        out = om.alt_apply_matrix(stack)
+        for rho, one in zip(stack, out):
+            assert np.allclose(one, om.alt_apply_matrix(rho), atol=1e-14)
+            assert np.allclose(one, om.apply_matrix(rho), atol=1e-13)
+
     def test_qubit_entrywise_form(self):
         # Diagonal entries mix with weights (1 +/- lam)/2, off-diagonals
         # scale by (1 + lam)/2.

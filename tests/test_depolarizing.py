@@ -92,6 +92,15 @@ class TestRepresentations:
                                           ch.superoperator())
                 assert dist < 1e-10, (d, lam, dist)
 
+    def test_kraus_at_lower_cp_edge(self):
+        # The identity weight lam + (1 - lam)/d^2 is zero there and can
+        # round below it (d = 6, 9).
+        for d in range(2, 13):
+            ch = DepolarizingChannel(d, lambda_min(d))
+            err = np.max(np.abs(ch.kraus_channel().superoperator()
+                                - ch.superoperator()))
+            assert err < 1e-13, (d, err)
+
     def test_kraus_count(self):
         assert len(DepolarizingChannel(3, 0.5).kraus_channel().kraus_ops) == 9
 

@@ -118,6 +118,15 @@ class TestRepresentations:
                                       ch.superoperator())
             assert dist < 1e-10, (d, lam, dist)
 
+    def test_kraus_at_lower_cp_edge(self):
+        # The identity weight lam + (1 - lam)/d is zero there and can round
+        # below it (d = 6, 12).
+        for d in range(2, 13):
+            ch = PhaseDampingChannel(d, damping_lambda_min(d))
+            err = np.max(np.abs(ch.kraus_channel().superoperator()
+                                - ch.superoperator()))
+            assert err < 1e-13, (d, err)
+
     def test_kraus_refused_outside_cp_range(self):
         ch = PhaseDampingChannel.unchecked(3, damping_lambda_min(3) - 0.01)
         with pytest.raises(InvalidChannelError, match="Kraus"):
