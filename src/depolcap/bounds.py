@@ -344,7 +344,7 @@ def neg_entropy_objective(channel, floor: float = 1e-18):
 
 def max_output_p_norm(channel, p: float, restarts: int = 64,
                       seed: int = 0) -> NumericMeasure:
-    """nu_p of an arbitrary channel by restarts of projected gradient ascent
+    """nu_p of an arbitrary channel by restarts of the quasi-Newton ascent
     over pure inputs (pure inputs suffice by convexity of the p-norm)."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")

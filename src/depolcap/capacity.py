@@ -9,7 +9,7 @@ Three layers:
   * the Holevo quantity chi* = sup over ensembles of
     S(Psi(rho_bar)) - sum pi_i S(Psi(rho_i)), computed by alternating
     maximization over at most d^2 pure states: projected Newton steps on
-    the weights for fixed states, gradient ascent to find states whose
+    the weights for fixed states, quasi-Newton ascent to find states whose
     output relative entropy against the current average exceeds the
     ensemble value, and the equalization certificate
     sup_rho S(Psi(rho), Psi(rho_bar)) - chi < tol, which bounds the
@@ -37,6 +37,7 @@ from .core import (
     PureState,
     SupportError,
     SUPPORT_EIG_CUTOFF,
+    SUPPORT_MASS_TOL,
     _ginibre,
     hermitize,
     psd_eigenvalues,
@@ -614,13 +615,23 @@ def opwsw_certificate(channel, omega, restarts: int = 64, seed: int = 0
     """sup over pure rho of S(Psi(rho), Psi(omega)) for a fixed reference.
 
     At the optimal average input this equals chi*; at any other reference
-    it can only be larger (the min-max property). Requires Psi(omega) to
-    have full support.
+    it can only be larger (the min-max property). The supremum is finite
+    exactly when every output lies in the support of Psi(omega), as it does
+    for every channel when omega has full rank. A SupportError is raised
+    when some pure input puts more than SUPPORT_MASS_TOL of its output
+    outside that support. Within it the objective's floored logarithm moves
+    the value by at most SUPPORT_MASS_TOL * |ln LOG_FLOOR|, about 4e-9.
     """
     sigma = hermitize(channel.apply_matrix(np.asarray(omega, dtype=complex)))
-    if np.linalg.eigvalsh(sigma)[0] <= SUPPORT_EIG_CUTOFF:
-        raise SupportError("channel output of the reference state is rank deficient")
     dim = channel.dim_in
+    w, u = np.linalg.eigh(sigma)
+    if w[0] <= SUPPORT_EIG_CUTOFF:
+        null = u[:, w <= SUPPORT_EIG_CUTOFF]
+        # The largest output mass on the null space, max_rho Tr[P Psi(rho)],
+        # is the top eigenvalue of Psi^dag(P) for the null projector P.
+        leak = (null @ null.conj().T).reshape(-1) @ channel.superoperator().conj()
+        if np.linalg.eigvalsh(hermitize(leak.reshape(dim, dim)))[-1] > SUPPORT_MASS_TOL:
+            raise SupportError("an output leaves the support of the reference output")
     best = maximize_over_pure_states(relative_entropy_objective(channel, sigma),
                                      dim, restarts=restarts, seed=seed)
     return CertificateResult(value=best.value, witness=PureState(best.state))

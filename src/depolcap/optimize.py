@@ -1,14 +1,17 @@
 """Maximization of smooth real objectives over pure states.
 
-The search space is the unit sphere in C^d. An objective maps a stack of
-unit vectors, one per row, to their values and euclidean gradients; the
-ascent projects each gradient onto the tangent space of the sphere, takes an
-adaptive step, and renormalizes. Phase invariance of physical objectives
-makes the quotient by the global phase harmless. All starts of a multi-start
-search advance in lockstep, so one objective call serves every start still
-running. Starting points come from independent per-restart generators
-spawned off one root seed, so results are reproducible and restarts are
-order-independent.
+The search space is the unit sphere in C^d, read as the unit sphere in
+R^{2d}. An objective maps a stack of unit vectors, one per row, to their
+values and euclidean gradients. The ascent projects each gradient onto the
+tangent space of the sphere and takes a Riemannian BFGS step: each row
+keeps its own inverse-Hessian approximation, curvature pairs are carried to
+the new point by the tangent projection I - x x^T, and a backtracking line
+search on the retraction x -> (x + a p)/|x + a p| picks the step length.
+Phase invariance of physical objectives makes the quotient by the global
+phase harmless. All starts of a multi-start search advance in lockstep, so
+one objective call serves every start still running. Starting points come
+from independent per-restart generators spawned off one root seed, so
+results are reproducible and restarts are order-independent.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ MIN_STEP = 1e-14
 # Gains at rounding level would keep a row dithering at the optimum for the
 # whole budget; a step is accepted only when it gains more than this.
 MIN_GAIN = 1e-15
+# A curvature pair whose s and y are this close to orthogonal is skipped
+# along with those of negative curvature: its update would scale the
+# inverse Hessian by up to |s| / (|y| cos(s, y)) and, at cosines near
+# rounding, leave it indefinite in floating point. Near a nondegenerate
+# optimum the cosine stays above about 2 / sqrt(condition number).
+MIN_CURVATURE_COS = 1e-6
 
 # Objective callable: stack of unit vectors (R, d) -> (values (R,),
 # gradients (R, d)). Gradient row r is the Wirtinger derivative with respect
@@ -42,8 +51,8 @@ class AscentResult:
     grad_norm: float
     converged: bool
     # Why the ascent ended: "grad_tol" (the tangent gradient fell below
-    # grad_tol), "line_search" (no step of size >= MIN_STEP gains more than
-    # MIN_GAIN) or "max_iter".
+    # grad_tol), "line_search" (no step of length >= MIN_STEP gains more
+    # than MIN_GAIN) or "max_iter".
     stop: str
 
 
@@ -57,47 +66,107 @@ def unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _project(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows of v projected by I - x x^T, with the rows of x read as real
+    unit vectors in R^{2d}: v - Re<x, v> x."""
+    return v - np.real(np.sum(x.conj() * v, axis=1, keepdims=True)) * x
+
+
+def _real(z: np.ndarray) -> np.ndarray:
+    """Complex rows (R, d) as real rows (R, 2d), real and imaginary parts
+    interleaved."""
+    return np.ascontiguousarray(z).view(float)
+
+
+def _bfgs_update(inv_hess: np.ndarray, scaled: np.ndarray, rows: np.ndarray,
+                 s: np.ndarray, y: np.ndarray) -> None:
+    """BFGS update, in place, of the inverse Hessians ``inv_hess[rows]`` by
+    the real curvature pairs (s, y) of the negated objective.
+
+    A pair with s.y <= MIN_CURVATURE_COS |s| |y| carries no usable
+    positive curvature and is skipped, so every approximation stays
+    positive definite. A row's first update starts from (s.y / y.y) I in
+    place of its initial matrix.
+    """
+    sy = np.sum(s * y, axis=1)
+    keep = sy > (MIN_CURVATURE_COS * np.linalg.norm(s, axis=1)
+                 * np.linalg.norm(y, axis=1))
+    rows, s, y, sy = rows[keep], s[keep], y[keep], sy[keep]
+    h = inv_hess[rows]
+    first = ~scaled[rows]
+    h[first] = (sy[first] / np.sum(y[first] ** 2, axis=1))[:, None, None] \
+        * np.eye(s.shape[1])
+    scaled[rows] = True
+    hy = (h @ y[:, :, None])[:, :, 0]
+    rho = 1.0 / sy
+    ss = rho * (1.0 + rho * np.sum(y * hy, axis=1))
+    inv_hess[rows] = (h - rho[:, None, None] * (s[:, :, None] * hy[:, None, :]
+                                                + hy[:, :, None] * s[:, None, :])
+                      + ss[:, None, None] * s[:, :, None] * s[:, None, :])
+
+
 def ascend_lockstep(objective: Objective, starts: np.ndarray,
                     max_iter: int = MAX_ITER, grad_tol: float = GRAD_TOL,
                     initial_step: float = 0.5) -> list[AscentResult]:
-    """Projected gradient ascent from every row of ``starts`` at once.
+    """Riemannian BFGS ascent from every row of ``starts`` at once.
 
-    Each row keeps its own step size: it grows by 1.5 (up to 1e3) after an
-    accepted move and halves on a rejection. A row stops when its tangent
-    gradient norm drops below grad_tol, when its step falls below MIN_STEP
-    without an improving candidate, or after max_iter iterations, and
-    ``converged`` is set only when the gradient norm is below grad_tol. An
-    iteration is one line search; a row's trajectory, iteration count and
-    stop do not depend on the other rows. Every round makes one objective
-    call on the candidates of the rows still running.
+    Each row keeps its own inverse-Hessian approximation H, shape
+    (2d, 2d) in real coordinates, starting at initial_step * I: the first
+    step is initial_step times the tangent gradient g, and later ones are
+    p = (I - x x^T) H g. A line search tries x + a p for a = 1, 1/2,
+    1/4, ... and accepts the first candidate that gains more than MIN_GAIN.
+    The accepted step s and the gradient change y (both carried to the new
+    point by I - x x^T) update H (see ``_bfgs_update``). A row stops when
+    its tangent gradient norm drops below grad_tol, when a |p| falls below
+    MIN_STEP without an improving candidate, or after max_iter iterations,
+    and ``converged`` is set only when the gradient norm is below grad_tol.
+    An iteration is one line search, however many candidates it tries.
+
+    The rows are independent: no row's steps read another row's data, and
+    every round makes one objective call on the candidates of the rows still
+    running. A row ends where a lone ``ascend_on_sphere`` from its start
+    would, up to rounding: a stacked objective may round differently with
+    the stack height, and near an optimum that can change an iteration
+    count or a stop reason.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be positive, got {max_iter}")
     psi = unit_rows(np.asarray(starts, dtype=complex))
+    n, dim = psi.shape
     value, grad = objective(psi)
     value = np.array(value, dtype=float)
     tangent = tangent_part(psi, grad)
     grad_norm = np.linalg.norm(tangent, axis=1)
-    step = np.full(len(psi), float(initial_step))
-    iterations = np.ones(len(psi), dtype=int)
-    stop = np.full(len(psi), "", dtype=object)
+    inv_hess = np.tile(initial_step * np.eye(2 * dim), (n, 1, 1))
+    scaled = np.zeros(n, dtype=bool)
+    direction = initial_step * tangent
+    alpha = np.ones(n)
+    iterations = np.ones(n, dtype=int)
+    stop = np.full(n, "", dtype=object)
     stop[grad_norm < grad_tol] = "grad_tol"
     while True:
         rows = np.flatnonzero(stop == "")
         if rows.size == 0:
             break
-        cand = unit_rows(psi[rows] + step[rows, None] * tangent[rows])
+        cand = unit_rows(psi[rows] + alpha[rows, None] * direction[rows])
         cand_value, cand_grad = objective(cand)
         up = cand_value > value[rows] + MIN_GAIN
         moved, held = rows[up], rows[~up]
 
-        step[held] *= 0.5
-        stop[held[step[held] < MIN_STEP]] = "line_search"
+        alpha[held] *= 0.5
+        short = alpha[held] * np.linalg.norm(direction[held], axis=1) < MIN_STEP
+        stop[held[short]] = "line_search"
 
-        psi[moved], value[moved] = cand[up], cand_value[up]
-        tangent[moved] = tangent_part(cand[up], cand_grad[up])
-        grad_norm[moved] = np.linalg.norm(tangent[moved], axis=1)
-        step[moved] = np.minimum(step[moved] * 1.5, 1e3)
+        new = cand[up]
+        new_tangent = tangent_part(new, cand_grad[up])
+        s = _project(new, alpha[moved, None] * direction[moved])
+        y = _project(new, tangent[moved]) - new_tangent
+        _bfgs_update(inv_hess, scaled, moved, _real(s), _real(y))
+        psi[moved], value[moved], tangent[moved] = new, cand_value[up], new_tangent
+        grad_norm[moved] = np.linalg.norm(new_tangent, axis=1)
+        step = (inv_hess[moved] @ _real(new_tangent)[:, :, None])[:, :, 0]
+        direction[moved] = _project(new, step.view(complex))
+        alpha[moved] = 1.0
         done = iterations[moved] == max_iter
         stop[moved[done]] = "max_iter"
         moved = moved[~done]
@@ -106,13 +175,13 @@ def ascend_lockstep(objective: Objective, starts: np.ndarray,
     return [AscentResult(float(value[r]), psi[r], int(iterations[r]),
                          float(grad_norm[r]), bool(grad_norm[r] < grad_tol),
                          stop[r])
-            for r in range(len(psi))]
+            for r in range(n)]
 
 
 def ascend_on_sphere(objective: Objective, start: np.ndarray,
                      max_iter: int = MAX_ITER, grad_tol: float = GRAD_TOL,
                      initial_step: float = 0.5) -> AscentResult:
-    """Projected gradient ascent from one starting vector: a one-row
+    """Quasi-Newton ascent from one starting vector: a one-row
     ``ascend_lockstep``."""
     start = np.asarray(start, dtype=complex).reshape(1, -1)
     return ascend_lockstep(objective, start, max_iter=max_iter,

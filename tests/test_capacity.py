@@ -30,6 +30,7 @@ from depolcap.capacity import (
 )
 from depolcap.core import (
     BipartiteState,
+    Channel,
     DensityMatrix,
     InvalidStateError,
     SupportError,
@@ -283,6 +284,43 @@ class TestHolevoQuantity:
         assert result.converged
         assert result.certificate_gap < 1e-7
 
+    def test_objective_call_budget_on_the_verify_qutrit_partner(self, monkeypatch):
+        # Counts evaluations of the relative-entropy objective, the unit of
+        # work of the witness, certificate and joint support searches. The
+        # quasi-Newton ascent needs 726 on this partner; the gradient ascent
+        # it replaced needed 3,522.
+        calls = []
+        inner = capacity.relative_entropy_objective
+
+        def counted(*args, **kwargs):
+            objective = inner(*args, **kwargs)
+
+            def wrapped(psi):
+                calls.append(1)
+                return objective(psi)
+            return wrapped
+
+        monkeypatch.setattr(capacity, "relative_entropy_objective", counted)
+        partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
+        result = holevo_quantity(partner, seed=child_seed(0, 7, 1))
+        assert result.converged
+        assert len(calls) <= 1500
+
+
+def _amplitude_damping(gamma):
+    return Channel([np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
+                    np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])])
+
+
+def _dominated_input_channel():
+    """Measure a qutrit in the computational basis and send 0 and 1 to
+    |0><0| and |1><1| and 2 to I/2: no optimal ensemble uses input 2."""
+    e0, e1 = np.eye(2)
+    kets = np.eye(3)
+    return Channel([np.outer(e0, kets[0]), np.outer(e1, kets[1]),
+                    math.sqrt(0.5) * np.outer(e0, kets[2]),
+                    math.sqrt(0.5) * np.outer(e1, kets[2])])
+
 
 def _random_states(n, dim, rng):
     """n Haar-random unit vectors in C^dim."""
@@ -399,6 +437,24 @@ class TestOpwswCertificate:
         with pytest.raises(SupportError):
             opwsw_certificate(ch, np.diag([1.0, 0.0]))
 
+    def test_rank_deficient_output_of_a_full_rank_reference(self):
+        # Every output of the replacer is |0><0|, so the supremum is
+        # S(|0><0|, |0><0|) = 0 on the support of Psi(omega).
+        cert = opwsw_certificate(_amplitude_damping(1.0), np.diag([0.3, 0.7]),
+                                 restarts=4, seed=1)
+        assert abs(cert.value) < 1e-12
+
+    def test_rank_deficient_reference_whose_outputs_stay_in_support(self):
+        # The dominated-input channel with a qutrit output that |2> never
+        # reaches: Psi(omega) = diag(1/2, 1/2, 0) for omega = diag(1/2, 1/2, 0),
+        # and every output lies in its support. The basis inputs reach the
+        # supremum S(|0><0|, diag(1/2, 1/2, 0)) = ln 2.
+        padded = Channel([np.vstack([k, np.zeros((1, 3))])
+                          for k in _dominated_input_channel().kraus_ops])
+        cert = opwsw_certificate(padded, np.diag([0.5, 0.5, 0.0]),
+                                 restarts=4, seed=1)
+        assert abs(cert.value - LN2) < 1e-12
+
 
 # ---------------------------------------------------------------------------
 # inequality checks
@@ -501,6 +557,22 @@ class TestChiAdditivity:
         partners = [DepolarizingChannel(2, 0.7).kraus_channel(),
                     random_channel(2, 2, 2, seed=child_seed(0, 2, 0))]
         return [(0.5, psi, child_seed(0, 10, i)) for i, psi in enumerate(partners)]
+
+    @pytest.mark.parametrize("partner", [
+        Channel([np.array([[1.0, 0.0], [0.0, 0.0]]),
+                 np.array([[0.0, 1.0], [0.0, 0.0]])]),
+        _amplitude_damping(1.0),
+        _dominated_input_channel(),
+    ], ids=["replacer", "amplitude-damping-1", "dominated-input"])
+    def test_bracket_with_a_rank_deficient_partner_output(self, partner):
+        # Psi(omega*) = |0><0| is rank deficient for the first two partners,
+        # whose omega* has full rank; the third has omega* = diag(1/2, 1/2, 0)
+        # of rank two. Every output stays in the support of the reference
+        # output, so the upper side is finite.
+        chk = chi_additivity_check(DepolarizingChannel(2, 0.5), partner)
+        assert chk.converged
+        assert abs(chk.gap) <= chk.tolerance
+        assert chk.holds
 
     def test_bracket_is_an_upper_side(self):
         for lam, psi, seed in self._verify_partners():
