@@ -37,6 +37,8 @@ from .core import (
     Channel,
     DensityMatrix,
     InvalidStateError,
+    _p_norm_from_eigenvalues,
+    _scalar_or_stack,
     apply_on_factor,
     hermitize,
     matrix_power_psd,
@@ -44,7 +46,7 @@ from .core import (
     ptrace_matrix,
     random_density_matrices,
     schatten_p_norm,
-    spawn_rngs,
+    spectral_function,
 )
 from .depolarizing import DepolarizingChannel
 from .optimize import AscentResult, maximize_over_pure_states
@@ -192,16 +194,21 @@ def spectrum_identity_check(lam: float, rho12: BipartiteState) -> float:
 # ---------------------------------------------------------------------------
 
 def lieb_thirring_check(a, b, p: float, tolerance: float = LT_TOL) -> InequalityCheck:
-    """Tr (A^{1/2} B A^{1/2})^p <= Tr A^p B^p for PSD A, B and p >= 1."""
+    """Tr (A^{1/2} B A^{1/2})^p <= Tr A^p B^p for PSD A, B and p >= 1.
+
+    ``a`` and ``b`` are one pair of matrices, or two stacks ``(T, d, d)``
+    of them; for stacks, lhs and rhs hold one value per pair."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     a_half = matrix_power_psd(a, 0.5)
     inner = psd_eigenvalues(a_half @ b @ a_half)
-    lhs = float(np.sum(inner ** p))
-    rhs = float(np.real(np.trace(matrix_power_psd(a, p) @ matrix_power_psd(b, p))))
-    return InequalityCheck(lhs=lhs, rhs=rhs, tolerance=tolerance)
+    lhs = np.sum(inner ** p, axis=-1)
+    rhs = np.real(np.trace(matrix_power_psd(a, p) @ matrix_power_psd(b, p),
+                           axis1=-2, axis2=-1))
+    return InequalityCheck(lhs=_scalar_or_stack(lhs), rhs=_scalar_or_stack(rhs),
+                           tolerance=tolerance)
 
 
 def b_matrix_diagonal_check(d: int, lam: float, p: float) -> EqualityCheck:
@@ -233,9 +240,11 @@ def tensor_output_norm_bound(ch: PhaseDampingChannel, rho12, p: float,
     m, dp = split_dims(d, rho12)
     lhs = schatten_p_norm(hermitize(apply_on_factor(ch, m, d, dp, 1)), p)
     blocks = psd_eigenvalues(conditional_blocks(ch.basis, m))
-    power_sum = np.sum(blocks ** p, axis=(-2, -1))
+    # (sum_i Tr rho2_i^p)^(1/p) is the p-norm of all block spectra together.
+    block_norm = _p_norm_from_eigenvalues(
+        blocks.reshape(blocks.shape[:-2] + (-1,)), p)
     nu = DepolarizingChannel.unchecked(d, ch.lam)._nu_p_any(p)
-    rhs = d ** (1.0 - 1.0 / p) * nu * power_sum ** (1.0 / p)
+    rhs = d ** (1.0 - 1.0 / p) * nu * block_norm
     return InequalityCheck(lhs=lhs, rhs=rhs, tolerance=tolerance)
 
 
@@ -309,11 +318,6 @@ def pure_output_maps(channel):
         return np.einsum("rij,rj->ri", back, psi)
 
     return outputs, pullback
-
-
-def spectral_function(u: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """u diag(f) u^dag for an eigenbasis u, or for each one in a stack."""
-    return (u * f[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
 
 
 def pnorm_power_objective(channel, p: float):
@@ -404,7 +408,7 @@ def multiplicativity_check(dep: DepolarizingChannel, psi: Channel, p: float,
         psi_measure = max_output_p_norm(psi, p, restarts=restarts, seed=seed)
     bound = dep.nu_p(p) * psi_measure.value
 
-    taus = random_density_matrices(d * psi.dim_in, spawn_rngs(seed + 1, trials))
+    taus = random_density_matrices(d * psi.dim_in, seed + 1, trials)
     # Any pure state maximizes the depolarizing factor, by covariance, so
     # the product input rides at the end of the trial stack.
     product_vec = np.kron(np.eye(d, dtype=complex)[0], psi_measure.maximizer)

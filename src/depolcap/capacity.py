@@ -38,12 +38,12 @@ from .core import (
     SupportError,
     SUPPORT_EIG_CUTOFF,
     SUPPORT_MASS_TOL,
-    _ginibre,
     hermitize,
     psd_eigenvalues,
     ptrace_matrix,
+    random_psd_matrices,
     relative_entropy,
-    rng_from_seed,
+    spectral_function,
     tensor_channel,
     von_neumann_entropy,
 )
@@ -51,7 +51,6 @@ from .bounds import (
     InequalityCheck,
     conditional_blocks,
     pure_output_maps,
-    spectral_function,
     split_dims,
     tensor_output,
 )
@@ -154,12 +153,8 @@ class Povm:
     @classmethod
     def random(cls, dim: int, n_elements: int, seed=None) -> "Povm":
         """Random POVM: Ginibre Grams whitened by their total."""
-        rng = rng_from_seed(seed)
-        raws = []
-        for _ in range(n_elements):
-            g = _ginibre(rng, dim, dim)
-            raws.append(g @ g.conj().T)
-        total = sum(raws)
+        raws = random_psd_matrices(dim, seed, (n_elements,))
+        total = np.sum(raws, axis=0)
         w, u = np.linalg.eigh(hermitize(total))
         inv_half = (u * (1.0 / np.sqrt(np.clip(w, 1e-30, None)))) @ u.conj().T
         return cls([inv_half @ r @ inv_half for r in raws])

@@ -47,12 +47,11 @@ from .core import (
     BipartiteState,
     Channel,
     DensityMatrix,
-    _ginibre,
     random_channel,
     random_density_matrices,
-    random_unitary,
+    random_psd_matrices,
+    random_unitaries,
     schatten_p_norm,
-    spawn_rngs,
 )
 from .decomposition import (
     diophantine_solutions,
@@ -249,19 +248,17 @@ def cmd_verify(config: RunConfig) -> Report:
     for i_d, d in enumerate(config.dims):
         for i_p, p in enumerate(config.p_grid):
             seed = child_seed(root, 1, i_d, i_p)
-            min_slack, worst = math.inf, None
-            for rng in spawn_rngs(seed, trials):
-                pair = [_ginibre(rng, d, d) for _ in range(2)]
-                a, b = (g @ g.conj().T for g in pair)
-                chk = lieb_thirring_check(a, b, p)
-                if chk.slack < min_slack:
-                    min_slack, worst = chk.slack, (a, b)
+            pairs = random_psd_matrices(d, seed, (trials, 2))
+            slack = lieb_thirring_check(pairs[:, 0], pairs[:, 1], p).slack
+            # A NaN slack (the powers overflowed) is the minimum, and fails.
+            worst = int(np.argmin(slack))
+            min_slack = float(slack[worst])
             records.append(_family_record(
                 "lieb-thirring", {"dim": d, "p": p}, seed,
                 {"min_slack": min_slack, "trials": trials}, min_slack,
                 min_slack >= -lt_tol, {"tolerance": lt_tol},
-                lambda: {"a": serialize_matrix(worst[0]),
-                         "b": serialize_matrix(worst[1])}))
+                lambda: {"a": serialize_matrix(pairs[worst, 0]),
+                         "b": serialize_matrix(pairs[worst, 1])}))
 
     # One random reference channel per second-factor dimension, reused by
     # the invariance, multiplicativity, and relative-entropy families.
@@ -276,7 +273,7 @@ def cmd_verify(config: RunConfig) -> Report:
         ph = PhaseDampingChannel.unchecked(d, lam)
         for i_p, p in enumerate(config.p_grid):
             seed = child_seed(root, 3, i_d, i_dp, i_l, i_p)
-            rho12 = random_density_matrices(d * dp, spawn_rngs(seed, trials))
+            rho12 = random_density_matrices(d * dp, seed, trials)
             slack = tensor_output_norm_bound(ph, rho12, p).slack
             worst = int(np.argmin(slack))
             min_slack = float(slack[worst])
@@ -293,10 +290,10 @@ def cmd_verify(config: RunConfig) -> Report:
         psi, dep = psis[dp], DepolarizingChannel(d, lam)
         for i_p, p in enumerate(config.p_grid):
             seed = child_seed(root, 4, i_d, i_dp, i_l, i_p)
-            # Each generator draws its state, then its unitary.
-            rngs = spawn_rngs(seed, n_unitaries)
-            tau = random_density_matrices(d * dp, rngs)
-            u = np.stack([random_unitary(d, seed=rng) for rng in rngs])
+            # The unitaries come from a second generator of the cell, so
+            # that neither stack's first rows depend on the trial count.
+            tau = random_density_matrices(d * dp, seed, n_unitaries)
+            u = random_unitaries(d, child_seed(seed, 1), n_unitaries)
             dev = local_unitary_invariance_check(dep, psi, tau, u, p).difference
             worst = int(np.argmax(dev))
             max_dev = float(dev[worst])
@@ -355,7 +352,7 @@ def cmd_verify(config: RunConfig) -> Report:
     for i_d, d, i_dp, dp, i_l, lam in _cells(config, DepolarizingChannel):
         psi, res = psis[dp], holevo_cache[dp]
         seed = child_seed(root, 9, i_d, i_dp, i_l)
-        tau = random_density_matrices(d * dp, spawn_rngs(seed, trials))
+        tau = random_density_matrices(d * dp, seed, trials)
         p0 = np.diag(np.eye(d)[0])
         tau_prod = BipartiteState(d, dp, np.kron(p0, witness_cache[dp]))
         # The saturating product input rides at the end of the stack.

@@ -321,14 +321,19 @@ def psd_eigenvalues(a, tol: float = TAU_PSD) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
+def spectral_function(u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """u diag(f) u^dag for an eigenbasis u, or for each one in a stack."""
+    return (u * f[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
+
+
 def matrix_power_psd(a, p: float) -> np.ndarray:
-    """A^p for Hermitian PSD A via eigendecomposition, eigenvalues clipped at 0."""
-    m = hermitize(np.asarray(a, dtype=complex))
-    w, u = np.linalg.eigh(m)
-    if w.size and w[0] < -TAU_PSD:
-        raise InvalidStateError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    wp = np.clip(w, 0.0, None) ** p
-    return (u * wp) @ u.conj().T
+    """A^p for Hermitian PSD A, or each A of a stack, via eigendecomposition,
+    eigenvalues clipped at 0."""
+    w, u = np.linalg.eigh(hermitize(np.asarray(a, dtype=complex)))
+    if w.size and w[..., 0].min() < -TAU_PSD:
+        raise InvalidStateError(
+            f"matrix is not PSD: min eigenvalue {w[..., 0].min():.3e}")
+    return spectral_function(u, np.clip(w, 0.0, None) ** p)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -339,8 +344,19 @@ def von_neumann_entropy(rho) -> float:
 
 
 def _p_norm_from_eigenvalues(w: np.ndarray, p: float):
-    # No domain check; the formula itself is fine for any p > 0.
-    return _scalar_or_stack(np.sum(w ** p, axis=-1) ** (1.0 / p))
+    """(sum w^p)^(1/p) over the last axis; no domain check, the formula is
+    fine for any p > 0.
+
+    Where the largest term m^p leaves about [1e-200, 1e200], the power sum
+    would underflow or overflow, so the norm is taken max-scaled, as
+    m (sum (w/m)^p)^(1/p). Elsewhere the scale is 1 and the plain sum is
+    computed bit for bit.
+    """
+    m = np.max(w, axis=-1)
+    m = np.where(m > 0.0, m, 1.0)
+    scale = np.where(p * np.abs(np.log(m)) > 460.0, m, 1.0)
+    return _scalar_or_stack(
+        scale * np.sum((w / scale[..., None]) ** p, axis=-1) ** (1.0 / p))
 
 
 def schatten_p_norm(a, p: float):
@@ -505,9 +521,13 @@ def spawn_rngs(root_seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(root_seed).spawn(n)]
 
 
-def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols))
-            + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
+def _ginibre(rng: np.random.Generator, rows: int, cols: int,
+             lead: tuple = ()) -> np.ndarray:
+    """Complex Ginibre matrices of shape ``lead + (rows, cols)`` from one
+    draw: each matrix takes its real part, then its imaginary part, so the
+    first k matrices of a stack do not depend on its length."""
+    z = rng.standard_normal(lead + (2, rows, cols))
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
 
 
 def random_pure_state(dim: int, seed=None) -> PureState:
@@ -524,32 +544,47 @@ def random_density_matrix(dim: int, seed=None, rank: int | None = None) -> Densi
     return DensityMatrix(m / m.trace())
 
 
-def random_density_matrices(dim: int, rngs) -> np.ndarray:
-    """A stack ``(T, dim, dim)`` of the states ``random_density_matrix(dim,
-    rng)`` draws from each generator in turn, validated as one stack."""
-    g = np.stack([_ginibre(rng, dim, dim) for rng in rngs])
-    m = g @ np.swapaxes(g.conj(), -1, -2)
+def random_psd_matrices(dim: int, seed, lead: tuple) -> np.ndarray:
+    """Unnormalized Wishart matrices G G^dag, G complex Ginibre, in a stack
+    of shape ``lead + (dim, dim)`` drawn from one generator in one call."""
+    g = _ginibre(rng_from_seed(seed), dim, dim, lead)
+    return g @ np.swapaxes(g.conj(), -1, -2)
+
+
+def random_density_matrices(dim: int, seed, n: int) -> np.ndarray:
+    """A stack ``(n, dim, dim)`` of Ginibre-induced states from one
+    generator, validated as one stack. Row 0 is ``random_density_matrix(dim,
+    seed)``, and row k is the same for every n > k."""
+    m = random_psd_matrices(dim, seed, (n,))
     m = m / np.trace(m, axis1=-2, axis2=-1)[:, None, None]
     check_states(m)
     return m
 
 
+def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
+    """Q of the QR decomposition of g, or of each matrix of a stack, with
+    the phases of R's diagonal moved into Q: Haar distributed for Ginibre g."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(dim: int, seed=None) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    rng = rng_from_seed(seed)
-    q, r = np.linalg.qr(_ginibre(rng, dim, dim))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _phase_fixed_q(_ginibre(rng_from_seed(seed), dim, dim))
+
+
+def random_unitaries(dim: int, seed, n: int) -> np.ndarray:
+    """A stack ``(n, dim, dim)`` of Haar unitaries from one generator, by
+    one stacked QR; row 0 is ``random_unitary(dim, seed)``."""
+    return _phase_fixed_q(_ginibre(rng_from_seed(seed), dim, dim, (n,)))
 
 
 def random_isometry(rows: int, cols: int, seed=None) -> np.ndarray:
     """Haar-distributed isometry (rows x cols, rows >= cols), V^dag V = I."""
     if rows < cols:
         raise ValueError(f"isometry needs rows >= cols, got {rows} < {cols}")
-    rng = rng_from_seed(seed)
-    q, r = np.linalg.qr(_ginibre(rng, rows, cols))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _phase_fixed_q(_ginibre(rng_from_seed(seed), rows, cols))
 
 
 def random_channel(dim_in: int, dim_out: int, env_dim: int, seed=None) -> Channel:

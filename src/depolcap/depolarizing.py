@@ -20,6 +20,7 @@ from .core import (
     Channel,
     InvalidChannelError,
     LambdaChannel,
+    _p_norm_from_eigenvalues,
     min_choi_eigenvalue,
 )
 
@@ -110,8 +111,7 @@ class DepolarizingChannel(LambdaChannel):
     def _nu_p_any(self, p: float) -> float:
         # Same formula without the domain guard; the derivative stencil at
         # p = 1 needs an evaluation slightly below 1.
-        spec = self.pure_output_spectrum()
-        return float(np.sum(spec ** p) ** (1.0 / p))
+        return _p_norm_from_eigenvalues(self.pure_output_spectrum(), p)
 
     def nu_p_derivative_at_1(self, h: float = 1e-4) -> float:
         """Central finite difference of p -> nu_p at p = 1 (equals -s_min)."""

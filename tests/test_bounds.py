@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -30,14 +31,18 @@ from depolcap.core import (
     random_channel,
     random_density_matrices,
     random_density_matrix,
+    random_psd_matrices,
+    random_unitaries,
     random_unitary,
     schatten_p_norm,
     spawn_rngs,
     tensor_channel,
     von_neumann_entropy,
 )
+from depolcap.cli import run_replay
 from depolcap.depolarizing import DepolarizingChannel, lambda_min
 from depolcap.phase_damping import PhaseDampingChannel, damping_lambda_min
+from depolcap.report import serialize_matrix
 
 # Frozen reference: (1-lam)^p + ((d lam + 1 - lam)^p - (1-lam)^p)/d
 # at d=3, lam=0.5, p=2.
@@ -143,6 +148,33 @@ class TestLiebThirring:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError, match="p must be >= 1"):
             lieb_thirring_check(np.eye(2), np.eye(2), 0.5)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_matches_single_pair_calls(self, dim):
+        pairs = random_psd_matrices(dim, 1100 + dim, (8, 2))
+        for p in (1.5, 2.0, 3.0):
+            chk = lieb_thirring_check(pairs[:, 0], pairs[:, 1], p)
+            assert chk.slack.shape == (8,)
+            for t, (a, b) in enumerate(pairs):
+                one = lieb_thirring_check(a, b, p)
+                assert isinstance(one.lhs, float) and isinstance(one.rhs, float)
+                assert abs(chk.lhs[t] - one.lhs) < 1e-13 * max(1.0, one.lhs)
+                assert abs(chk.rhs[t] - one.rhs) < 1e-13 * max(1.0, one.rhs)
+
+    def test_hand_written_witness_replays_to_plain_floats(self, tmp_path):
+        a = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+        b = np.array([[1.0, 0.3], [0.3, 0.5]])
+        path = tmp_path / "lt.json"
+        path.write_text(json.dumps({
+            "check": "lieb-thirring", "inputs": {"dim": 2, "p": 2.5},
+            "seed": 1, "matrices": {"a": serialize_matrix(a),
+                                    "b": serialize_matrix(b)},
+            "scalars": {"tolerance": 1e-10}}))
+        record, passed = run_replay(str(path))
+        assert passed
+        assert all(type(x) is float for x in record["values"].values())
+        assert type(record["slack"]) is float
+        json.dumps(record, allow_nan=False)
 
 
 class TestBMatrixDiagonal:
@@ -296,7 +328,7 @@ class TestLocalForms:
     @pytest.mark.parametrize("dp", [2, 3])
     def test_product_output_matches_kraus_product(self, d, dp):
         psi = random_channel(dp, dp + 1, 2, seed=d + 5 * dp)
-        stack = random_density_matrices(d * dp, spawn_rngs(d * dp, 3))
+        stack = random_density_matrices(d * dp, d * dp, 3)
         phis = [DepolarizingChannel(d, lam) for lam in (lambda_min(d), 0.3, 1.0)]
         phis += [PhaseDampingChannel(d, lam, basis=random_unitary(d, seed=d))
                  for lam in (damping_lambda_min(d), 0.5)]
@@ -309,7 +341,7 @@ class TestLocalForms:
 
     def test_norm_bound_stack_matches_single_calls(self):
         for d, dp in ((2, 3), (3, 2)):
-            stack = random_density_matrices(d * dp, spawn_rngs(d + dp, 6))
+            stack = random_density_matrices(d * dp, d + dp, 6)
             ch = PhaseDampingChannel(d, 0.4, basis=random_unitary(d, seed=dp))
             for p in (1.5, 3.0):
                 chk = tensor_output_norm_bound(ch, stack, p)
@@ -319,6 +351,18 @@ class TestLocalForms:
                         ch, BipartiteState(d, dp, rho), p)
                     assert abs(chk.lhs[t] - one.lhs) < 1e-13
                     assert abs(chk.rhs[t] - one.rhs) < 1e-13
+
+    @pytest.mark.parametrize("p", [500.0, 700.0])
+    def test_norm_bound_holds_where_power_sums_underflow(self, p):
+        # With plain power sums, sum_i Tr rho2_i^p underflows at these p and
+        # the bound reads false on some of these states.
+        for d, dp in ((2, 3), (3, 2), (3, 3)):
+            stack = random_density_matrices(d * dp, 60 + d * dp, 20)
+            for lam in (0.0, 0.5, 1.0):
+                chk = tensor_output_norm_bound(PhaseDampingChannel(d, lam),
+                                               stack, p)
+                assert np.all(np.isfinite(chk.rhs)) and np.all(chk.rhs > 0.0)
+                assert np.all(chk.holds)
 
     def test_norm_bound_blocks_match_kraus_path(self):
         # The reference damps through the product Kraus set and takes
@@ -341,9 +385,8 @@ class TestLocalForms:
     def test_invariance_stack_matches_single_calls(self):
         dep = DepolarizingChannel(3, 0.4)
         psi = random_channel(2, 3, 2, seed=76)
-        rngs = spawn_rngs(77, 5)
-        stack = random_density_matrices(6, rngs)
-        us = np.stack([random_unitary(3, seed=rng) for rng in rngs])
+        stack = random_density_matrices(6, 77, 5)
+        us = random_unitaries(3, 78, 5)
         chk = local_unitary_invariance_check(dep, psi, stack, us, 2.5)
         assert chk.difference.shape == (5,)
         for t in range(5):
@@ -359,13 +402,15 @@ class TestLocalForms:
         chk = multiplicativity_check(dep, psi, 2.0, trials=12, seed=9,
                                      restarts=8)
         joint = tensor_channel(dep.kraus_channel(), psi)
-        norms = [schatten_p_norm(hermitize(joint.apply_matrix(
-            np.asarray(random_density_matrix(6, seed=rng)))), 2.0)
-            for rng in spawn_rngs(10, 12)]
+        # The trials are single draws in turn from one generator of seed + 1.
+        rng = np.random.default_rng(10)
+        inputs = [np.asarray(random_density_matrix(6, seed=rng))
+                  for _ in range(12)]
+        norms = [schatten_p_norm(hermitize(joint.apply_matrix(tau)), 2.0)
+                 for tau in inputs]
         worst = int(np.argmax(norms))
         assert abs(chk.max_norm - norms[worst]) < 1e-13
-        expected = np.asarray(random_density_matrix(6, seed=spawn_rngs(10, 12)[worst]))
-        assert np.max(np.abs(chk.worst_input - expected)) < 1e-15
+        assert np.max(np.abs(chk.worst_input - inputs[worst])) < 1e-15
         maximizer = max_output_p_norm(psi, 2.0, restarts=8, seed=9).maximizer
         product = np.kron(np.array([1.0, 0.0]), maximizer)
         product_norm = schatten_p_norm(hermitize(joint.apply_matrix(

@@ -40,7 +40,6 @@ from depolcap.core import (
     random_density_matrix,
     random_unitary,
     relative_entropy,
-    spawn_rngs,
     tensor_channel,
 )
 from depolcap.cli import main
@@ -492,7 +491,7 @@ class TestTensorRelativeEntropyBound:
         dep = DepolarizingChannel(3, 0.7)
         psi = random_channel(2, 2, 2, seed=3)
         psi_result = holevo_quantity(psi, seed=0)
-        stack = random_density_matrices(6, spawn_rngs(12, 5))
+        stack = random_density_matrices(6, 12, 5)
         chk = tensor_relative_entropy_bound(dep, psi, stack,
                                             psi_result=psi_result)
         assert chk.slack.shape == (5,)

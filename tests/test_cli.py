@@ -449,6 +449,43 @@ class TestVerifyContent:
                          "chi-additivity"}
         assert report["summary"]["failed"] == 0
 
+    def test_nan_slack_fails_its_row(self, capsys):
+        # At p = 300 the powers of the unnormalized Lieb-Thirring pairs
+        # overflow and the slack is NaN; such a row can show nothing and
+        # must not pass.
+        code, out, _ = run_cli(["verify", "--dims", "2", "3", "--p-grid",
+                                "300", "--trials", "20"], capsys)
+        assert code == 1
+        rows = {r["inputs"]["dim"]: r for r in json.loads(out)["records"]
+                if r["name"] == "lieb-thirring"}
+        assert rows[3]["values"]["min_slack"] is None
+        assert not rows[3]["passed"]
+        assert all(r["passed"] is False for r in rows.values()
+                   if r["values"]["min_slack"] is None)
+
+    def test_norm_bound_holds_at_large_p(self, capsys):
+        _, out, _ = run_cli(["verify", "--dims", "2", "3", "--p-grid", "700",
+                             "--trials", "20"], capsys)
+        rows = [r for r in json.loads(out)["records"]
+                if r["name"] == "tensor-output-norm-bound"]
+        assert len(rows) == 20 and all(r["passed"] for r in rows)
+
+    def test_generator_budget_of_the_default_verify(self, capsys, monkeypatch):
+        # Every Monte-Carlo cell draws its trials from one generator; the
+        # optimizer's starts keep one generator each (713 of them). With one
+        # generator per trial the default grid built 16,432.
+        made = []
+        inner = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            made.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        code, _, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        assert len(made) <= 1000
+
     def test_cp_witness_sign_flip(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--dims", "2", "--lambdas", "-0.5", "--p-grid", "2",

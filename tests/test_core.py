@@ -26,11 +26,14 @@ from depolcap.core import (
     nats_to_bits,
     p_norm_derivative_at_1,
     partial_trace,
+    psd_eigenvalues,
     ptrace_matrix,
     random_channel,
     random_density_matrices,
     random_density_matrix,
+    random_psd_matrices,
     random_pure_state,
+    random_unitaries,
     random_unitary,
     relative_entropy,
     schatten_p_norm,
@@ -185,6 +188,24 @@ class TestSchattenNorm:
         values = [schatten_p_norm(rho, p) for p in (1.0, 1.5, 2.0, 3.0, 10.0)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_large_p_is_max_scaled(self):
+        # sum w^p underflows to zero here: 0.3^700 ~ 1e-366. The reference
+        # is m (sum (w/m)^p)^(1/p) with m the top eigenvalue, written out.
+        w = np.array([0.3, 0.25, 0.25, 0.2])
+        rho = np.diag(w).astype(complex)
+        ref = 0.3 * np.sum((w / 0.3) ** 700.0) ** (1.0 / 700.0)
+        assert np.sum(w ** 700.0) == 0.0
+        assert schatten_p_norm(rho, 700.0) == pytest.approx(ref, rel=1e-14)
+        stack = np.stack([rho, np.asarray(random_density_matrix(4, seed=2))])
+        assert schatten_p_norm(stack, 700.0)[0] == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 10.0])
+    def test_plain_power_sum_where_it_is_exact(self, p):
+        # Reference: the unscaled (sum w^p)^(1/p).
+        stack = random_density_matrices(4, 30, 5)
+        plain = np.sum(psd_eigenvalues(stack) ** p, axis=-1) ** (1.0 / p)
+        assert np.max(np.abs(schatten_p_norm(stack, p) / plain - 1.0)) <= 1e-15
+
     def test_derivative_at_one_gives_negative_entropy(self):
         rho = random_density_matrix(4, seed=21)
         assert abs(p_norm_derivative_at_1(np.asarray(rho))
@@ -290,7 +311,7 @@ class TestApplyOnFactor:
     def test_matches_kraus_product(self, d, dp, phi):
         # Reference: the product Kraus set, one matrix at a time.
         psi = random_channel(dp, dp + 1, 2, seed=d * dp)
-        stack = random_density_matrices(d * dp, spawn_rngs(d + dp, 4))
+        stack = random_density_matrices(d * dp, d + dp, 4)
         first = tensor_channel(phi.kraus_channel(), identity_channel(dp))
         second = tensor_channel(identity_channel(d), psi)
         on_first = apply_on_factor(phi, stack, d, dp, 1)
@@ -309,14 +330,53 @@ class TestApplyOnFactor:
 
 class TestStacks:
     def test_sampler_matches_single_draws(self):
+        # Reference: single draws in turn from one generator of the seed.
         for dim in (2, 6):
-            stack = random_density_matrices(dim, spawn_rngs(5, 7))
-            for rng, rho in zip(spawn_rngs(5, 7), stack):
+            stack = random_density_matrices(dim, 5, 7)
+            rng = np.random.default_rng(5)
+            for rho in stack:
                 single = np.asarray(random_density_matrix(dim, rng))
                 assert np.max(np.abs(rho - single)) < 1e-15
 
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_sampler_stacks_are_states(self, dim):
+        check_states(random_density_matrices(dim, 40 + dim, 50))
+
+    def test_sampler_prefix_does_not_depend_on_length(self):
+        for dim in (2, 4):
+            short = random_density_matrices(dim, 41, 6)
+            long = random_density_matrices(dim, 41, 12)
+            assert np.array_equal(short, long[:6])
+            u_short = random_unitaries(dim, 42, 6)
+            assert np.array_equal(u_short, random_unitaries(dim, 42, 12)[:6])
+
+    def test_sampler_row_zero_is_the_single_draw(self):
+        for dim in (2, 3, 6):
+            stack = random_density_matrices(dim, 43, 4)
+            single = np.asarray(random_density_matrix(dim, 43))
+            assert np.max(np.abs(stack[0] - single)) < 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_stacked_unitaries_are_unitary(self, dim):
+        us = random_unitaries(dim, 44, 30)
+        assert us.shape == (30, dim, dim)
+        defect = us @ np.swapaxes(us.conj(), -1, -2) - np.eye(dim)
+        assert np.max(np.linalg.norm(defect, axis=(-2, -1))) < 1e-14
+        assert np.max(np.abs(us[0] - random_unitary(dim, 44))) < 1e-15
+
+    def test_psd_pairs_take_one_draw_per_pair(self):
+        # Reference: per pair, the Ginibre matrices of a then b, drawn in
+        # turn from one generator.
+        pairs = random_psd_matrices(3, 45, (4, 2))
+        rng = np.random.default_rng(45)
+        for pair in pairs:
+            for m in pair:
+                g = (rng.standard_normal((3, 3))
+                     + 1j * rng.standard_normal((3, 3))) / math.sqrt(2.0)
+                assert np.max(np.abs(m - g @ g.conj().T)) < 1e-13
+
     def test_stack_validation_flags_one_bad_matrix(self):
-        stack = random_density_matrices(3, spawn_rngs(6, 4))
+        stack = random_density_matrices(3, 6, 4)
         check_states(stack)
         bad = stack.copy()
         bad[2] = np.diag([1.2, 0.0, -0.2])
@@ -327,7 +387,7 @@ class TestStacks:
             check_states(bad)
 
     def test_norm_and_relative_entropy_take_stacks(self):
-        stack = random_density_matrices(4, spawn_rngs(7, 5))
+        stack = random_density_matrices(4, 7, 5)
         omega = np.asarray(random_density_matrix(4, seed=8))
         norms = schatten_p_norm(stack, 2.5)
         relents = relative_entropy(stack, omega)
@@ -400,7 +460,7 @@ class TestChannelProtocol:
                               hermitize(ch.apply_matrix(np.asarray(rho))))
         with pytest.raises(InvalidChannelError, match="dim"):
             ch(random_density_matrix(ch.dim_in + 1, seed=73))
-        stack = random_density_matrices(ch.dim_in, spawn_rngs(74, 3))
+        stack = random_density_matrices(ch.dim_in, 74, 3)
         for t, out_t in enumerate(ch.apply_matrix(stack)):
             assert np.max(np.abs(out_t - ch.apply_matrix(stack[t]))) < 1e-15
         assert np.array_equal(ch.choi(), choi_matrix(ch.apply_matrix, ch.dim_in))
