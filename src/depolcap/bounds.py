@@ -55,6 +55,8 @@ from .phase_damping import PhaseDampingChannel
 INEQ_TOL = 1e-9
 LT_TOL = 1e-10
 EQ_TOL = 1e-10
+# Output spectra are floored here before their logarithm is taken.
+LOG_FLOOR = 1e-18
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ def spectrum_identity_check(lam: float, rho12: BipartiteState) -> float:
 # Trace inequalities
 # ---------------------------------------------------------------------------
 
-def lieb_thirring_check(a, b, p: float, tolerance: float = LT_TOL) -> InequalityCheck:
+def lieb_thirring_check(a, b, p: float) -> InequalityCheck:
     """Tr (A^{1/2} B A^{1/2})^p <= Tr A^p B^p for PSD A, B and p >= 1.
 
     ``a`` and ``b`` are one pair of matrices, or two stacks ``(T, d, d)``
@@ -208,7 +210,7 @@ def lieb_thirring_check(a, b, p: float, tolerance: float = LT_TOL) -> Inequality
     rhs = np.real(np.trace(matrix_power_psd(a, p) @ matrix_power_psd(b, p),
                            axis1=-2, axis2=-1))
     return InequalityCheck(lhs=_scalar_or_stack(lhs), rhs=_scalar_or_stack(rhs),
-                           tolerance=tolerance)
+                           tolerance=LT_TOL)
 
 
 def b_matrix_diagonal_check(d: int, lam: float, p: float) -> EqualityCheck:
@@ -229,8 +231,8 @@ def b_matrix_diagonal_check(d: int, lam: float, p: float) -> EqualityCheck:
     return EqualityCheck(value_a=worst, value_b=closed, tolerance=1e-10)
 
 
-def tensor_output_norm_bound(ch: PhaseDampingChannel, rho12, p: float,
-                             tolerance: float = INEQ_TOL) -> InequalityCheck:
+def tensor_output_norm_bound(ch: PhaseDampingChannel, rho12,
+                             p: float) -> InequalityCheck:
     """|| (Phi_lam (x) I) rho12 ||_p against
     d^(1-1/p) nu_p(Delta_lam) (sum_i Tr rho2_i^p)^(1/p).
 
@@ -245,7 +247,7 @@ def tensor_output_norm_bound(ch: PhaseDampingChannel, rho12, p: float,
         blocks.reshape(blocks.shape[:-2] + (-1,)), p)
     nu = DepolarizingChannel.unchecked(d, ch.lam)._nu_p_any(p)
     rhs = d ** (1.0 - 1.0 / p) * nu * block_norm
-    return InequalityCheck(lhs=lhs, rhs=rhs, tolerance=tolerance)
+    return InequalityCheck(lhs=lhs, rhs=rhs, tolerance=INEQ_TOL)
 
 
 def local_unitary_invariance_check(dep: DepolarizingChannel, psi: Channel,
@@ -333,14 +335,14 @@ def pnorm_power_objective(channel, p: float):
     return objective
 
 
-def neg_entropy_objective(channel, floor: float = 1e-18):
+def neg_entropy_objective(channel):
     """Objective -S(Psi(psi psi*)) with its gradient, on stacks of pure
     inputs."""
     outputs, pullback = pure_output_maps(channel)
 
     def objective(psi: np.ndarray):
         w, u = np.linalg.eigh(outputs(psi))
-        w = np.clip(w, floor, None)
+        w = np.clip(w, LOG_FLOOR, None)
         grad = pullback(spectral_function(u, np.log(w)), psi)
         return np.sum(w * np.log(w), axis=1), grad
     return objective
@@ -391,21 +393,18 @@ class MultiplicativityCheck:
 
 
 def multiplicativity_check(dep: DepolarizingChannel, psi: Channel, p: float,
-                           trials: int = 200, seed: int = 0,
-                           restarts: int = 64,
-                           tolerance: float = 1e-8,
-                           product_tolerance: float = 1e-6,
-                           psi_measure: NumericMeasure | None = None
+                           psi_measure: NumericMeasure, trials: int = 200,
+                           seed: int = 0, tolerance: float = 1e-8,
+                           product_tolerance: float = 1e-6
                            ) -> MultiplicativityCheck:
     """Check the product bound on random bipartite inputs and its saturation
     at a product of per-factor maximizers.
 
-    A precomputed nu_p(Psi) measure can be passed in to amortize the
-    optimizer across sweeps over lambda or trial batches.
+    ``psi_measure`` is nu_p(Psi) from ``max_output_p_norm(psi, p)``, computed
+    once by the caller and shared across sweeps over lambda or trial
+    batches; its maximizer is the second factor of the product input.
     """
     d = dep.dim
-    if psi_measure is None:
-        psi_measure = max_output_p_norm(psi, p, restarts=restarts, seed=seed)
     bound = dep.nu_p(p) * psi_measure.value
 
     taus = random_density_matrices(d * psi.dim_in, seed + 1, trials)

@@ -48,6 +48,7 @@ from .core import (
     von_neumann_entropy,
 )
 from .bounds import (
+    LOG_FLOOR,
     InequalityCheck,
     conditional_blocks,
     pure_output_maps,
@@ -68,8 +69,18 @@ PROB_SUM_TOL = 1e-12
 POVM_TOL = 1e-10
 ROW_SUM_TOL = 1e-10
 ENTRY_TOL = 1e-12
-LOG_FLOOR = 1e-18
 JOINT_STEPS = 50
+# Blahut-Arimoto stops at this duality gap, or after BA_MAX_ITER rounds.
+BA_GAP_TOL = 1e-9
+BA_MAX_ITER = 200_000
+# The weight solver stops once max_i D_i - value falls below WEIGHT_TOL.
+WEIGHT_TOL = 1e-12
+# chi* is certified once no pure state beats the ensemble value by CERT_TOL;
+# mid-run witness searches take SUP_RESTARTS random starts, the final
+# certificate FINAL_RESTARTS.
+CERT_TOL = 1e-7
+SUP_RESTARTS = 8
+FINAL_RESTARTS = 32
 # Guards the weight solver against its two acceptance tests (gap shrinks,
 # value rises) taking turns forever; no measured solve has needed more
 # than 16 weight evaluations.
@@ -216,12 +227,11 @@ class BlahutArimotoResult:
     duality_gap: float
 
 
-def shannon_capacity_fixed(t: ClassicalChannelMatrix, gap_tol: float = 1e-9,
-                           max_iter: int = 200_000) -> BlahutArimotoResult:
+def shannon_capacity_fixed(t: ClassicalChannelMatrix) -> BlahutArimotoResult:
     """Shannon capacity of a fixed transition matrix by Blahut-Arimoto.
 
     Stops when the duality gap max_i D_i - sum_i r_i D_i falls below
-    gap_tol, where D_i is the divergence of row i from the current output
+    BA_GAP_TOL, where D_i is the divergence of row i from the current output
     distribution; the objective is checked to be nondecreasing along the
     way (exact property of the iteration, up to roundoff).
     """
@@ -232,7 +242,7 @@ def shannon_capacity_fixed(t: ClassicalChannelMatrix, gap_tol: float = 1e-9,
     gap = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, BA_MAX_ITER + 1):
         q = r @ p
         log_q = np.log(np.where(q > 0.0, q, 1.0))
         d = np.einsum("ij,ij->i", p, log_p - np.where(p > 0.0, log_q, 0.0))
@@ -242,7 +252,7 @@ def shannon_capacity_fixed(t: ClassicalChannelMatrix, gap_tol: float = 1e-9,
                 f"objective decreased from {last_value} to {value}")
         last_value = value
         gap = float(d.max() - value)
-        if gap < gap_tol:
+        if gap < BA_GAP_TOL:
             break
         r = r * np.exp(d - d.max())
         r = r / r.sum()
@@ -278,29 +288,20 @@ def holevo_of_ensemble(channel, ensemble: Ensemble) -> float:
     return max(value, 0.0)
 
 
-def holevo_relative_form(channel, ensemble: Ensemble) -> float:
-    """sum_i pi_i S(Psi(rho_i), Psi(rho_bar)); equals holevo_of_ensemble."""
-    outs = [hermitize(channel.apply_matrix(np.asarray(s, dtype=complex)))
-            for s in ensemble.states]
-    avg = hermitize(sum(p * o for p, o in zip(ensemble.probs, outs)))
-    return sum(p * relative_entropy(o, avg)
-               for p, o in zip(ensemble.probs, outs) if p > 0.0)
-
-
-def relative_entropy_objective(channel, sigma, floor: float = LOG_FLOOR):
+def relative_entropy_objective(channel, sigma):
     """Objective S(Psi(psi psi*), sigma) with gradient, on stacks of pure
     inputs; sigma's spectrum is floored so the value stays finite (and
     large) outside its support."""
     w, u = np.linalg.eigh(hermitize(np.asarray(sigma, dtype=complex)))
-    log_sigma = spectral_function(u, np.log(np.clip(w, floor, None)))
+    log_sigma = spectral_function(u, np.log(np.clip(w, LOG_FLOOR, None)))
     outputs, pullback = pure_output_maps(channel)
 
     def objective(psi: np.ndarray):
         a = outputs(psi)
         wa, ua = np.linalg.eigh(a)
         wa = np.clip(wa, 0.0, None)
-        log_wa = np.log(np.clip(wa, floor, None))
-        own = np.sum(np.where(wa > floor, wa * log_wa, 0.0), axis=1)
+        log_wa = np.log(np.clip(wa, LOG_FLOOR, None))
+        own = np.sum(np.where(wa > LOG_FLOOR, wa * log_wa, 0.0), axis=1)
         values = own - np.real(np.sum(a.conj() * log_sigma, axis=(1, 2)))
         return values, pullback(spectral_function(ua, log_wa) - log_sigma, psi)
 
@@ -364,16 +365,15 @@ def _weight_hessian(wc: np.ndarray, u: np.ndarray, outs: np.ndarray
                               rotated.conj(), rotated))
 
 
-def _solve_weights(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray,
-                   tol: float = 1e-12):
+def _solve_weights(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray):
     """Maximize sum_i pi_i S(out_i, sigma(pi)) over the simplex for a fixed
-    output list, by projected Newton steps with a reweighting fallback.
+    output list, by projected Newton steps.
 
     The optimum equalizes the divergences D_i = S(out_i, sigma) over the
     members with weight, and no weightless member exceeds the value. The
     value is quadratically flat around the optimal output average, while
     the gap max_i D_i - value resolves the deviation linearly, so the
-    solver stops once the gap is below tol, or when no step improves.
+    solver stops once the gap is below WEIGHT_TOL, or when no step improves.
 
     Each round takes a Newton step on the free set: the members with
     weight, and the weightless members whose D_i exceeds the value and
@@ -382,14 +382,16 @@ def _solve_weights(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray,
     not move (twin or linearly dependent outputs) follow the gradient to
     the boundary instead of being dropped. The step is cut to its longest
     feasible fraction, whose limiting member lands exactly on zero, and
-    halved until the gap shrinks or the value rises. When no Newton step
-    is accepted, one multiplicative step is taken instead. Returns
-    (probs, value, divergences).
+    halved until the gap shrinks or the value rises. When no halving is
+    accepted the solver stops where it is. A gap left open there is a
+    support member that beats the value, which the certificate of
+    ``holevo_quantity`` sees: a stall can cost convergence, never pass as
+    converged. Returns (probs, value, divergences).
     """
     value, divs, wc, u = _weight_stats(probs, outs, owns)
     for _ in range(WEIGHT_ROUNDS):
         gap = divs.max() - value
-        if gap < tol:
+        if gap < WEIGHT_TOL:
             break
         hess = _weight_hessian(wc, u, outs)
         free = (probs > 0.0) | (divs > value)
@@ -423,30 +425,9 @@ def _solve_weights(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray,
                 break
             alpha *= 0.5
         if best is None:
-            best = _reweight_step(probs, value, divs, outs, owns)
-            if best is None:
-                break
+            break
         probs, value, divs, wc, u = best
     return probs, value, divs
-
-
-def _reweight_step(probs, value, divs, outs, owns):
-    """One multiplicative step pi_i <- pi_i exp(t (D_i - max D)), with t
-    doubled from 1 while the value keeps rising. Returns (probs, *stats) of
-    the best step, or None when no step raises the value by MIN_GAIN."""
-    best, t = None, 1.0
-    while t <= 1e12:
-        cand = probs * np.exp(t * (divs - divs.max()))
-        total = cand.sum()
-        if not total > 0.0:
-            break
-        cand = cand / total
-        stats = _weight_stats(cand, outs, owns)
-        if stats[0] <= (value + MIN_GAIN if best is None else best[1]):
-            break
-        best = (cand, *stats)
-        t *= 2.0
-    return best
 
 
 def _own_terms(outs: np.ndarray) -> np.ndarray:
@@ -504,31 +485,31 @@ def _joint_support_ascent(channel, outputs, states: np.ndarray,
     return states
 
 
-def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
-                    max_outer: int = 200, sup_restarts: int = 8,
-                    final_restarts: int = 32,
-                    max_states: int | None = None) -> HolevoResult:
+def holevo_quantity(channel, seed: int = 0,
+                    max_outer: int = 200) -> HolevoResult:
     """chi* by alternating maximization with an equalization certificate.
 
-    The support holds at most d^2 pure states (enough for an optimal
-    ensemble). Per round: projected Newton steps that equalize the weights
-    of the fixed support, a joint gradient step on the support states, then a
-    multi-start ascent of S(Psi(rho), Psi(rho_bar)); if the best found state
-    beats the ensemble value by less than cert_tol the ensemble is
-    equalized and optimal to that tolerance, otherwise the state enters the
-    support, displacing the lightest member when full. Non-convergence
-    within max_outer rounds is reported, not raised.
+    The support holds at most d^2 + d pure states (d^2 suffice for an
+    optimal ensemble). Per round: projected Newton steps that equalize the
+    weights of the fixed support, a joint gradient step on the support
+    states, then a multi-start ascent of S(Psi(rho), Psi(rho_bar)); if the
+    best found state beats the ensemble value by less than CERT_TOL the
+    ensemble is equalized and optimal to that tolerance, otherwise the state
+    enters the support, displacing the lightest member when full. The
+    certificate alone decides ``converged``, so a stalled weight solve shows
+    as a gap: unless a later round closes it, the run ends not converged
+    after max_outer rounds. Non-convergence is reported, not raised.
     """
     dim = channel.dim_in
     # d^2 states suffice for the optimum; the extra slots give iterates
     # room before any support member has to be evicted.
-    cap = max_states if max_states is not None else dim * dim + dim
+    cap = dim * dim + dim
     seeds = _seed_ints(seed, max_outer + 2)
     rng = np.random.default_rng(seeds[0])
     outputs, _ = pure_output_maps(channel)
 
-    states = list(np.eye(dim, dtype=complex)[:min(dim, cap)])
-    while len(states) < min(dim * dim, cap):
+    states = list(np.eye(dim, dtype=complex))
+    while len(states) < dim * dim:
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         states.append(v / np.linalg.norm(v))
     states = np.array(states)
@@ -558,17 +539,17 @@ def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
         starts = list(states[np.argsort(probs)[::-1][:8]])
         if thin.size == dim:
             starts.append(thin)
-        sup = maximize_over_pure_states(objective, dim, restarts=sup_restarts,
+        sup = maximize_over_pure_states(objective, dim, restarts=SUP_RESTARTS,
                                         seed=seeds[outer],
                                         extra_starts=starts, max_iter=600)
         gap = sup.value - chi
-        if gap < cert_tol:
+        if gap < CERT_TOL:
             final = maximize_over_pure_states(objective, dim,
-                                              restarts=final_restarts,
+                                              restarts=FINAL_RESTARTS,
                                               seed=seeds[-1],
                                               extra_starts=list(states) + starts)
             gap = max(gap, final.value - chi)
-            if gap < cert_tol:
+            if gap < CERT_TOL:
                 converged = True
                 break
             sup = final
@@ -586,10 +567,10 @@ def holevo_quantity(channel, seed: int = 0, cert_tol: float = 1e-7,
         states, probs, sigma, chi = _settle_weights(states, probs, outputs)
         final = maximize_over_pure_states(
             relative_entropy_objective(channel, sigma), dim,
-            restarts=final_restarts, seed=seeds[-1],
+            restarts=FINAL_RESTARTS, seed=seeds[-1],
             extra_starts=list(states))
         gap = final.value - chi
-        converged = bool(gap < cert_tol)
+        converged = bool(gap < CERT_TOL)
 
     avg_input = hermitize(np.einsum("i,ij,ik->jk", probs, states, states.conj()))
     return HolevoResult(chi=chi, probs=probs, states=tuple(states),
@@ -637,22 +618,18 @@ def opwsw_certificate(channel, omega, restarts: int = 64, seed: int = 0
 # ---------------------------------------------------------------------------
 
 def tensor_relative_entropy_bound(dep: DepolarizingChannel, psi: Channel,
-                                  tau12,
-                                  psi_result: HolevoResult | None = None,
-                                  tolerance: float = 1e-6,
-                                  seed: int = 0) -> InequalityCheck:
+                                  tau12, chi_psi: float, average_output,
+                                  tolerance: float = 1e-6) -> InequalityCheck:
     """S((Delta (x) Psi) tau12, (I/d) (x) Psi(omega*)) <= chi*(Delta) + chi*(Psi).
 
-    omega* and chi*(Psi) come from the Holevo optimizer's result, passed in
-    to avoid recomputation (only its chi and average_output are read);
-    chi*(Delta) is closed form. ``tau12`` may be a stack (T, d d', d d').
+    chi*(Psi) and the average output Psi(omega*) are the ``chi`` and
+    ``average_output`` of a Holevo optimizer result for Psi; chi*(Delta) is
+    closed form. ``tau12`` may be a stack (T, d d', d d').
     """
-    if psi_result is None:
-        psi_result = holevo_quantity(psi, seed=seed)
     d = dep.dim
-    reference = np.kron(np.eye(d) / d, np.asarray(psi_result.average_output))
+    reference = np.kron(np.eye(d) / d, np.asarray(average_output))
     lhs = relative_entropy(tensor_output(dep, psi, tau12), reference)
-    rhs = dep.chi_star() + psi_result.chi
+    rhs = dep.chi_star() + chi_psi
     return InequalityCheck(lhs=lhs, rhs=rhs, tolerance=tolerance)
 
 
@@ -735,17 +712,16 @@ class AdditivityCheck:
         return abs(self.gap) <= self.tolerance
 
 
-def chi_additivity_check(dep: DepolarizingChannel, psi: Channel,
-                         seed: int = 0, tolerance: float = 1e-4,
-                         factor_tol: float = 1e-7) -> AdditivityCheck:
+def chi_additivity_check(dep: DepolarizingChannel, psi: Channel, seed: int = 0,
+                         tolerance: float = 1e-4) -> AdditivityCheck:
     """chi*(Delta (x) Psi) bracketed against chi*(Delta) + chi*(Psi).
 
     The factor sum is the lower side (product ensembles). ``chi_product`` is
     the min-max upper side sup_rho S((Delta (x) Psi) rho, I/d (x) Psi(omega*))
     with omega* the optimal average input of Psi, so no optimizer runs on
     the product channel; ``converged`` covers the two factor runs."""
-    delta_result = holevo_quantity(dep, seed=seed, cert_tol=factor_tol)
-    psi_result = holevo_quantity(psi, seed=seed + 1, cert_tol=factor_tol)
+    delta_result = holevo_quantity(dep, seed=seed)
+    psi_result = holevo_quantity(psi, seed=seed + 1)
     omega = np.kron(np.eye(dep.dim) / dep.dim,
                     np.asarray(psi_result.average_input))
     upper = opwsw_certificate(tensor_channel(dep.kraus_channel(), psi), omega,

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -359,7 +358,7 @@ def cmd_verify(config: RunConfig) -> Report:
         chk = tensor_relative_entropy_bound(
             DepolarizingChannel(d, lam), psi,
             np.concatenate([tau, np.asarray(tau_prod)[None]]),
-            psi_result=res, tolerance=re_tol)
+            res.chi, res.average_output)
         worst = int(np.argmin(chk.slack[:-1]))
         min_slack, sat_slack = float(chk.slack[worst]), float(chk.slack[-1])
         records.append(_family_record(
@@ -477,7 +476,7 @@ def _replay_check(data: dict):
     """(name, inputs, values, slack, passed) of a witness re-run."""
     name = data["check"]
     inputs = data["inputs"]
-    dims = [inputs[k] for k in ("d", "dp") if k in inputs]
+    dims = [inputs[k] for k in ("d", "dp", "dim") if k in inputs]
     if not all(isinstance(d, int) and 2 <= d <= 6 for d in dims):
         raise ConfigError(f"witness dimensions {dims} are out of scope")
     mats = {k: (deserialize_matrix(v) if isinstance(v, dict)
@@ -486,6 +485,9 @@ def _replay_check(data: dict):
     scalars = data.get("scalars", {})
 
     if name == "lieb-thirring":
+        dim = inputs["dim"]
+        if any(np.shape(mats[k]) != (dim, dim) for k in ("a", "b")):
+            raise ConfigError(f"witness matrices a and b must be {dim} x {dim}")
         chk = lieb_thirring_check(mats["a"], mats["b"], inputs["p"])
         return (name, inputs, {"lhs": chk.lhs, "rhs": chk.rhs}, chk.slack,
                 chk.slack >= -scalars["tolerance"])
@@ -516,13 +518,10 @@ def _replay_check(data: dict):
         slack = scalars["bound"] + tol - norm
         return (name, inputs, {"norm": norm, "bound": scalars["bound"]},
                 float(slack), bool(slack >= 0.0))
-    # The recorded rhs is chi*(Delta) + chi*(Psi); the check reads only
-    # chi*(Psi) and the average output from the optimizer's result.
-    psi_result = SimpleNamespace(
-        chi=scalars["rhs"] - dep.chi_star(),
-        average_output=DensityMatrix(mats["average_output"]))
-    lhs = tensor_relative_entropy_bound(dep, psi, tau,
-                                        psi_result=psi_result).lhs[0]
+    # The recorded rhs is chi*(Delta) + chi*(Psi).
+    lhs = tensor_relative_entropy_bound(
+        dep, psi, tau, scalars["rhs"] - dep.chi_star(),
+        DensityMatrix(mats["average_output"])).lhs[0]
     slack = scalars["rhs"] - lhs
     return (name, inputs, {"lhs": lhs, "rhs": scalars["rhs"]}, float(slack),
             bool(slack >= -tol))
@@ -654,11 +653,14 @@ def _emit(report: Report, config: RunConfig) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            directory = os.path.dirname(path)
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}")
         summary = report.summary()
         print(f"{report.command}: {summary['passed']}/{summary['total']} "
               f"checks passed -> {path}")

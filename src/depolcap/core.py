@@ -305,17 +305,17 @@ class BipartiteState:
 # Spectral primitives
 # ---------------------------------------------------------------------------
 
-def psd_eigenvalues(a, tol: float = TAU_PSD) -> np.ndarray:
+def psd_eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a Hermitian PSD matrix, or of each one in a stack,
     ascending, clipped at zero.
 
-    Eigenvalues in [-tol, 0) are rounding noise and are clipped to 0 so they
-    cannot poison logarithms and fractional powers downstream. Anything below
-    -tol indicates a genuinely invalid input and raises.
+    Eigenvalues in [-TAU_PSD, 0) are rounding noise and are clipped to 0 so
+    they cannot poison logarithms and fractional powers downstream. Anything
+    below -TAU_PSD indicates a genuinely invalid input and raises.
     """
     m = np.asarray(a, dtype=complex)
     w = np.linalg.eigvalsh(hermitize(m))
-    if w.size and w[..., 0].min() < -tol:
+    if w.size and w[..., 0].min() < -TAU_PSD:
         raise InvalidStateError(
             f"matrix is not PSD: min eigenvalue {w[..., 0].min():.3e}")
     return np.clip(w, 0.0, None)
@@ -366,18 +366,6 @@ def schatten_p_norm(a, p: float):
     return _p_norm_from_eigenvalues(psd_eigenvalues(a), p)
 
 
-def p_norm_derivative_at_1(a, h: float = 1e-4) -> float:
-    """Central finite difference of p -> ||A||_p at p = 1.
-
-    For a state this equals minus its entropy. The stencil needs values at
-    p = 1 -/+ h; those are evaluated directly from the spectrum, bypassing
-    the p >= 1 restriction of the public norm.
-    """
-    w = psd_eigenvalues(a)
-    return (_p_norm_from_eigenvalues(w, 1.0 + h)
-            - _p_norm_from_eigenvalues(w, 1.0 - h)) / (2.0 * h)
-
-
 def relative_entropy(rho, omega):
     """Tr rho (ln rho - ln omega) in nats, for one rho or a stack of them.
 
@@ -421,12 +409,6 @@ def ptrace_matrix(mat, dim1: int, dim2: int, keep: int) -> np.ndarray:
     raise ValueError(f"keep must be 1 or 2, got {keep}")
 
 
-def partial_trace(rho12: BipartiteState, keep: int) -> DensityMatrix:
-    """Reduced density matrix of a bipartite state on the kept factor."""
-    red = ptrace_matrix(rho12.state.matrix, rho12.dim1, rho12.dim2, keep)
-    return DensityMatrix(hermitize(red))
-
-
 def apply_on_factor(channel, mat, dim1: int, dim2: int, factor: int) -> np.ndarray:
     """(channel (x) id) for ``factor`` 1, (id (x) channel) for 2, applied to
     a (dim1*dim2)-square matrix or a stack of them without a product Kraus
@@ -447,10 +429,6 @@ def tensor_channel(phi: Channel, psi: Channel) -> Channel:
     """Product channel phi (x) psi, with all pairwise Kraus tensor products."""
     ops = [np.kron(a, b) for a in phi.kraus_ops for b in psi.kraus_ops]
     return Channel(ops)
-
-
-def identity_channel(dim: int) -> Channel:
-    return Channel([np.eye(dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +577,8 @@ def random_channel(dim_in: int, dim_out: int, env_dim: int, seed=None) -> Channe
     return Channel(ops)
 
 
-def random_bipartite_state(dim1: int, dim2: int, seed=None,
-                           rank: int | None = None) -> BipartiteState:
-    return BipartiteState(dim1, dim2, random_density_matrix(dim1 * dim2, seed, rank))
+def random_bipartite_state(dim1: int, dim2: int, seed=None) -> BipartiteState:
+    return BipartiteState(dim1, dim2, random_density_matrix(dim1 * dim2, seed))
 
 
 def basis_state(dim: int, index: int) -> PureState:

@@ -112,13 +112,6 @@ class OmegaChannel(LambdaChannel):
         delta = DepolarizingChannel.unchecked(self.dim, self.lam).apply_matrix(m)
         return delta + (1.0 - self.lam) / self.dim * (m - m * np.eye(self.dim))
 
-    def alt_apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Equivalent closed form for unit-trace input, or for each matrix
-        of a stack: (lam + (1-lam)/d) rho + ((1-lam)/d)(I - diag rho)."""
-        m = np.asarray(mat, dtype=complex)
-        c = (1.0 - self.lam) / self.dim
-        return (self.lam + c) * m + c * (np.eye(self.dim) - m * np.eye(self.dim))
-
     def superoperator(self) -> np.ndarray:
         return superoperator_from_action(self.apply_matrix, self.dim)
 
@@ -351,25 +344,3 @@ def full_decomposition(d: int, lam: float) -> ConvexDecomposition:
         gk = np.diag(g_diag ** k)
         terms.extend(DecompositionTerm(c1 / (d * n), gk, ch) for ch in channels)
     return ConvexDecomposition(d, lam, terms)
-
-
-def qubit_four_term_decomposition(lam: float) -> ConvexDecomposition:
-    """The collapsed d = 2 decomposition.
-
-    At d = 2 the eight phase channels pair up into four distinct ones and
-    Omega itself is the average of just two of them (indices a = 2 and
-    a = 4, the sigma_y- and sigma_x-basis dampers), so Delta_lam needs only
-    four terms: those two channels plain, and the same two conjugated by G.
-    """
-    c0, c1 = mixing_weights(2, lam)
-    g = build_g(2)
-    eye = np.eye(2, dtype=complex)
-    phi_y = phase_channel(2, lam, 2)
-    phi_x = phase_channel(2, lam, 4)
-    terms = [
-        DecompositionTerm(c0 / 2 + c1 / 4, eye, phi_y),
-        DecompositionTerm(c0 / 2 + c1 / 4, eye, phi_x),
-        DecompositionTerm(c1 / 4, g, phi_y),
-        DecompositionTerm(c1 / 4, g, phi_x),
-    ]
-    return ConvexDecomposition(2, lam, terms)

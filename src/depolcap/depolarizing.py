@@ -24,6 +24,8 @@ from .core import (
     min_choi_eigenvalue,
 )
 
+DERIVATIVE_STEP = 1e-4
+
 
 def lambda_min(dim: int) -> float:
     """Lower edge of the complete-positivity range, -1/(d^2 - 1)."""
@@ -113,8 +115,9 @@ class DepolarizingChannel(LambdaChannel):
         # p = 1 needs an evaluation slightly below 1.
         return _p_norm_from_eigenvalues(self.pure_output_spectrum(), p)
 
-    def nu_p_derivative_at_1(self, h: float = 1e-4) -> float:
+    def nu_p_derivative_at_1(self) -> float:
         """Central finite difference of p -> nu_p at p = 1 (equals -s_min)."""
+        h = DERIVATIVE_STEP
         return (self._nu_p_any(1.0 + h) - self._nu_p_any(1.0 - h)) / (2.0 * h)
 
     def chi_star(self) -> float:

@@ -25,6 +25,8 @@ from .core import spawn_rngs
 
 GRAD_TOL = 1e-8
 MAX_ITER = 2000
+# Each row's inverse-Hessian approximation starts at INITIAL_STEP * I.
+INITIAL_STEP = 0.5
 MIN_STEP = 1e-14
 # Gains at rounding level would keep a row dithering at the optimum for the
 # whole budget; a step is accepted only when it gains more than this.
@@ -106,13 +108,13 @@ def _bfgs_update(inv_hess: np.ndarray, scaled: np.ndarray, rows: np.ndarray,
 
 
 def ascend_lockstep(objective: Objective, starts: np.ndarray,
-                    max_iter: int = MAX_ITER, grad_tol: float = GRAD_TOL,
-                    initial_step: float = 0.5) -> list[AscentResult]:
+                    max_iter: int = MAX_ITER,
+                    grad_tol: float = GRAD_TOL) -> list[AscentResult]:
     """Riemannian BFGS ascent from every row of ``starts`` at once.
 
     Each row keeps its own inverse-Hessian approximation H, shape
-    (2d, 2d) in real coordinates, starting at initial_step * I: the first
-    step is initial_step times the tangent gradient g, and later ones are
+    (2d, 2d) in real coordinates, starting at INITIAL_STEP * I: the first
+    step is INITIAL_STEP times the tangent gradient g, and later ones are
     p = (I - x x^T) H g. A line search tries x + a p for a = 1, 1/2,
     1/4, ... and accepts the first candidate that gains more than MIN_GAIN.
     The accepted step s and the gradient change y (both carried to the new
@@ -137,9 +139,9 @@ def ascend_lockstep(objective: Objective, starts: np.ndarray,
     value = np.array(value, dtype=float)
     tangent = tangent_part(psi, grad)
     grad_norm = np.linalg.norm(tangent, axis=1)
-    inv_hess = np.tile(initial_step * np.eye(2 * dim), (n, 1, 1))
+    inv_hess = np.tile(INITIAL_STEP * np.eye(2 * dim), (n, 1, 1))
     scaled = np.zeros(n, dtype=bool)
-    direction = initial_step * tangent
+    direction = INITIAL_STEP * tangent
     alpha = np.ones(n)
     iterations = np.ones(n, dtype=int)
     stop = np.full(n, "", dtype=object)
@@ -179,19 +181,18 @@ def ascend_lockstep(objective: Objective, starts: np.ndarray,
 
 
 def ascend_on_sphere(objective: Objective, start: np.ndarray,
-                     max_iter: int = MAX_ITER, grad_tol: float = GRAD_TOL,
-                     initial_step: float = 0.5) -> AscentResult:
+                     max_iter: int = MAX_ITER,
+                     grad_tol: float = GRAD_TOL) -> AscentResult:
     """Quasi-Newton ascent from one starting vector: a one-row
     ``ascend_lockstep``."""
     start = np.asarray(start, dtype=complex).reshape(1, -1)
     return ascend_lockstep(objective, start, max_iter=max_iter,
-                           grad_tol=grad_tol, initial_step=initial_step)[0]
+                           grad_tol=grad_tol)[0]
 
 
 def maximize_over_pure_states(objective: Objective, dim: int,
                               restarts: int = 64, seed: int = 0,
                               max_iter: int = MAX_ITER,
-                              grad_tol: float = GRAD_TOL,
                               extra_starts: list[np.ndarray] | None = None
                               ) -> AscentResult:
     """Best ascent outcome over random restarts plus optional warm starts;
@@ -204,6 +205,5 @@ def maximize_over_pure_states(objective: Objective, dim: int,
         starts.append(v / np.linalg.norm(v))
     if extra_starts:
         starts.extend(np.asarray(s, dtype=complex).reshape(-1) for s in extra_starts)
-    results = ascend_lockstep(objective, np.stack(starts), max_iter=max_iter,
-                              grad_tol=grad_tol)
+    results = ascend_lockstep(objective, np.stack(starts), max_iter=max_iter)
     return max(results, key=lambda r: r.value)

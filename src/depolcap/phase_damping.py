@@ -38,10 +38,10 @@ def damping_lambda_min(dim: int) -> float:
     return -1.0 / (dim - 1.0)
 
 
-def is_uniform_vector(v, tol: float = UNIFORM_TOL) -> bool:
-    """True when all amplitude moduli agree within tol."""
+def is_uniform_vector(v) -> bool:
+    """True when all amplitude moduli agree within UNIFORM_TOL."""
     mags = np.abs(np.asarray(v, dtype=complex).reshape(-1))
-    return float(mags.max() - mags.min()) < tol
+    return float(mags.max() - mags.min()) < UNIFORM_TOL
 
 
 class PhaseDampingChannel(LambdaChannel):

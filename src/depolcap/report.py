@@ -332,8 +332,8 @@ class Report:
             "warnings": len(self.warnings),
         }
 
-    def to_dict(self, with_timestamp: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "tool": "depolcap",
             "version": __version__,
             "command": self.command,
@@ -341,14 +341,12 @@ class Report:
             "config": self.config.as_dict(),
             "records": [r.to_dict(bits=self.config.bits) for r in self.records],
             "summary": self.summary(),
+            "timestamp": self.timestamp,
         }
-        if with_timestamp:
-            out["timestamp"] = self.timestamp
-        return out
 
-    def to_json(self, with_timestamp: bool = True) -> str:
-        return json.dumps(self.to_dict(with_timestamp), sort_keys=True,
-                          indent=2, allow_nan=False) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         """Flat table: one row per record, fixed leading columns, then the
@@ -371,11 +369,10 @@ class Report:
             writer.writerow(row)
         return buf.getvalue()
 
-    def render(self, fmt: str | None = None, with_timestamp: bool = True) -> str:
-        fmt = fmt or self.config.fmt
-        if fmt == "csv":
+    def render(self) -> str:
+        if self.config.fmt == "csv":
             return self.to_csv()
-        return self.to_json(with_timestamp)
+        return self.to_json()
 
 
 def _csv_cell(x) -> str:

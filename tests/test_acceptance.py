@@ -190,14 +190,14 @@ def test_09_relative_entropy_tensor_bound():
                 dep = DepolarizingChannel(d, lam)
                 for rng in spawn_rngs(seed + 10 * d, 200):
                     tau = random_bipartite_state(d, dp, seed=rng)
-                    chk = tensor_relative_entropy_bound(dep, psi, tau,
-                                                        psi_result=res)
+                    chk = tensor_relative_entropy_bound(
+                        dep, psi, tau, res.chi, res.average_output)
                     assert chk.slack >= -1e-6
                 p0 = np.zeros((d, d), dtype=complex)
                 p0[0, 0] = 1.0
                 tau_prod = BipartiteState(d, dp, np.kron(p0, witness))
                 sat = tensor_relative_entropy_bound(dep, psi, tau_prod,
-                                                    psi_result=res)
+                                                    res.chi, res.average_output)
                 assert abs(sat.slack) <= 1e-6
     _report("relative entropy tensor bound", t0, 300.0)
 

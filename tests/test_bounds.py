@@ -21,10 +21,10 @@ from depolcap.bounds import (
 )
 from depolcap.core import (
     BipartiteState,
+    Channel,
     DensityMatrix,
     basis_state,
     hermitize,
-    identity_channel,
     ptrace_matrix,
     psd_eigenvalues,
     random_bipartite_state,
@@ -47,6 +47,10 @@ from depolcap.report import serialize_matrix
 # Frozen reference: (1-lam)^p + ((d lam + 1 - lam)^p - (1-lam)^p)/d
 # at d=3, lam=0.5, p=2.
 B_DIAG_D3_HALF_P2 = 1.5
+
+
+def identity_channel(dim):
+    return Channel([np.eye(dim)])
 
 
 def random_psd(dim, rng, scale=1.0):
@@ -274,7 +278,6 @@ class TestNumericMeasures:
             assert abs(measure.value - ch.s_min()) < 1e-8
 
     def test_identity_channel_measures(self):
-        from depolcap.core import identity_channel
         ch = identity_channel(3)
         assert abs(max_output_p_norm(ch, 2.0, restarts=4, seed=3).value - 1.0) < 1e-9
         assert min_output_entropy(ch, restarts=4, seed=4).value < 1e-9
@@ -302,16 +305,18 @@ class TestMultiplicativity:
     def test_depolarizing_times_random_channel(self):
         dep = DepolarizingChannel(2, 0.5)
         psi = random_channel(2, 2, 2, seed=90)
-        check = multiplicativity_check(dep, psi, 2.0, trials=50, seed=7,
-                                       restarts=16)
+        check = multiplicativity_check(
+            dep, psi, 2.0, trials=50, seed=7,
+            psi_measure=max_output_p_norm(psi, 2.0, restarts=16, seed=7))
         assert check.holds, check.max_norm - check.bound
         assert check.product_attains, check.product_norm - check.bound
 
     def test_depolarizing_times_depolarizing(self):
         dep = DepolarizingChannel(2, 0.7)
         other = DepolarizingChannel(3, 0.4).kraus_channel()
-        check = multiplicativity_check(dep, other, 3.0, trials=50, seed=8,
-                                       restarts=16)
+        check = multiplicativity_check(
+            dep, other, 3.0, trials=50, seed=8,
+            psi_measure=max_output_p_norm(other, 3.0, restarts=16, seed=8))
         assert check.holds
         assert check.product_attains
         # Closed form for the second factor agrees with the optimizer bound.
@@ -399,8 +404,9 @@ class TestLocalForms:
         # Reference: the per-trial loop through the product Kraus set.
         dep = DepolarizingChannel(2, 0.5)
         psi = random_channel(3, 3, 2, seed=91)
-        chk = multiplicativity_check(dep, psi, 2.0, trials=12, seed=9,
-                                     restarts=8)
+        chk = multiplicativity_check(
+            dep, psi, 2.0, trials=12, seed=9,
+            psi_measure=max_output_p_norm(psi, 2.0, restarts=8, seed=9))
         joint = tensor_channel(dep.kraus_channel(), psi)
         # The trials are single draws in turn from one generator of seed + 1.
         rng = np.random.default_rng(10)

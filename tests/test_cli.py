@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depolcap.cli import main, run_replay
@@ -289,6 +289,17 @@ class TestOutputTargets:
                                                     "--format", "csv"], capsys)
         assert code == 0
         assert (tmp_path / "sub" / "m.csv").read_text().startswith("name,")
+
+    @pytest.mark.parametrize("target", ["directory", "path_under_a_file"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, target):
+        blocker = tmp_path / "blocker.json"
+        blocker.write_text("")
+        path = tmp_path if target == "directory" else blocker / "x.json"
+        code, out, err = run_cli(["measures"] + FAST + ["--out", str(path)],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: cannot write report" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +600,23 @@ class TestReplay:
         assert record["values"]["bound"] == pytest.approx(
             failed["values"]["bound"], abs=1e-12)
 
+    # A dim outside 2..6, or matrices that are not dim x dim.
+    @pytest.mark.parametrize("dim, a_dim, b_dim", [(50, 9, 9), (1, 1, 1),
+                                                   (3, 2, 2), (3, 3, 4)])
+    def test_lieb_thirring_witness_out_of_scope_exits_two(
+            self, tmp_path, capsys, dim, a_dim, b_dim):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({
+            "check": "lieb-thirring", "inputs": {"dim": dim, "p": 2.0},
+            "seed": 0,
+            "matrices": {"a": serialize_matrix(np.eye(a_dim)),
+                         "b": serialize_matrix(np.eye(b_dim))},
+            "scalars": {"tolerance": 1e-10}}))
+        code, out, err = run_cli(["verify", "--replay", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+
     def test_replay_unknown_check_rejected(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"check": "bogus", "inputs": {}}))
@@ -657,8 +685,9 @@ CONFIG_VALUES = {
 
 @st.composite
 def run_case(draw):
-    """(argv, file texts) of a measures or decompose run with drawn flags
-    and config file; "{out}" and "{config}" are filled in by the test."""
+    """(argv, file texts) of a measures or decompose run with drawn flags,
+    output target and config file; the "{...}" paths are filled in by the
+    test."""
     argv = [draw(st.sampled_from(["measures", "decompose"])),
             "--dims", "2", "--trials", "1"]
     for flag in ("--lambdas", "--p-grid"):
@@ -671,7 +700,8 @@ def run_case(draw):
         if draw(st.booleans()):
             argv.append(flag)
     if draw(st.booleans()):
-        argv += ["--out", "{out}"]
+        argv += ["--out", draw(st.sampled_from(
+            ["{out}", "{out_dir}", "{out_under_file}"]))]
     files = {}
     if draw(st.booleans()):
         argv += ["--config", "{config}"]
@@ -686,8 +716,13 @@ def run_case(draw):
 def _run_in(base, argv, texts):
     """Write the texts under base (None: leave the file missing), run
     main() there with DEPOLCAP_OUT_DIR unset, and return (code, stdout,
-    stderr, report path or None)."""
-    paths = {"out": str(base / "sub" / "report.json")}
+    stderr, report path or None). "{out}" is a path in a missing directory,
+    "{out_dir}" an existing directory and "{out_under_file}" a path under a
+    regular file."""
+    (base / "blocker").write_text("")
+    paths = {"out": str(base / "sub" / "report.json"),
+             "out_dir": str(base),
+             "out_under_file": str(base / "blocker" / "report.json")}
     for name, text in texts.items():
         paths[name] = str(base / f"{name}.json")
         if text is not None:
@@ -702,7 +737,7 @@ def _run_in(base, argv, texts):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue(), \
-        (paths["out"] if "--out" in argv else None)
+        (argv[argv.index("--out") + 1] if "--out" in argv else None)
 
 
 def _assert_exit_contract(code, out, err, report_path):
@@ -722,10 +757,15 @@ class TestExitContract:
     # missing parent directories.
     @settings(max_examples=100)
     @given(case=run_case())
+    @example(case=(["measures", "--dims", "2", "--out", "{out_dir}"], {}))
+    @example(case=(["decompose", "--dims", "2", "--out", "{out_under_file}"],
+                   {}))
     def test_runs_with_drawn_flags_and_config(self, tmp_path_factory, case):
         argv, texts = case
-        _assert_exit_contract(*_run_in(tmp_path_factory.mktemp("run"),
-                                       argv, texts))
+        result = _run_in(tmp_path_factory.mktemp("run"), argv, texts)
+        _assert_exit_contract(*result)
+        if "{out_dir}" in argv or "{out_under_file}" in argv:
+            assert result[0] == 2, result[2]
 
     @settings(max_examples=100)
     @given(text=witness_text())

@@ -19,13 +19,10 @@ from depolcap.core import (
     check_states,
     choi_matrix,
     hermitize,
-    identity_channel,
     kraus_superoperator,
     maximally_mixed,
     min_choi_eigenvalue,
     nats_to_bits,
-    p_norm_derivative_at_1,
-    partial_trace,
     psd_eigenvalues,
     ptrace_matrix,
     random_channel,
@@ -56,6 +53,24 @@ RELENT_75_25_VS_MIXED = 0.13081203594113697
 
 def diag_state(*probs):
     return DensityMatrix(np.diag(np.asarray(probs, dtype=complex)))
+
+
+def identity_channel(dim):
+    return Channel([np.eye(dim)])
+
+
+def partial_trace(rho12, keep):
+    """Reduced density matrix of a bipartite state on the kept factor."""
+    red = ptrace_matrix(np.asarray(rho12), rho12.dim1, rho12.dim2, keep)
+    return DensityMatrix(hermitize(red))
+
+
+def p_norm_derivative_at_1(a, h=1e-4):
+    """Central finite difference of p -> ||A||_p at p = 1, taken on the
+    spectrum, since the public norm refuses p < 1."""
+    w = psd_eigenvalues(a)
+    return (core._p_norm_from_eigenvalues(w, 1.0 + h)
+            - core._p_norm_from_eigenvalues(w, 1.0 - h)) / (2.0 * h)
 
 
 class TestDensityMatrix:

@@ -13,6 +13,7 @@ from depolcap.core import (
 )
 from depolcap.decomposition import (
     ConvexDecomposition,
+    DecompositionTerm,
     OmegaChannel,
     averaged_projector_identity_error,
     build_g,
@@ -26,7 +27,6 @@ from depolcap.decomposition import (
     phase_channel,
     psi_basis,
     psi_state,
-    qubit_four_term_decomposition,
     theta_state,
 )
 from depolcap.depolarizing import DepolarizingChannel
@@ -40,6 +40,36 @@ TAU = np.array([[0, np.exp(1j * math.pi / 4)],
 
 LAMBDA_GRID = [-0.1, 0.0, 0.3, 0.7, 1.0]
 CONVEX_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def omega_alt_form(om, mat):
+    """The second closed form of Omega for unit-trace input, or for each
+    matrix of a stack: (lam + (1-lam)/d) rho + ((1-lam)/d)(I - diag rho)."""
+    m = np.asarray(mat, dtype=complex)
+    c = (1.0 - om.lam) / om.dim
+    return (om.lam + c) * m + c * (np.eye(om.dim) - m * np.eye(om.dim))
+
+
+def qubit_four_term_decomposition(lam):
+    """The collapsed d = 2 decomposition.
+
+    At d = 2 the eight phase channels pair up into four distinct ones and
+    Omega itself is the average of just two of them (indices a = 2 and
+    a = 4, the sigma_y- and sigma_x-basis dampers), so Delta_lam needs only
+    four terms: those two channels plain, and the same two conjugated by G.
+    """
+    c0, c1 = mixing_weights(2, lam)
+    g = build_g(2)
+    eye = np.eye(2, dtype=complex)
+    phi_y = phase_channel(2, lam, 2)
+    phi_x = phase_channel(2, lam, 4)
+    terms = [
+        DecompositionTerm(c0 / 2 + c1 / 4, eye, phi_y),
+        DecompositionTerm(c0 / 2 + c1 / 4, eye, phi_x),
+        DecompositionTerm(c1 / 4, g, phi_y),
+        DecompositionTerm(c1 / 4, g, phi_x),
+    ]
+    return ConvexDecomposition(2, lam, terms)
 
 
 class TestClockAndQuadraticUnitaries:
@@ -119,16 +149,16 @@ class TestOmegaChannel:
         for d in (2, 3, 4):
             om = OmegaChannel(d, 0.4)
             rho = np.asarray(random_density_matrix(d, seed=d + 5))
-            assert np.allclose(om.apply_matrix(rho), om.alt_apply_matrix(rho),
+            assert np.allclose(om.apply_matrix(rho), omega_alt_form(om, rho),
                                atol=1e-13)
 
     def test_alt_form_on_a_stack(self):
         om = OmegaChannel(3, 0.4)
         stack = np.stack([np.asarray(random_density_matrix(3, seed=8 + t))
                           for t in range(4)])
-        out = om.alt_apply_matrix(stack)
+        out = omega_alt_form(om, stack)
         for rho, one in zip(stack, out):
-            assert np.allclose(one, om.alt_apply_matrix(rho), atol=1e-14)
+            assert np.allclose(one, omega_alt_form(om, rho), atol=1e-14)
             assert np.allclose(one, om.apply_matrix(rho), atol=1e-13)
 
     def test_qubit_entrywise_form(self):
