@@ -38,6 +38,7 @@ from .core import (
     DensityMatrix,
     InvalidStateError,
     _p_norm_from_eigenvalues,
+    _power_scale,
     _scalar_or_stack,
     apply_on_factor,
     hermitize,
@@ -199,11 +200,12 @@ def lieb_thirring_check(a, b, p: float) -> InequalityCheck:
     """Tr (A^{1/2} B A^{1/2})^p <= Tr A^p B^p for PSD A, B and p >= 1.
 
     ``a`` and ``b`` are one pair of matrices, or two stacks ``(T, d, d)``
-    of them; for stacks, lhs and rhs hold one value per pair."""
+    of them; for stacks, lhs and rhs hold one value per pair. A matrix whose top
+    eigenvalue m has m^p outside about [1e-100, 1e100] is divided by m first."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = (m / _power_scale(psd_eigenvalues(m)[..., -1], 2.0 * p)[..., None, None]
+            for m in (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
     a_half = matrix_power_psd(a, 0.5)
     inner = psd_eigenvalues(a_half @ b @ a_half)
     lhs = np.sum(inner ** p, axis=-1)

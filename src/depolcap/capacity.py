@@ -85,6 +85,9 @@ FINAL_RESTARTS = 32
 # value rises) taking turns forever; no measured solve has needed more
 # than 16 weight evaluations.
 WEIGHT_ROUNDS = 500
+# Tolerances of the two entropy bounds below.
+RELENT_TOL = 1e-6
+ENTROPY_BOUND_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +621,8 @@ def opwsw_certificate(channel, omega, restarts: int = 64, seed: int = 0
 # ---------------------------------------------------------------------------
 
 def tensor_relative_entropy_bound(dep: DepolarizingChannel, psi: Channel,
-                                  tau12, chi_psi: float, average_output,
-                                  tolerance: float = 1e-6) -> InequalityCheck:
+                                  tau12, chi_psi: float,
+                                  average_output) -> InequalityCheck:
     """S((Delta (x) Psi) tau12, (I/d) (x) Psi(omega*)) <= chi*(Delta) + chi*(Psi).
 
     chi*(Psi) and the average output Psi(omega*) are the ``chi`` and
@@ -630,7 +633,7 @@ def tensor_relative_entropy_bound(dep: DepolarizingChannel, psi: Channel,
     reference = np.kron(np.eye(d) / d, np.asarray(average_output))
     lhs = relative_entropy(tensor_output(dep, psi, tau12), reference)
     rhs = dep.chi_star() + chi_psi
-    return InequalityCheck(lhs=lhs, rhs=rhs, tolerance=tolerance)
+    return InequalityCheck(lhs=lhs, rhs=rhs, tolerance=RELENT_TOL)
 
 
 @dataclass(frozen=True)
@@ -656,8 +659,7 @@ class EntropyLowerBoundCheck:
 
 
 def entropy_lower_bound_check(ph: PhaseDampingChannel, psi: Channel,
-                              tau12: BipartiteState,
-                              tolerance: float = 1e-8) -> EntropyLowerBoundCheck:
+                              tau12: BipartiteState) -> EntropyLowerBoundCheck:
     """S((Phi (x) Psi) tau12) >= -chi*(Delta_lam) + ln d
     + (1/d) sum_i S(Psi(d tau2_i)).
 
@@ -686,7 +688,7 @@ def entropy_lower_bound_check(ph: PhaseDampingChannel, psi: Channel,
     branch = sum(von_neumann_entropy(hermitize(psi.apply_matrix(d * b)))
                  for b in blocks) / d
     rhs = -chi_delta + math.log(d) + branch
-    return EntropyLowerBoundCheck(lhs=lhs, rhs=rhs, tolerance=tolerance,
+    return EntropyLowerBoundCheck(lhs=lhs, rhs=rhs, tolerance=ENTROPY_BOUND_TOL,
                                   x_values=x_values,
                                   block_sum_error=block_sum_error)
 

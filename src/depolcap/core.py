@@ -343,18 +343,21 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
+def _power_scale(m, p: float):
+    """m where m^p would under- or overflow (leave about [1e-200, 1e200]), else 1."""
+    m = np.where(m > 0.0, m, 1.0)
+    return np.where(p * np.abs(np.log(m)) > 460.0, m, 1.0)
+
+
 def _p_norm_from_eigenvalues(w: np.ndarray, p: float):
     """(sum w^p)^(1/p) over the last axis; no domain check, the formula is
     fine for any p > 0.
 
-    Where the largest term m^p leaves about [1e-200, 1e200], the power sum
-    would underflow or overflow, so the norm is taken max-scaled, as
-    m (sum (w/m)^p)^(1/p). Elsewhere the scale is 1 and the plain sum is
-    computed bit for bit.
+    Where the largest term m^p would underflow or overflow, the norm is
+    taken max-scaled, as m (sum (w/m)^p)^(1/p). Elsewhere the scale is 1
+    and the plain sum is computed bit for bit.
     """
-    m = np.max(w, axis=-1)
-    m = np.where(m > 0.0, m, 1.0)
-    scale = np.where(p * np.abs(np.log(m)) > 460.0, m, 1.0)
+    scale = _power_scale(np.max(w, axis=-1), p)
     return _scalar_or_stack(
         scale * np.sum((w / scale[..., None]) ** p, axis=-1) ** (1.0 / p))
 

@@ -37,7 +37,11 @@ from .core import (
     superoperator_from_action,
 )
 from .depolarizing import DepolarizingChannel
-from .phase_damping import PhaseDampingChannel, damping_lambda_min
+from .phase_damping import (
+    PhaseDampingChannel,
+    damper_superoperator_sum,
+    damping_lambda_min,
+)
 
 WEIGHT_SUM_TOL = 1e-12
 CONVEXITY_TOL = 1e-12
@@ -80,16 +84,18 @@ def psi_basis(d: int, a: int) -> np.ndarray:
     """
     if not 1 <= a <= 2 * d * d:
         raise ValueError(f"a must be in 1..{2 * d * d}, got {a}")
+    return psi_bases(d)[a - 1]
+
+
+def psi_bases(d: int) -> np.ndarray:
+    """All 2 d^2 bases as one stack ``(2 d^2, d, d)``; entry a-1 has column
+    k-1 equal to psi_{k,a}."""
     k = np.arange(1, d + 1)
+    a = np.arange(1, 2 * d * d + 1)[:, None]
     g_diag = np.diagonal(build_g(d))
     h_diag = np.diagonal(build_h(d))
     theta = np.ones(d, dtype=complex) / math.sqrt(d)
-    return (g_diag[:, None] ** k) * ((h_diag ** a) * theta)[:, None]
-
-
-def phase_channel(d: int, lam: float, a: int) -> PhaseDampingChannel:
-    """The a-th uniform phase-damping channel, basis {psi_{k,a}}_k."""
-    return PhaseDampingChannel.unchecked(d, lam, basis=psi_basis(d, a))
+    return (g_diag[:, None] ** k) * ((h_diag ** a) * theta)[:, :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +185,7 @@ def phase_average_check(d: int, lam: float) -> IdentityCheck:
     """Check Omega = (1/(2 d^2)) sum_a Phi^(a) over all 2 d^2 channels."""
     n = 2 * d * d
     target = OmegaChannel.unchecked(d, lam).superoperator()
-    recon = np.zeros_like(target)
-    for a in range(1, n + 1):
-        recon += phase_channel(d, lam, a).superoperator()
-    recon /= n
+    recon = damper_superoperator_sum(psi_bases(d), lam, 1.0 / n)
     return IdentityCheck(dim=d, lam=lam,
                          distance=frobenius_distance(target, recon),
                          weights=(1.0 / n,) * n, n_terms=n)
@@ -274,9 +277,6 @@ class DecompositionTerm:
         u = self.unitary
         return u.conj() @ self.channel.apply_matrix(mat) @ u
 
-    def superoperator(self) -> np.ndarray:
-        return conjugation_superoperator(self.unitary, self.channel.superoperator())
-
 
 class ConvexDecomposition:
     """A weighted sum of conjugated uniform phase-damping channels.
@@ -305,14 +305,23 @@ class ConvexDecomposition:
         return all(t.weight >= -CONVEXITY_TOL for t in self.terms)
 
     def all_channels_uniform(self) -> bool:
-        return all(t.channel.is_uniform() for t in self.terms)
+        distinct = {id(t.channel): t.channel for t in self.terms}
+        return all(ch.is_uniform() for ch in distinct.values())
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         m = np.asarray(mat, dtype=complex)
         return sum(t.weight * t.apply_matrix(m) for t in self.terms)
 
     def superoperator(self) -> np.ndarray:
-        return sum(t.weight * t.superoperator() for t in self.terms)
+        """Terms grouped by the value of their unitary: each group's dampers,
+        with their own weights, bases and lams, form one stacked closed form
+        that is conjugated once (d + 1 conjugations in full_decomposition)."""
+        groups: dict = {}
+        for t in self.terms:
+            groups.setdefault(t.unitary.tobytes(), []).append(t)
+        return sum(conjugation_superoperator(g[0].unitary, damper_superoperator_sum(
+            [t.channel.basis for t in g], [t.channel.lam for t in g],
+            [t.weight for t in g])) for g in groups.values())
 
     def reconstruction_error(self) -> float:
         """Frobenius distance to the depolarizing superoperator."""
@@ -336,7 +345,7 @@ def full_decomposition(d: int, lam: float) -> ConvexDecomposition:
     """
     c0, c1 = mixing_weights(d, lam)
     n = 2 * d * d
-    channels = [phase_channel(d, lam, a) for a in range(1, n + 1)]
+    channels = [PhaseDampingChannel.unchecked(d, lam, basis=b) for b in psi_bases(d)]
     eye = np.eye(d, dtype=complex)
     g_diag = np.diagonal(build_g(d))
     terms = [DecompositionTerm(c0 / n, eye, ch) for ch in channels]

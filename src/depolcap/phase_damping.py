@@ -44,6 +44,30 @@ def is_uniform_vector(v) -> bool:
     return float(mags.max() - mags.min()) < UNIFORM_TOL
 
 
+def check_orthonormal(bases) -> None:
+    """Raise unless a basis, or each of a stack, is orthonormal within GRAM_TOL."""
+    b = np.asarray(bases)
+    gram_defect = np.max(np.abs(b.conj().swapaxes(-1, -2) @ b - np.eye(b.shape[-1])))
+    if gram_defect > GRAM_TOL:
+        raise InvalidChannelError(
+            f"basis is not orthonormal: Gram defect {gram_defect:.3e}")
+
+
+def damper_superoperator_sum(bases, lams, weights) -> np.ndarray:
+    """sum_t w_t (lam_t I + (1 - lam_t) V_t V_t^dag) over a stack ``(T, d, d)`` of
+    orthonormal bases; a scalar lam or weight applies to all. Column i of V_t is
+    b_i (x) conj(b_i): row-major, E_i rho E_i is kron(E_i, E_i^T) = v_i v_i^dag."""
+    b = np.asarray(bases, dtype=complex)
+    check_orthonormal(b)
+    t, d = b.shape[0], b.shape[-1]
+    lam, w = (np.broadcast_to(np.asarray(x, dtype=float), (t,)) for x in (lams, weights))
+    v = (b[:, :, None, :] * b.conj()[:, None, :, :]).reshape(t, d * d, d)
+    v = np.moveaxis(v, 0, 1).reshape(d * d, t * d)
+    s = (v * np.repeat(w * (1.0 - lam), d)) @ v.conj().T
+    s[np.diag_indices_from(s)] += np.sum(w * lam)
+    return s
+
+
 class PhaseDampingChannel(LambdaChannel):
     """Phase damping with parameter lam in the basis given by the columns
     of ``basis`` (computational basis when omitted)."""
@@ -61,16 +85,10 @@ class PhaseDampingChannel(LambdaChannel):
             b = np.array(basis, dtype=complex)
         if b.shape != (dim, dim):
             raise InvalidChannelError(f"basis must be {dim}x{dim}, got {b.shape}")
-        gram_defect = np.max(np.abs(b.conj().T @ b - np.eye(dim)))
-        if gram_defect > GRAM_TOL:
-            raise InvalidChannelError(
-                f"basis is not orthonormal: Gram defect {gram_defect:.3e}")
+        check_orthonormal(b)
         self.basis = _freeze(b)
 
     # -- derived structure --------------------------------------------------
-
-    def basis_vectors(self) -> list[PureState]:
-        return [PureState(self.basis[:, i]) for i in range(self.dim)]
 
     def projectors(self) -> list[np.ndarray]:
         """Damping projectors E_i = |b_i><b_i|."""
@@ -103,14 +121,9 @@ class PhaseDampingChannel(LambdaChannel):
         return self.basis @ damped @ self.basis.conj().T
 
     def superoperator(self) -> np.ndarray:
-        """Closed form lam I + (1 - lam) V V^dag, where column i of V is
-        b_i (x) conj(b_i): row-major vectorization turns E_i rho E_i into
-        kron(E_i, E_i^T) = v_i v_i^dag."""
-        b = self.basis
-        v = (b[:, None, :] * b.conj()[None, :, :]).reshape(self.dim * self.dim, self.dim)
-        s = (1.0 - self.lam) * (v @ v.conj().T)
-        s[np.diag_indices_from(s)] += self.lam
-        return s
+        """Closed form lam I + (1 - lam) V V^dag, the one-term
+        :func:`damper_superoperator_sum`."""
+        return damper_superoperator_sum(self.basis[None], self.lam, 1.0)
 
     def kraus_channel(self) -> Channel:
         """Kraus form built from powers of the basis-diagonal clock unitary.

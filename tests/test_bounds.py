@@ -153,6 +153,40 @@ class TestLiebThirring:
         with pytest.raises(ValueError, match="p must be >= 1"):
             lieb_thirring_check(np.eye(2), np.eye(2), 0.5)
 
+    @pytest.mark.parametrize("p", [300.0, 700.0])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_holds_at_large_p(self, dim, p):
+        # Unscaled, Tr A^p B^p overflows on these pairs. The reference
+        # divides each matrix whose top eigenvalue m has m^p outside
+        # [1e-100, 1e100] by m, written out.
+        pairs = random_psd_matrices(dim, 1200 + dim, (20, 2))
+        with np.errstate(over="raise", invalid="raise"):
+            chk = lieb_thirring_check(pairs[:, 0], pairs[:, 1], p)
+        assert np.all(np.isfinite(chk.slack)) and np.all(chk.holds)
+        tops = np.linalg.eigvalsh(pairs)[..., -1]
+        scaled_rows = p * np.abs(np.log(tops)) > 100.0 * math.log(10.0)
+        assert scaled_rows.any()
+        scaled = pairs / np.where(scaled_rows, tops, 1.0)[..., None, None]
+        ref = lieb_thirring_check(scaled[:, 0], scaled[:, 1], p)
+        # The p-th powers of tiny inner eigenvalues keep little relative
+        # precision, so both sides are compared on the scale of rhs.
+        assert np.all(np.abs(chk.lhs - ref.lhs) <= 1e-12 * ref.rhs)
+        assert np.all(np.abs(chk.rhs - ref.rhs) <= 1e-12 * ref.rhs)
+
+    def test_scaling_leaves_ordinary_p_bit_for_bit(self):
+        # Reference: the unscaled sides, written out.
+        a, b = random_psd_matrices(3, 1210, (2,))
+        p = 3.0
+        chk = lieb_thirring_check(a, b, p)
+        wa, ua = np.linalg.eigh(hermitize(a))
+        wb, ub = np.linalg.eigh(hermitize(b))
+        a_half = (ua * np.clip(wa, 0.0, None) ** 0.5) @ ua.conj().T
+        inner = np.clip(np.linalg.eigvalsh(hermitize(a_half @ b @ a_half)), 0.0, None)
+        a_p = (ua * np.clip(wa, 0.0, None) ** p) @ ua.conj().T
+        b_p = (ub * np.clip(wb, 0.0, None) ** p) @ ub.conj().T
+        assert chk.lhs == np.sum(inner ** p)
+        assert chk.rhs == np.real(np.trace(a_p @ b_p))
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stack_matches_single_pair_calls(self, dim):
         pairs = random_psd_matrices(dim, 1100 + dim, (8, 2))

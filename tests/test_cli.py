@@ -19,6 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from depolcap import cli
+from depolcap.bounds import InequalityCheck
 from depolcap.cli import main, run_replay
 from depolcap.core import random_bipartite_state
 from depolcap.report import (
@@ -460,12 +462,21 @@ class TestVerifyContent:
                          "chi-additivity"}
         assert report["summary"]["failed"] == 0
 
-    def test_nan_slack_fails_its_row(self, capsys):
-        # At p = 300 the powers of the unnormalized Lieb-Thirring pairs
-        # overflow and the slack is NaN; such a row can show nothing and
-        # must not pass.
+    def test_nan_slack_fails_its_row(self, capsys, monkeypatch):
+        # A NaN slack can show nothing and must not pass. Large p no longer
+        # produces one (test_lieb_thirring_holds_at_large_p), so one trial's
+        # lhs is made NaN here.
+        real = cli.lieb_thirring_check
+
+        def poisoned(a, b, p):
+            chk = real(a, b, p)
+            lhs = np.array(chk.lhs)
+            lhs[3] = np.nan
+            return InequalityCheck(lhs=lhs, rhs=chk.rhs, tolerance=chk.tolerance)
+
+        monkeypatch.setattr(cli, "lieb_thirring_check", poisoned)
         code, out, _ = run_cli(["verify", "--dims", "2", "3", "--p-grid",
-                                "300", "--trials", "20"], capsys)
+                                "2", "--trials", "20"], capsys)
         assert code == 1
         rows = {r["inputs"]["dim"]: r for r in json.loads(out)["records"]
                 if r["name"] == "lieb-thirring"}
@@ -473,6 +484,17 @@ class TestVerifyContent:
         assert not rows[3]["passed"]
         assert all(r["passed"] is False for r in rows.values()
                    if r["values"]["min_slack"] is None)
+
+    def test_lieb_thirring_holds_at_large_p(self, capsys):
+        # Tr A^p B^p overflowed to a NaN slack here until the pairs were
+        # scaled by their top eigenvalues.
+        code, out, _ = run_cli(["verify", "--dims", "2", "3", "--p-grid",
+                                "300", "--trials", "20"], capsys)
+        rows = [r for r in json.loads(out)["records"]
+                if r["name"] == "lieb-thirring"]
+        assert len(rows) == 2
+        assert all(r["passed"] and r["values"]["min_slack"] > 0.0 for r in rows)
+        assert code == 0
 
     def test_norm_bound_holds_at_large_p(self, capsys):
         _, out, _ = run_cli(["verify", "--dims", "2", "3", "--p-grid", "700",

@@ -18,19 +18,20 @@ from depolcap.decomposition import (
     averaged_projector_identity_error,
     build_g,
     build_h,
+    conjugation_superoperator,
     dephasing_average,
     diophantine_solutions,
     full_decomposition,
     mixing_weights,
     omega_split_check,
     phase_average_check,
-    phase_channel,
     psi_basis,
+    psi_bases,
     psi_state,
     theta_state,
 )
 from depolcap.depolarizing import DepolarizingChannel
-from depolcap.phase_damping import is_uniform_vector
+from depolcap.phase_damping import PhaseDampingChannel, is_uniform_vector
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -40,6 +41,11 @@ TAU = np.array([[0, np.exp(1j * math.pi / 4)],
 
 LAMBDA_GRID = [-0.1, 0.0, 0.3, 0.7, 1.0]
 CONVEX_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def phase_channel(d, lam, a):
+    """The a-th uniform phase-damping channel, basis {psi_{k,a}}_k."""
+    return PhaseDampingChannel.unchecked(d, lam, basis=psi_basis(d, a))
 
 
 def omega_alt_form(om, mat):
@@ -130,6 +136,15 @@ class TestPsiStates:
             psi_basis(3, 0)
         with pytest.raises(ValueError, match="a must be"):
             psi_basis(3, 19)
+
+    def test_stacked_bases_match_single_bases(self):
+        # psi_basis reads its entry from the stack; the independent
+        # reference is psi_state, in test_basis_matches_stacked_states.
+        for d in (2, 3, 4, 5, 6):
+            bases = psi_bases(d)
+            assert bases.shape == (2 * d * d, d, d)
+            for a in range(1, 2 * d * d + 1):
+                assert np.max(np.abs(bases[a - 1] - psi_basis(d, a))) <= 1e-16
 
     def test_basis_matches_stacked_states(self):
         for d in (2, 3, 4, 5, 6):
@@ -324,6 +339,48 @@ class TestFullDecomposition:
         dec = full_decomposition(2, 0.5)
         with pytest.raises(ValueError, match="sum"):
             ConvexDecomposition(2, 0.5, list(dec.terms[:4]))
+
+
+def per_term_superoperator(dec):
+    """The reference sum: every term's own conjugated superoperator."""
+    return sum(t.weight * conjugation_superoperator(t.unitary, t.channel.superoperator())
+               for t in dec.terms)
+
+
+class TestStackedSuperoperator:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_per_term_sum(self, d):
+        for lam in (DepolarizingChannel.lam_min(d), 0.0, 0.3, 1.0):
+            dec = full_decomposition(d, lam)
+            err = np.max(np.abs(dec.superoperator() - per_term_superoperator(dec)))
+            assert err < 1e-13, (d, lam, err)
+
+    def test_qubit_four_term_matches_per_term_sum(self):
+        for lam in CONVEX_GRID:
+            dec = qubit_four_term_decomposition(lam)
+            err = np.max(np.abs(dec.superoperator() - per_term_superoperator(dec)))
+            assert err < 1e-13, (lam, err)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_other_g_power_on_one_term_shows(self, d):
+        # Grouping by unitary must neither drop nor merge a moved term.
+        g_diag = np.diagonal(build_g(d))
+        dec = full_decomposition(d, 0.3)
+        terms = list(dec.terms)
+        t = terms[-1]
+        terms[-1] = DecompositionTerm(t.weight, np.diag(g_diag), t.channel)
+        assert ConvexDecomposition(d, 0.3, terms).reconstruction_error() > 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_computational_damper_on_one_term_shows(self, d):
+        dec = full_decomposition(d, 0.3)
+        terms = list(dec.terms)
+        t = terms[d]
+        terms[d] = DecompositionTerm(t.weight, t.unitary,
+                                     PhaseDampingChannel.unchecked(d, 0.3))
+        mutant = ConvexDecomposition(d, 0.3, terms)
+        assert mutant.reconstruction_error() > 1e-10
+        assert not mutant.all_channels_uniform()
 
 
 class TestQubitFourTerm:

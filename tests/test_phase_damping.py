@@ -13,6 +13,7 @@ from depolcap.core import (
     maximally_mixed,
     min_choi_eigenvalue,
     random_density_matrix,
+    random_unitaries,
     random_unitary,
     superoperator_from_action,
 )
@@ -20,6 +21,8 @@ from depolcap.decomposition import psi_basis
 from depolcap.phase_damping import (
     UNIFORM_TOL,
     PhaseDampingChannel,
+    check_orthonormal,
+    damper_superoperator_sum,
     damping_lambda_min,
     is_uniform_vector,
     uniform_diag_expectation,
@@ -158,6 +161,38 @@ class TestClosedFormSuperoperator:
                 ref = superoperator_from_action(ch.apply_matrix, d)
                 err = np.max(np.abs(ch.superoperator() - ref))
                 assert err < 1e-13, (name, lam, err)
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_stacked_sum_matches_action_built_terms(self, d):
+        # Each term keeps its own basis, lam and (signed) weight.
+        bases = random_unitaries(d, 200 + d, 5)
+        lams = np.array([damping_lambda_min(d), 0.0, 0.3, 1.0, 0.7])
+        weights = np.array([0.5, -0.25, 0.125, 0.375, 0.25])
+        ref = sum(w * superoperator_from_action(
+            PhaseDampingChannel.unchecked(d, lam, basis=b).apply_matrix, d)
+            for b, lam, w in zip(bases, lams, weights))
+        err = np.max(np.abs(damper_superoperator_sum(bases, lams, weights) - ref))
+        assert err < 1e-13, err
+
+    def test_scalar_lam_and_weight_apply_to_every_term(self):
+        bases = random_unitaries(3, 210, 4)
+        assert np.array_equal(damper_superoperator_sum(bases, 0.4, 0.25),
+                              damper_superoperator_sum(bases, [0.4] * 4, [0.25] * 4))
+
+
+class TestStackedBasisChecks:
+    def test_one_bad_basis_in_a_stack_raises(self):
+        bases = random_unitaries(4, 221, 6)
+        check_orthonormal(bases)
+        bases[3, :, 0] *= 1.0 + 1e-8
+        with pytest.raises(InvalidChannelError, match="Gram defect"):
+            check_orthonormal(bases)
+
+    def test_stacked_sum_rejects_a_bad_basis(self):
+        bases = random_unitaries(3, 222, 4)
+        bases[1, :, 2] *= 1.0 + 1e-8
+        with pytest.raises(InvalidChannelError, match="Gram defect"):
+            damper_superoperator_sum(bases, 0.5, 0.25)
 
 
 class TestUniformity:
