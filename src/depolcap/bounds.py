@@ -22,13 +22,14 @@ lam (id (x) Psi) tau + (1 - lam) I/d (x) Psi(tr_1 tau). Every Monte-Carlo
 check takes a stack ``(T, d d', d d')`` of trial states as well as a single
 state and returns one value per trial, so a whole (d, d', lam, p) cell of
 ``verify`` costs one stacked channel application and one stacked
-eigendecomposition.
+eigendecomposition. A check returns the sides it measured and no verdict;
+tolerances belong to the caller.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .core import (
     matrix_power_psd,
     psd_eigenvalues,
     ptrace_matrix,
-    random_density_matrices,
     schatten_p_norm,
     spectral_function,
 )
@@ -53,46 +53,34 @@ from .depolarizing import DepolarizingChannel
 from .optimize import AscentResult, maximize_over_pure_states
 from .phase_damping import PhaseDampingChannel
 
-INEQ_TOL = 1e-9
-LT_TOL = 1e-10
-EQ_TOL = 1e-10
 # Output spectra are floored here before their logarithm is taken.
 LOG_FLOOR = 1e-18
 
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """Outcome of a one-sided numerical comparison lhs <= rhs + tolerance,
-    entrywise for a stack of inputs."""
+    """Measured sides of lhs <= rhs, entrywise for a stack of inputs; the
+    caller judges the slack against its own tolerance."""
 
     lhs: float
     rhs: float
-    tolerance: float
 
     @property
     def slack(self) -> float:
         return self.rhs - self.lhs
 
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs + self.tolerance
-
 
 @dataclass(frozen=True)
 class EqualityCheck:
-    """|value_a - value_b| <= tolerance, entrywise for a stack of inputs."""
+    """Measured sides of value_a = value_b, entrywise for a stack of inputs;
+    the caller judges the difference against its own tolerance."""
 
     value_a: float
     value_b: float
-    tolerance: float
 
     @property
     def difference(self) -> float:
         return abs(self.value_a - self.value_b)
-
-    @property
-    def holds(self) -> bool:
-        return self.difference <= self.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +199,7 @@ def lieb_thirring_check(a, b, p: float) -> InequalityCheck:
     lhs = np.sum(inner ** p, axis=-1)
     rhs = np.real(np.trace(matrix_power_psd(a, p) @ matrix_power_psd(b, p),
                            axis1=-2, axis2=-1))
-    return InequalityCheck(lhs=_scalar_or_stack(lhs), rhs=_scalar_or_stack(rhs),
-                           tolerance=LT_TOL)
+    return InequalityCheck(lhs=_scalar_or_stack(lhs), rhs=_scalar_or_stack(rhs))
 
 
 def b_matrix_diagonal_check(d: int, lam: float, p: float) -> EqualityCheck:
@@ -230,7 +217,7 @@ def b_matrix_diagonal_check(d: int, lam: float, p: float) -> EqualityCheck:
         raise AssertionError(
             f"closed form {closed} disagrees with the nu_p form {nu_form}")
     worst = float(entries[np.argmax(np.abs(entries - closed))])
-    return EqualityCheck(value_a=worst, value_b=closed, tolerance=1e-10)
+    return EqualityCheck(value_a=worst, value_b=closed)
 
 
 def tensor_output_norm_bound(ch: PhaseDampingChannel, rho12,
@@ -249,7 +236,7 @@ def tensor_output_norm_bound(ch: PhaseDampingChannel, rho12,
         blocks.reshape(blocks.shape[:-2] + (-1,)), p)
     nu = DepolarizingChannel.unchecked(d, ch.lam)._nu_p_any(p)
     rhs = d ** (1.0 - 1.0 / p) * nu * block_norm
-    return InequalityCheck(lhs=lhs, rhs=rhs, tolerance=INEQ_TOL)
+    return InequalityCheck(lhs=lhs, rhs=rhs)
 
 
 def local_unitary_invariance_check(dep: DepolarizingChannel, psi: Channel,
@@ -266,7 +253,7 @@ def local_unitary_invariance_check(dep: DepolarizingChannel, psi: Channel,
     rotated = np.einsum("...ai,...ijbl,...cb->...ajcl", u, split, np.conj(u))
     norms = schatten_p_norm(tensor_output(dep, psi, np.stack(
         [m, rotated.reshape(m.shape)])), p)
-    return EqualityCheck(value_a=norms[0], value_b=norms[1], tolerance=EQ_TOL)
+    return EqualityCheck(value_a=norms[0], value_b=norms[1])
 
 
 def diagonalize_first_factor(tau12: BipartiteState) -> tuple[BipartiteState, np.ndarray]:
@@ -371,55 +358,14 @@ def min_output_entropy(channel, restarts: int = 64, seed: int = 0) -> NumericMea
     return NumericMeasure(value=-best.value, maximizer=best.state, ascent=best)
 
 
-@dataclass(frozen=True)
-class MultiplicativityCheck:
-    """Monte-Carlo probe of || (Delta (x) Psi) tau ||_p <= nu_p(Delta) nu_p(Psi)."""
+def multiplicativity_check(dep: DepolarizingChannel, psi: Channel, tau12,
+                           p: float, bound: float) -> InequalityCheck:
+    """|| (Delta (x) Psi) tau12 ||_p against the product bound
+    nu_p(Delta) nu_p(Psi), passed in as ``bound``.
 
-    p: float
-    trials: int
-    max_norm: float
-    bound: float
-    product_norm: float
-    tolerance: float
-    product_tolerance: float
-    worst_input: np.ndarray | None = field(default=None, compare=False,
-                                           repr=False)
-
-    @property
-    def holds(self) -> bool:
-        return self.max_norm <= self.bound + self.tolerance
-
-    @property
-    def product_attains(self) -> bool:
-        return abs(self.product_norm - self.bound) <= self.product_tolerance
-
-
-def multiplicativity_check(dep: DepolarizingChannel, psi: Channel, p: float,
-                           psi_measure: NumericMeasure, trials: int = 200,
-                           seed: int = 0, tolerance: float = 1e-8,
-                           product_tolerance: float = 1e-6
-                           ) -> MultiplicativityCheck:
-    """Check the product bound on random bipartite inputs and its saturation
-    at a product of per-factor maximizers.
-
-    ``psi_measure`` is nu_p(Psi) from ``max_output_p_norm(psi, p)``, computed
-    once by the caller and shared across sweeps over lambda or trial
-    batches; its maximizer is the second factor of the product input.
+    ``tau12`` is a state or a stack ``(T, d d', d d')`` of states; for a
+    stack, lhs holds one norm per state. A product of per-factor maximizers
+    in the stack saturates the bound.
     """
-    d = dep.dim
-    bound = dep.nu_p(p) * psi_measure.value
-
-    taus = random_density_matrices(d * psi.dim_in, seed + 1, trials)
-    # Any pure state maximizes the depolarizing factor, by covariance, so
-    # the product input rides at the end of the trial stack.
-    product_vec = np.kron(np.eye(d, dtype=complex)[0], psi_measure.maximizer)
-    product = np.outer(product_vec, product_vec.conj())
-    norms = schatten_p_norm(tensor_output(
-        dep, psi, np.concatenate([taus, product[None]])), p)
-    worst = int(np.argmax(norms[:-1]))
-    return MultiplicativityCheck(p=p, trials=trials,
-                                 max_norm=float(norms[worst]),
-                                 bound=bound, product_norm=float(norms[-1]),
-                                 tolerance=tolerance,
-                                 product_tolerance=product_tolerance,
-                                 worst_input=taus[worst])
+    return InequalityCheck(lhs=schatten_p_norm(tensor_output(dep, psi, tau12), p),
+                           rhs=bound)

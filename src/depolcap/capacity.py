@@ -85,9 +85,6 @@ FINAL_RESTARTS = 32
 # value rises) taking turns forever; no measured solve has needed more
 # than 16 weight evaluations.
 WEIGHT_ROUNDS = 500
-# Tolerances of the two entropy bounds below.
-RELENT_TOL = 1e-6
-ENTROPY_BOUND_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -633,24 +630,19 @@ def tensor_relative_entropy_bound(dep: DepolarizingChannel, psi: Channel,
     reference = np.kron(np.eye(d) / d, np.asarray(average_output))
     lhs = relative_entropy(tensor_output(dep, psi, tau12), reference)
     rhs = dep.chi_star() + chi_psi
-    return InequalityCheck(lhs=lhs, rhs=rhs, tolerance=RELENT_TOL)
+    return InequalityCheck(lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
 class EntropyLowerBoundCheck:
     lhs: float
     rhs: float
-    tolerance: float
     x_values: np.ndarray
     block_sum_error: float
 
     @property
     def slack(self) -> float:
         return self.lhs - self.rhs
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs >= self.rhs - self.tolerance
 
     @property
     def x_uniform(self) -> bool:
@@ -688,8 +680,7 @@ def entropy_lower_bound_check(ph: PhaseDampingChannel, psi: Channel,
     branch = sum(von_neumann_entropy(hermitize(psi.apply_matrix(d * b)))
                  for b in blocks) / d
     rhs = -chi_delta + math.log(d) + branch
-    return EntropyLowerBoundCheck(lhs=lhs, rhs=rhs, tolerance=ENTROPY_BOUND_TOL,
-                                  x_values=x_values,
+    return EntropyLowerBoundCheck(lhs=lhs, rhs=rhs, x_values=x_values,
                                   block_sum_error=block_sum_error)
 
 
@@ -698,7 +689,6 @@ class AdditivityCheck:
     chi_product: float
     chi_delta: float
     chi_psi: float
-    tolerance: float
     converged: bool
 
     @property
@@ -709,13 +699,9 @@ class AdditivityCheck:
     def gap(self) -> float:
         return self.chi_product - self.chi_sum
 
-    @property
-    def holds(self) -> bool:
-        return abs(self.gap) <= self.tolerance
 
-
-def chi_additivity_check(dep: DepolarizingChannel, psi: Channel, seed: int = 0,
-                         tolerance: float = 1e-4) -> AdditivityCheck:
+def chi_additivity_check(dep: DepolarizingChannel, psi: Channel,
+                         seed: int = 0) -> AdditivityCheck:
     """chi*(Delta (x) Psi) bracketed against chi*(Delta) + chi*(Psi).
 
     The factor sum is the lower side (product ensembles). ``chi_product`` is
@@ -730,5 +716,5 @@ def chi_additivity_check(dep: DepolarizingChannel, psi: Channel, seed: int = 0,
                               seed=seed + 2)
     return AdditivityCheck(chi_product=upper.value,
                            chi_delta=delta_result.chi,
-                           chi_psi=psi_result.chi, tolerance=tolerance,
+                           chi_psi=psi_result.chi,
                            converged=delta_result.converged and psi_result.converged)

@@ -34,7 +34,6 @@ from .core import (
     LambdaChannel,
     PureState,
     frobenius_distance,
-    superoperator_from_action,
 )
 from .depolarizing import DepolarizingChannel
 from .phase_damping import (
@@ -119,7 +118,10 @@ class OmegaChannel(LambdaChannel):
         return delta + (1.0 - self.lam) / self.dim * (m - m * np.eye(self.dim))
 
     def superoperator(self) -> np.ndarray:
-        return superoperator_from_action(self.apply_matrix, self.dim)
+        """S_Delta + ((1 - lam)/d) diag(1 - vec I), in closed form."""
+        off = 1.0 - np.eye(self.dim).reshape(-1)
+        return (DepolarizingChannel.unchecked(self.dim, self.lam).superoperator()
+                + np.diag((1.0 - self.lam) / self.dim * off))
 
 
 def dephasing_average(d: int, mat: np.ndarray) -> np.ndarray:

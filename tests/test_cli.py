@@ -6,6 +6,7 @@ stripping the timestamp line.
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -22,8 +23,15 @@ from hypothesis import strategies as st
 from depolcap import cli
 from depolcap.bounds import InequalityCheck
 from depolcap.cli import main, run_replay
-from depolcap.core import random_bipartite_state
+from depolcap.core import (
+    random_bipartite_state,
+    random_channel,
+    random_density_matrices,
+    random_unitaries,
+)
+from depolcap.depolarizing import lambda_min
 from depolcap.report import (
+    DEFAULT_TOLERANCES,
     CheckRecord,
     ConfigError,
     Report,
@@ -472,7 +480,7 @@ class TestVerifyContent:
             chk = real(a, b, p)
             lhs = np.array(chk.lhs)
             lhs[3] = np.nan
-            return InequalityCheck(lhs=lhs, rhs=chk.rhs, tolerance=chk.tolerance)
+            return InequalityCheck(lhs=lhs, rhs=chk.rhs)
 
         monkeypatch.setattr(cli, "lieb_thirring_check", poisoned)
         code, out, _ = run_cli(["verify", "--dims", "2", "3", "--p-grid",
@@ -639,6 +647,30 @@ class TestReplay:
         assert out == ""
         assert "error:" in err and "Traceback" not in err
 
+    # u = 2 I, u = 0 and a random non-unitary u: a malformed file, not a
+    # reproduced violation. A unitary u replays and passes.
+    @pytest.mark.parametrize("u, code", [
+        (2.0 * np.eye(2), 2), (np.zeros((2, 2)), 2),
+        (np.random.default_rng(5).normal(size=(2, 2, 2)) @ [1.0, 1.0j], 2),
+        (random_unitaries(2, 5, 1)[0], 0)])
+    def test_invariance_witness_needs_a_unitary(self, tmp_path, capsys, u,
+                                                 code):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({
+            "check": "local-unitary-invariance",
+            "inputs": {"d": 2, "dp": 2, "lam": 0.5, "p": 2.0}, "seed": 0,
+            "matrices": {
+                "tau12": serialize_matrix(random_density_matrices(4, 6, 1)[0]),
+                "u": serialize_matrix(u),
+                "psi_kraus": [serialize_matrix(k) for k in
+                              random_channel(2, 2, 2, seed=7).kraus_ops]},
+            "scalars": {"tolerance": 1e-10}}))
+        got, out, err = run_cli(["verify", "--replay", str(path)], capsys)
+        assert got == code, err
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and "unitary" in err
+
     def test_replay_unknown_check_rejected(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"check": "bogus", "inputs": {}}))
@@ -735,6 +767,59 @@ def run_case(draw):
     return argv, files
 
 
+VALID_LAMBDAS = st.lists(st.floats(lambda_min(2), 1.0), min_size=1, max_size=2)
+VALID_PS = st.lists(st.floats(1.0, 12.0), min_size=1, max_size=2)
+VALID_CONFIG_VALUES = {
+    "dims": st.just([2]),
+    "lambdas": VALID_LAMBDAS,
+    "p_grid": VALID_PS,
+    "trials": st.integers(1, 5),
+    "seed": st.integers(0, 2**40),
+    "format": st.sampled_from(["json", "csv"]),
+    "bits": st.booleans(), "strict": st.booleans(),
+    "unchecked_lambda": st.booleans(),
+    "tolerances": st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES)),
+                                  st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                                  max_size=3),
+}
+
+
+@st.composite
+def valid_run_case(draw):
+    """(argv, file texts, report format) of a measures or decompose run at
+    d = 2 that the configuration accepts: grid values inside the CP range,
+    known config keys with valid values, and a report on stdout or in a
+    writable file."""
+    argv = [draw(st.sampled_from(["measures", "decompose"])), "--dims", "2"]
+    files = {}
+    fmt = "json"
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(sorted(VALID_CONFIG_VALUES)),
+                             unique=True, max_size=4))
+        config = {k: draw(VALID_CONFIG_VALUES[k]) for k in keys}
+        fmt = config.get("format", fmt)
+        files["config"] = json.dumps(config)
+        argv += ["--config", "{config}"]
+    for flag, values in (("--lambdas", VALID_LAMBDAS), ("--p-grid", VALID_PS)):
+        if draw(st.booleans()):
+            # Positional notation: argparse reads "-1e-05" as an option.
+            argv += [flag] + [np.format_float_positional(v)
+                              for v in draw(values)]
+    if draw(st.booleans()):
+        argv += ["--trials", str(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 2**40)))]
+    if draw(st.booleans()):
+        fmt = draw(st.sampled_from(["json", "csv"]))
+        argv += ["--format", fmt]
+    for flag in ("--bits", "--strict", "--unchecked-lambda"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    if draw(st.booleans()):
+        argv += ["--out", "{out}"]
+    return argv, files, fmt
+
+
 def _run_in(base, argv, texts):
     """Write the texts under base (None: leave the file missing), run
     main() there with DEPOLCAP_OUT_DIR unset, and return (code, stdout,
@@ -788,6 +873,23 @@ class TestExitContract:
         _assert_exit_contract(*result)
         if "{out_dir}" in argv or "{out_under_file}" in argv:
             assert result[0] == 2, result[2]
+
+    @settings(max_examples=100)
+    @given(case=valid_run_case())
+    def test_valid_runs_end_in_a_report(self, tmp_path_factory, case):
+        argv, texts, fmt = case
+        code, out, err, report_path = _run_in(tmp_path_factory.mktemp("ok"),
+                                              argv, texts)
+        assert code in (0, 1), err
+        assert "Traceback" not in err
+        if report_path:
+            with open(report_path) as fh:
+                out = fh.read()
+        if fmt == "json":
+            assert json.loads(out)["records"]
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0][0] == "name" and len(rows) > 1
 
     @settings(max_examples=100)
     @given(text=witness_text())

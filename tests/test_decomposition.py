@@ -10,6 +10,7 @@ from depolcap.core import (
     maximally_mixed,
     min_choi_eigenvalue,
     random_density_matrix,
+    superoperator_from_action,
 )
 from depolcap.decomposition import (
     ConvexDecomposition,
@@ -200,6 +201,15 @@ class TestOmegaChannel:
     def test_range_validation(self):
         with pytest.raises(InvalidChannelError, match="CP range"):
             OmegaChannel(3, -0.51)
+
+    def test_closed_form_superoperator_matches_action(self):
+        # Reference: the superoperator built one matrix unit at a time.
+        for d in range(2, 7):
+            for lam in (-1.0 / (d - 1), -1.0 / (d * d - 1), -0.1, 0.0, 0.3,
+                        0.77, 1.0):
+                om = OmegaChannel.unchecked(d, lam)
+                ref = superoperator_from_action(om.apply_matrix, d)
+                assert np.max(np.abs(om.superoperator() - ref)) < 1e-15
 
     def test_trace_preserving(self):
         om = OmegaChannel(4, 0.2)
