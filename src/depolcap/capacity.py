@@ -57,6 +57,7 @@ from .bounds import (
 )
 from .depolarizing import DepolarizingChannel
 from .optimize import (
+    GRAD_TOL,
     MIN_GAIN,
     MIN_STEP,
     maximize_over_pure_states,
@@ -334,9 +335,12 @@ class HolevoResult:
         return Ensemble([(p / total, rho) for p, rho in items])
 
 
-def _seed_ints(root_seed: int, n: int) -> list[int]:
-    ss = np.random.SeedSequence(root_seed)
-    return [int(child.generate_state(1)[0]) for child in ss.spawn(n)]
+def _seed_int(root_seed: int, i: int) -> int:
+    """The first word of child i of SeedSequence(root_seed), derived on its
+    own: the same integer as ``SeedSequence(root_seed).spawn(n)[i]`` for any
+    n > i, without spawning the children before it."""
+    child = np.random.SeedSequence(root_seed, spawn_key=(i,))
+    return int(child.generate_state(1)[0])
 
 
 def _weight_stats(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray):
@@ -458,9 +462,13 @@ def _joint_support_ascent(channel, outputs, states: np.ndarray,
     the gradient in psi_i is p_i times that of S(Psi(psi_i psi_i*), sigma)
     at the current sigma: one batched objective call per step. All states
     share one step size, and a step is kept only when chi, with sigma
-    recomputed for the candidate states, improves. At most JOINT_STEPS
-    steps are taken: the step only has to break up twin support states,
-    and the witness search does the rest.
+    recomputed for the candidate states, improves. The ascent stops once
+    every row of the weighted tangent gradient is below GRAD_TOL (the stop
+    rule of ``ascend_lockstep``), when no step of at least MIN_STEP
+    improves, or after JOINT_STEPS steps: the step only has to break up
+    twin support states, and the witness search does the rest. At an
+    optimal support the first gradient is already below GRAD_TOL, so no
+    candidate is evaluated and ``states`` itself is returned.
     """
     def value(states):
         outs = outputs(states)
@@ -472,6 +480,8 @@ def _joint_support_ascent(channel, outputs, states: np.ndarray,
         sigma = hermitize(np.tensordot(probs, outs, axes=1))
         _, grad = relative_entropy_objective(channel, sigma)(states)
         direction = probs[:, None] * tangent_part(states, grad)
+        if np.linalg.norm(direction, axis=1).max() < GRAD_TOL:
+            break
         while step >= MIN_STEP:
             cand = unit_rows(states + step * direction)
             cand_chi, cand_outs = value(cand)
@@ -491,21 +501,25 @@ def holevo_quantity(channel, seed: int = 0,
 
     The support holds at most d^2 + d pure states (d^2 suffice for an
     optimal ensemble). Per round: projected Newton steps that equalize the
-    weights of the fixed support, a joint gradient step on the support
-    states, then a multi-start ascent of S(Psi(rho), Psi(rho_bar)); if the
-    best found state beats the ensemble value by less than CERT_TOL the
-    ensemble is equalized and optimal to that tolerance, otherwise the state
-    enters the support, displacing the lightest member when full. The
-    certificate alone decides ``converged``, so a stalled weight solve shows
-    as a gap: unless a later round closes it, the run ends not converged
-    after max_outer rounds. Non-convergence is reported, not raised.
+    weights of the fixed support, a joint gradient ascent on the support
+    states (which returns at once when the support is already stationary,
+    as an optimal one is), then a multi-start ascent of
+    S(Psi(rho), Psi(rho_bar)); if the best found state beats the ensemble
+    value by less than CERT_TOL the ensemble is equalized and optimal to
+    that tolerance, otherwise the state enters the support, displacing the
+    lightest member when full. The certificate alone decides
+    ``converged``, so a stalled weight solve shows as a gap: unless a later
+    round closes it, the run ends not converged after max_outer rounds.
+    Non-convergence is reported, not raised.
     """
     dim = channel.dim_in
     # d^2 states suffice for the optimum; the extra slots give iterates
     # room before any support member has to be evicted.
     cap = dim * dim + dim
-    seeds = _seed_ints(seed, max_outer + 2)
-    rng = np.random.default_rng(seeds[0])
+    # Child i of the root seed seeds round i's witness search; child 0 the
+    # initial support and child max_outer + 1 every final certificate.
+    rng = np.random.default_rng(_seed_int(seed, 0))
+    final_seed = _seed_int(seed, max_outer + 1)
     outputs, _ = pure_output_maps(channel)
 
     states = list(np.eye(dim, dtype=complex))
@@ -540,13 +554,13 @@ def holevo_quantity(channel, seed: int = 0,
         if thin.size == dim:
             starts.append(thin)
         sup = maximize_over_pure_states(objective, dim, restarts=SUP_RESTARTS,
-                                        seed=seeds[outer],
+                                        seed=_seed_int(seed, outer),
                                         extra_starts=starts, max_iter=600)
         gap = sup.value - chi
         if gap < CERT_TOL:
             final = maximize_over_pure_states(objective, dim,
                                               restarts=FINAL_RESTARTS,
-                                              seed=seeds[-1],
+                                              seed=final_seed,
                                               extra_starts=list(states) + starts)
             gap = max(gap, final.value - chi)
             if gap < CERT_TOL:
@@ -567,7 +581,7 @@ def holevo_quantity(channel, seed: int = 0,
         states, probs, sigma, chi = _settle_weights(states, probs, outputs)
         final = maximize_over_pure_states(
             relative_entropy_objective(channel, sigma), dim,
-            restarts=FINAL_RESTARTS, seed=seeds[-1],
+            restarts=FINAL_RESTARTS, seed=final_seed,
             extra_starts=list(states))
         gap = final.value - chi
         converged = bool(gap < CERT_TOL)

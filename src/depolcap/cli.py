@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -596,8 +597,20 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser that also reads a negative number in exponent
+    notation (-1e-05, -2.5E+3) as a value; argparse's own pattern takes
+    only -1 and -0.5 forms and would read "-1e-05" as an unknown option.
+    Subparsers are built with the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="depolcap",
         description="depolarizing-channel capacity toolkit")
     parser.add_argument("--version", action="version",

@@ -23,7 +23,9 @@ from depolcap.capacity import (
     shannon_capacity_fixed,
     tensor_relative_entropy_bound,
     transition_matrix,
+    _joint_support_ascent,
     _own_terms,
+    _seed_int,
     _solve_weights,
 )
 from depolcap.core import (
@@ -314,6 +316,28 @@ class TestHolevoQuantity:
         assert result.converged
         assert len(calls) <= 1500
 
+    # Frozen bit for bit: the joint ascent's idle stop and the per-round
+    # seeds only skip work, so no value may move.
+    def test_frozen_verify_qutrit_partner(self):
+        partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
+        result = holevo_quantity(partner, seed=child_seed(0, 7, 1))
+        assert result.chi == 0.8378048329142747
+        assert result.certificate_gap == 3.472622500666489e-08
+        assert result.outer_iterations == 7 and result.converged
+
+    def test_frozen_six_dim_depolarizing(self):
+        result = holevo_quantity(DepolarizingChannel(6, 0.5), seed=0)
+        assert result.chi == 0.44196707305565436
+        assert result.outer_iterations == 1 and result.converged
+
+    def test_frozen_short_budget_run(self):
+        # max_outer = 30 puts the final certificate's seed at child 31.
+        result = holevo_quantity(random_channel(3, 3, 2, seed=72), seed=72,
+                                 max_outer=30)
+        assert result.chi == 0.8185568269276159
+        assert result.certificate_gap == 1.5062781577590556e-08
+        assert result.outer_iterations == 7 and result.converged
+
 
 def _amplitude_damping(gamma):
     return Channel([np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
@@ -415,6 +439,39 @@ class TestWeightSolver:
         probs, value, divs = _settle(ch, states)
         assert divs.max() - value < 1e-12
         assert len(weight_evaluations) <= 50
+
+
+class TestHolevoRoundWork:
+    @pytest.mark.parametrize("root", [0, 1, 12345, 2**40 + 7])
+    def test_round_seed_matches_spawned_child(self, root):
+        n = 202
+        children = np.random.SeedSequence(root).spawn(n)
+        for i in (0, 1, n - 1):
+            assert _seed_int(root, i) == int(children[i].generate_state(1)[0])
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_joint_ascent_is_idle_at_an_optimal_support(self, dim,
+                                                        weight_evaluations):
+        # The uniform basis ensemble is optimal for Delta_d, so the tangent
+        # gradient vanishes: only the input's own value is evaluated and
+        # the input comes back unchanged.
+        ch = DepolarizingChannel(dim, 0.5)
+        states = np.eye(dim, dtype=complex)
+        probs = np.full(dim, 1.0 / dim)
+        moved = _joint_support_ascent(ch, pure_output_maps(ch)[0], states,
+                                      probs)
+        assert moved is states
+        assert len(weight_evaluations) == 1
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_weight_evaluation_budget_on_the_capacity_grid(
+            self, dim, lam, weight_evaluations):
+        # Every run here is certified in its first round, where the joint
+        # ascent stops at its first gradient: at most 12 evaluations.
+        result = holevo_quantity(DepolarizingChannel(dim, lam), seed=0)
+        assert result.converged
+        assert len(weight_evaluations) <= 15
 
 
 class TestOpwswCertificate:

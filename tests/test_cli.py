@@ -197,6 +197,15 @@ class TestExitCodes:
         code, _, _ = run_cli(["measures", "--config", str(cfg)], capsys)
         assert code == 2
 
+    def test_negative_lambda_in_exponent_notation(self, capsys):
+        reports = []
+        for spelling in ("-1e-05", "-0.00001"):
+            code, out, _ = run_cli(["measures", "--dims", "2", "--lambdas",
+                                    spelling, "--p-grid", "2"], capsys)
+            assert code == 0
+            reports.append(strip_timestamp(out))
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("argv", [
         ["measures", "--unchecked-lambda", "--lambdas", "nan"],
         ["verify", "--unchecked-lambda", "--lambdas", "inf"],
@@ -443,6 +452,23 @@ class TestCapacityContent:
                 if r["name"] == "capacity-monotone"][0]
         assert mono["passed"]
         assert mono["values"]["min_increment"] >= -1e-12
+
+    def test_full_dimension_sweep(self, capsys):
+        # The largest optimizer supports: 36 basis states at d = 6, lambda
+        # = 0, where the joint support ascent must stop at once.
+        code, out, _ = run_cli(["capacity", "--dims", "2", "3", "4", "5",
+                                "6"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["summary"]["passed"] == report["summary"]["total"] == 30
+        rows = [r for r in report["records"] if r["name"] == "capacity-chain"]
+        assert len(rows) == 25
+        for row in rows:
+            assert row["passed"] and row["values"]["converged"] is True
+            assert (abs(row["values"]["capacity_gap"])
+                    <= DEFAULT_TOLERANCES["capacity_chain"])
+            assert (abs(row["values"]["holevo_gap"])
+                    <= DEFAULT_TOLERANCES["holevo_agreement"])
 
     def test_out_of_range_lambda_skipped_with_warning(self, capsys):
         # A skipped check verified nothing, so it does not count as a pass.
@@ -802,9 +828,7 @@ def valid_run_case(draw):
         argv += ["--config", "{config}"]
     for flag, values in (("--lambdas", VALID_LAMBDAS), ("--p-grid", VALID_PS)):
         if draw(st.booleans()):
-            # Positional notation: argparse reads "-1e-05" as an option.
-            argv += [flag] + [np.format_float_positional(v)
-                              for v in draw(values)]
+            argv += [flag] + [repr(v) for v in draw(values)]
     if draw(st.booleans()):
         argv += ["--trials", str(draw(st.integers(1, 5)))]
     if draw(st.booleans()):
