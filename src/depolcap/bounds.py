@@ -69,6 +69,11 @@ class InequalityCheck:
     def slack(self) -> float:
         return self.rhs - self.lhs
 
+    @property
+    def relative_slack(self) -> float:
+        """slack / rhs where rhs > 0, else the slack itself."""
+        return _scalar_or_stack(self.slack / np.where(self.rhs > 0.0, self.rhs, 1.0))
+
 
 @dataclass(frozen=True)
 class EqualityCheck:
@@ -293,11 +298,10 @@ def pure_output_maps(channel):
     and one product beats a sum over Kraus conjugations at these dimensions.
     """
     superop = channel.superoperator()
-    dim_out = math.isqrt(superop.shape[0])
-    dim_in = math.isqrt(superop.shape[1])
     # Row-major vectorization: vec(Psi(x)) = S vec(x) and
     # vec(Psi^dag(y)) = S^dag vec(y), applied here to row stacks.
     forward, backward = superop.T, superop.conj()
+    dim_out, dim_in = channel.dim_out, channel.dim_in
 
     def outputs(psi: np.ndarray) -> np.ndarray:
         rho = psi[:, :, None] * psi[:, None, :].conj()

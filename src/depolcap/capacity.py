@@ -58,8 +58,12 @@ from .bounds import (
 from .depolarizing import DepolarizingChannel
 from .optimize import (
     GRAD_TOL,
+    INITIAL_STEP,
     MIN_GAIN,
     MIN_STEP,
+    _bfgs_update,
+    _project,
+    _real,
     maximize_over_pure_states,
     tangent_part,
     unit_rows,
@@ -454,44 +458,50 @@ def _settle_weights(states: np.ndarray, probs: np.ndarray, outputs):
 
 def _joint_support_ascent(channel, outputs, states: np.ndarray,
                           probs: np.ndarray) -> np.ndarray:
-    """Projected gradient ascent of the ensemble value
+    """Riemannian BFGS ascent of the ensemble value
     chi(psi) = sum_i p_i S(Psi(psi_i psi_i*), sigma(psi)) over all support
-    states at once, at fixed weights.
-
+    states at once, at fixed weights, by the rules of ``ascend_lockstep``:
+    the support (n, d) is one point of R^{2nd} on the product of spheres.
     For a trace-preserving channel the sigma-derivative terms cancel, so
     the gradient in psi_i is p_i times that of S(Psi(psi_i psi_i*), sigma)
-    at the current sigma: one batched objective call per step. All states
-    share one step size, and a step is kept only when chi, with sigma
-    recomputed for the candidate states, improves. The ascent stops once
-    every row of the weighted tangent gradient is below GRAD_TOL (the stop
-    rule of ``ascend_lockstep``), when no step of at least MIN_STEP
-    improves, or after JOINT_STEPS steps: the step only has to break up
-    twin support states, and the witness search does the rest. At an
-    optimal support the first gradient is already below GRAD_TOL, so no
-    candidate is evaluated and ``states`` itself is returned.
+    at the current sigma. The ascent stops once every row of the weighted
+    tangent gradient is below GRAD_TOL, when no step of at least MIN_STEP
+    gains MIN_GAIN, or after JOINT_STEPS line searches; at an optimal
+    support it evaluates no candidate, allocates no inverse Hessian and
+    returns ``states`` itself.
     """
     def value(states):
         outs = outputs(states)
         return _weight_stats(probs, outs, _own_terms(outs))[0], outs
 
     chi, outs = value(states)
-    step = 0.5
+    inv_hess = None
     for _ in range(JOINT_STEPS):
         sigma = hermitize(np.tensordot(probs, outs, axes=1))
         _, grad = relative_entropy_objective(channel, sigma)(states)
-        direction = probs[:, None] * tangent_part(states, grad)
-        if np.linalg.norm(direction, axis=1).max() < GRAD_TOL:
+        grad = probs[:, None] * tangent_part(states, grad)
+        if np.linalg.norm(grad, axis=1).max() < GRAD_TOL:
             break
-        while step >= MIN_STEP:
-            cand = unit_rows(states + step * direction)
+        if inv_hess is None:
+            inv_hess = INITIAL_STEP * np.eye(2 * grad.size)[None]
+            scaled = np.zeros(1, dtype=bool)
+            direction = INITIAL_STEP * grad
+        else:
+            s, y = _project(states, alpha * direction), _project(states, last) - grad
+            _bfgs_update(inv_hess, scaled, np.zeros(1, dtype=int),
+                         _real(s).reshape(1, -1), _real(y).reshape(1, -1))
+            step = inv_hess[0] @ _real(grad).reshape(-1)
+            direction = _project(states, step.view(complex).reshape(states.shape))
+        alpha = 1.0
+        while True:
+            cand = unit_rows(states + alpha * direction)
             cand_chi, cand_outs = value(cand)
             if cand_chi > chi + MIN_GAIN:
-                states, chi, outs = cand, cand_chi, cand_outs
-                step = min(step * 1.5, 1e3)
                 break
-            step *= 0.5
-        else:
-            break
+            alpha *= 0.5
+            if alpha * np.linalg.norm(direction) < MIN_STEP:
+                return states
+        states, chi, outs, last = cand, cand_chi, cand_outs, grad
     return states
 
 
@@ -501,9 +511,9 @@ def holevo_quantity(channel, seed: int = 0,
 
     The support holds at most d^2 + d pure states (d^2 suffice for an
     optimal ensemble). Per round: projected Newton steps that equalize the
-    weights of the fixed support, a joint gradient ascent on the support
-    states (which returns at once when the support is already stationary,
-    as an optimal one is), then a multi-start ascent of
+    weights of the fixed support, a joint Riemannian BFGS ascent on the
+    support states (which returns at once when the support is already
+    stationary, as an optimal one is), then a multi-start ascent of
     S(Psi(rho), Psi(rho_bar)); if the best found state beats the ensemble
     value by less than CERT_TOL the ensemble is equalized and optimal to
     that tolerance, otherwise the state enters the support, displacing the
@@ -613,17 +623,16 @@ def opwsw_certificate(channel, omega, restarts: int = 64, seed: int = 0
     the value by at most SUPPORT_MASS_TOL * |ln LOG_FLOOR|, about 4e-9.
     """
     sigma = hermitize(channel.apply_matrix(np.asarray(omega, dtype=complex)))
-    dim = channel.dim_in
     w, u = np.linalg.eigh(sigma)
     if w[0] <= SUPPORT_EIG_CUTOFF:
         null = u[:, w <= SUPPORT_EIG_CUTOFF]
         # The largest output mass on the null space, max_rho Tr[P Psi(rho)],
         # is the top eigenvalue of Psi^dag(P) for the null projector P.
-        leak = (null @ null.conj().T).reshape(-1) @ channel.superoperator().conj()
-        if np.linalg.eigvalsh(hermitize(leak.reshape(dim, dim)))[-1] > SUPPORT_MASS_TOL:
+        leak = channel.adjoint_apply_matrix(null @ null.conj().T)
+        if np.linalg.eigvalsh(hermitize(leak))[-1] > SUPPORT_MASS_TOL:
             raise SupportError("an output leaves the support of the reference output")
     best = maximize_over_pure_states(relative_entropy_objective(channel, sigma),
-                                     dim, restarts=restarts, seed=seed)
+                                     channel.dim_in, restarts=restarts, seed=seed)
     return CertificateResult(value=best.value, witness=PureState(best.state))
 
 
@@ -715,15 +724,15 @@ class AdditivityCheck:
 
 
 def chi_additivity_check(dep: DepolarizingChannel, psi: Channel,
+                         psi_result: HolevoResult,
                          seed: int = 0) -> AdditivityCheck:
     """chi*(Delta (x) Psi) bracketed against chi*(Delta) + chi*(Psi).
 
-    The factor sum is the lower side (product ensembles). ``chi_product`` is
-    the min-max upper side sup_rho S((Delta (x) Psi) rho, I/d (x) Psi(omega*))
-    with omega* the optimal average input of Psi, so no optimizer runs on
-    the product channel; ``converged`` covers the two factor runs."""
+    The factor sum is the lower side, chi*(Psi) being ``psi_result.chi``;
+    ``chi_product`` is the min-max upper side sup_rho S((Delta (x) Psi) rho,
+    I/d (x) Psi(omega*)), omega* the average input of ``psi_result``, so no
+    optimizer runs on Psi or the product; ``converged`` covers both runs."""
     delta_result = holevo_quantity(dep, seed=seed)
-    psi_result = holevo_quantity(psi, seed=seed + 1)
     omega = np.kron(np.eye(dep.dim) / dep.dim,
                     np.asarray(psi_result.average_input))
     upper = opwsw_certificate(tensor_channel(dep.kraus_channel(), psi), omega,

@@ -247,8 +247,8 @@ def cmd_verify(config: RunConfig) -> Report:
         for i_p, p in enumerate(config.p_grid):
             seed = child_seed(root, 1, i_d, i_p)
             pairs = random_psd_matrices(d, seed, (trials, 2))
-            slack = lieb_thirring_check(pairs[:, 0], pairs[:, 1], p).slack
-            # A NaN slack (the powers overflowed) is the minimum, and fails.
+            slack = lieb_thirring_check(pairs[:, 0], pairs[:, 1], p).relative_slack
+            # Relative to rhs (1e96 at p = 50); a NaN slack is the minimum, and fails.
             worst = int(np.argmin(slack))
             min_slack = float(slack[worst])
             records.append(_family_record(
@@ -389,8 +389,9 @@ def cmd_verify(config: RunConfig) -> Report:
                     ("random-qubit", psis[2])]
         for i, (label, partner) in enumerate(partners):
             seed = child_seed(root, 10, i)
+            psi_result = holevo_cache[2] if i else holevo_quantity(partner, seed=seed + 1)
             chk = chi_additivity_check(DepolarizingChannel(2, lam_mid),
-                                       partner, seed=seed)
+                                       partner, psi_result, seed=seed)
             warning = None if chk.converged else "optimizer did not converge"
             passed = (abs(chk.gap) <= add_tol
                       and (chk.converged or not config.strict))
@@ -497,8 +498,8 @@ def _replay_check(data: dict):
         if any(np.shape(mats[k]) != (dim, dim) for k in ("a", "b")):
             raise ConfigError(f"witness matrices a and b must be {dim} x {dim}")
         chk = lieb_thirring_check(mats["a"], mats["b"], inputs["p"])
-        return (name, inputs, {"lhs": chk.lhs, "rhs": chk.rhs}, chk.slack,
-                chk.slack >= -scalars["tolerance"])
+        return (name, inputs, {"lhs": chk.lhs, "rhs": chk.rhs}, chk.relative_slack,
+                chk.relative_slack >= -scalars["tolerance"])
     if name not in ("tensor-output-norm-bound", "local-unitary-invariance",
                     "nu-p-multiplicativity", "relative-entropy-tensor-bound"):
         raise ConfigError(f"witness file names unknown check {name!r}")

@@ -7,10 +7,10 @@ are computed in nats throughout; :func:`nats_to_bits` is the one
 presentation-layer conversion.
 
 Every channel class shares one protocol. :class:`LinearMap` is the base: a
-subclass supplies ``dim_in``, ``dim_out``, ``apply_matrix`` (the raw linear
-action on a matrix or a stack) and ``superoperator()``, and inherits the
-action on a state (``ch(rho)``, with a dimension check) and the normalized
-Choi matrix ``choi()``. :class:`Channel` is an arbitrary Kraus channel.
+subclass supplies ``dim_in``, ``dim_out`` and ``superoperator()``, through
+which ``apply_matrix`` (on a matrix or a stack; closed forms override it)
+and its adjoint act, and inherits ``ch(rho)`` (with a dimension check) and
+the Choi matrix ``choi()``. :class:`Channel` is an arbitrary Kraus channel.
 :class:`LambdaChannel` is the base of the one-parameter families on C^dim
 (the depolarizing channel, the phase dampers and the intermediate map
 Omega): each names its complete-positivity edge ``lam_min(dim)``, the
@@ -85,7 +85,10 @@ def _scalar_or_stack(x):
 
 def check_states(m: np.ndarray) -> None:
     """Raise InvalidStateError unless ``m``, or each matrix of a stack, is
-    Hermitian, of unit trace and PSD within TAU_HERM, TAU_TRACE, TAU_PSD."""
+    finite, Hermitian, of unit trace and PSD within TAU_HERM, TAU_TRACE,
+    TAU_PSD; the spectrum decides PSD only if Cholesky of m + TAU_PSD I fails."""
+    if not np.isfinite(m).all():
+        raise InvalidStateError("matrix has a non-finite entry")
     defect = herm_defect(m)
     if defect > TAU_HERM:
         raise InvalidStateError(
@@ -94,10 +97,13 @@ def check_states(m: np.ndarray) -> None:
     if worst > TAU_TRACE:
         raise InvalidStateError(
             f"trace deviates from 1 by {worst:.3e}, beyond {TAU_TRACE:.0e}")
-    w = np.linalg.eigvalsh(hermitize(m))
-    if w[..., 0].min() < -TAU_PSD:
-        raise InvalidStateError(
-            f"matrix is not PSD: min eigenvalue {w[..., 0].min():.3e} < -{TAU_PSD:.0e}")
+    try:
+        np.linalg.cholesky(hermitize(m) + TAU_PSD * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(hermitize(m))[..., 0].min()
+        if w < -TAU_PSD:
+            raise InvalidStateError(
+                f"matrix is not PSD: min eigenvalue {w:.3e} < -{TAU_PSD:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +162,23 @@ class PureState:
 class LinearMap:
     """A linear map on matrices; the protocol every channel class shares.
 
-    Subclasses set ``dim_in`` and ``dim_out`` and define ``apply_matrix``
-    and ``superoperator()``; the action on a state and the Choi matrix are
-    derived from ``apply_matrix`` here.
+    Subclasses set ``dim_in``, ``dim_out`` and ``superoperator()``, through
+    which the map and its adjoint act unless a closed form overrides
+    ``apply_matrix``, from which the action on a state and ``choi()`` follow.
     """
 
     dim_in: int
     dim_out: int
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def superoperator(self) -> np.ndarray:
         """Matrix of the map on row-major vectorized inputs."""
         raise NotImplementedError
+
+    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        """Apply to a raw matrix or a stack; the result is not validated."""
+        m = np.asarray(mat)
+        out = m.reshape(m.shape[:-2] + (-1,)) @ self.superoperator().T
+        return out.reshape(m.shape[:-2] + (self.dim_out, self.dim_out))
 
     def __call__(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply to a state; the output is validated as a state."""
@@ -182,6 +191,12 @@ class LinearMap:
     def choi(self) -> np.ndarray:
         return choi_matrix(self.apply_matrix, self.dim_in)
 
+    def adjoint_apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        """Apply the adjoint (Heisenberg-picture) map to a matrix or a stack."""
+        m = np.asarray(mat)
+        out = m.reshape(m.shape[:-2] + (-1,)) @ self.superoperator().conj()
+        return out.reshape(m.shape[:-2] + (self.dim_in, self.dim_in))
+
 
 class Channel(LinearMap):
     """A completely positive trace-preserving map in Kraus form.
@@ -189,7 +204,7 @@ class Channel(LinearMap):
     Complete positivity is automatic from the Kraus representation; trace
     preservation (sum K_i^dag K_i = I) is checked at construction. The
     superoperator matrix acting on row-major vectorized inputs is built on
-    demand and cached.
+    demand and cached; the map acts through it, one product per stack.
     """
 
     def __init__(self, kraus_ops: Iterable[np.ndarray]) -> None:
@@ -211,19 +226,10 @@ class Channel(LinearMap):
         self._superoperator: np.ndarray | None = None
 
     def superoperator(self) -> np.ndarray:
-        # Kept on the instance: the Holevo optimizer asks for it once per
-        # outer round.
+        # Kept on the instance: every action of the channel goes through it.
         if self._superoperator is None:
             self._superoperator = _freeze(kraus_superoperator(self.kraus_ops))
         return self._superoperator
-
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Apply to a raw matrix without validating the result as a state."""
-        return sum(k @ mat @ k.conj().T for k in self.kraus_ops)
-
-    def adjoint_apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Apply the adjoint (Heisenberg-picture) map to a raw matrix."""
-        return sum(k.conj().T @ mat @ k for k in self.kraus_ops)
 
     def __repr__(self) -> str:
         return (f"Channel(dim_in={self.dim_in}, dim_out={self.dim_out}, "

@@ -152,6 +152,7 @@ def test_07_holevo_additivity():
                 random_channel(2, 2, 2, seed=51)]
     for i, partner in enumerate(partners):
         chk = chi_additivity_check(DepolarizingChannel(2, 0.5), partner,
+                                   holevo_quantity(partner, seed=61 + i),
                                    seed=60 + i)
         assert chk.converged, "equalization certificate did not close"
         assert -1e-4 <= chk.gap <= 1e-4

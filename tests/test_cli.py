@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from depolcap import cli
+from depolcap import capacity, cli
 from depolcap.bounds import InequalityCheck
 from depolcap.cli import main, run_replay
 from depolcap.core import (
@@ -496,6 +496,23 @@ class TestVerifyContent:
                          "chi-additivity"}
         assert report["summary"]["failed"] == 0
 
+    def test_one_holevo_run_per_partner(self, capsys, monkeypatch):
+        # One run per partner: the Psi of d' = 2 and 3, Delta_2 for each
+        # chi-additivity row, and the Delta_2(0.7) partner. The random
+        # qubit row reuses its Psi's run.
+        calls = []
+        real = cli.holevo_quantity
+
+        def counted(channel, *args, **kwargs):
+            calls.append(channel)
+            return real(channel, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "holevo_quantity", counted)
+        monkeypatch.setattr(capacity, "holevo_quantity", counted)
+        code, _, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        assert len(calls) == 5
+
     def test_nan_slack_fails_its_row(self, capsys, monkeypatch):
         # A NaN slack can show nothing and must not pass. Large p no longer
         # produces one (test_lieb_thirring_holds_at_large_p), so one trial's
@@ -518,6 +535,36 @@ class TestVerifyContent:
         assert not rows[3]["passed"]
         assert all(r["passed"] is False for r in rows.values()
                    if r["values"]["min_slack"] is None)
+
+    def test_lieb_thirring_slack_is_relative(self, capsys, monkeypatch):
+        # Commuting pairs meet the trace inequality with equality. With
+        # spectra in [0.2, 0.5] both sides are below 1e-30 at p = 50, so an
+        # absolute slack would let a relative error of 1e-9 in lhs pass.
+        # Both spectra ascend, so the top eigenvectors coincide and
+        # rhs = Tr A^p B^p is accurate.
+        u = random_unitaries(3, 4, 1)[0]
+        spectra = np.sort(np.random.default_rng(6).uniform(0.2, 0.5, (5, 2, 3)))
+        pairs = (u * spectra[..., None, :]) @ u.conj().T
+        monkeypatch.setattr(cli, "random_psd_matrices",
+                            lambda d, seed, lead: pairs)
+        args = ["verify", "--dims", "3", "--lambdas", "0.5", "--p-grid", "50",
+                "--trials", "5"]
+
+        def lieb_thirring_row():
+            report = json.loads(run_cli(args, capsys)[1])
+            return next(r for r in report["records"]
+                        if r["name"] == "lieb-thirring")
+
+        exact = lieb_thirring_row()
+        assert exact["passed"] and abs(exact["values"]["min_slack"]) < 1e-12
+        real = cli.lieb_thirring_check
+        monkeypatch.setattr(cli, "lieb_thirring_check", lambda a, b, p: (
+            lambda chk: InequalityCheck(lhs=chk.lhs * (1.0 + 1e-9),
+                                        rhs=chk.rhs))(real(a, b, p)))
+        perturbed = lieb_thirring_row()
+        assert not perturbed["passed"]
+        assert perturbed["values"]["min_slack"] == pytest.approx(-1e-9,
+                                                                 rel=1e-3)
 
     def test_lieb_thirring_holds_at_large_p(self, capsys):
         # Tr A^p B^p overflowed to a NaN slack here until the pairs were
@@ -655,6 +702,30 @@ class TestReplay:
             failed["values"]["max_norm"], abs=1e-12)
         assert record["values"]["bound"] == pytest.approx(
             failed["values"]["bound"], abs=1e-12)
+
+    def test_lieb_thirring_replay_slack_is_relative(self, tmp_path,
+                                                     monkeypatch):
+        # A commuting pair at p = 50, where both sides are about 1e-30.
+        # Its top eigenvectors coincide, so rhs = Tr A^p B^p is accurate.
+        u = random_unitaries(3, 4, 1)[0]
+        a = (u * [0.2, 0.3, 0.5]) @ u.conj().T
+        b = (u * [0.2, 0.4, 0.5]) @ u.conj().T
+        path = tmp_path / "lt.json"
+        path.write_text(json.dumps({
+            "check": "lieb-thirring", "inputs": {"dim": 3, "p": 50.0},
+            "seed": 0, "matrices": {"a": serialize_matrix(a),
+                                    "b": serialize_matrix(b)},
+            "scalars": {"tolerance": 1e-10}}))
+        record, passed = run_replay(str(path))
+        assert passed and abs(record["slack"]) < 1e-12
+        real = cli.lieb_thirring_check
+        monkeypatch.setattr(cli, "lieb_thirring_check", lambda a, b, p: (
+            lambda chk: InequalityCheck(lhs=chk.lhs * (1.0 + 1e-9),
+                                        rhs=chk.rhs))(real(a, b, p)))
+        record, passed = run_replay(str(path))
+        assert not passed
+        assert record["slack"] == pytest.approx(-1e-9, rel=1e-3)
+        assert type(record["slack"]) is float
 
     # A dim outside 2..6, or matrices that are not dim x dim.
     @pytest.mark.parametrize("dim, a_dim, b_dim", [(50, 9, 9), (1, 1, 1),

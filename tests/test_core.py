@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,19 @@ class TestDensityMatrix:
         with pytest.raises(InvalidStateError, match="square"):
             DensityMatrix(np.ones((2, 3)))
 
+    # Every comparison with NaN is false, so each of these once passed all
+    # three tests; the non-finite check comes first, before any arithmetic
+    # on the entries could warn.
+    @pytest.mark.parametrize("matrix", [
+        np.full((2, 2), np.nan),
+        [[np.inf, 0.0], [0.0, -np.inf]],
+        [[0.5, np.nan], [np.nan, 0.5]],
+        [[0.5, 1j * np.inf], [-1j * np.inf, 0.5]],
+    ], ids=["all-nan", "inf-diagonal", "nan-coherence", "inf-coherence"])
+    def test_rejects_non_finite_entries(self, matrix):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            DensityMatrix(matrix)
+
 
 class TestPureState:
     def test_valid_and_projector(self):
@@ -154,6 +168,31 @@ class TestChannel:
         rho = np.asarray(random_density_matrix(3, seed=12))
         via_super = (ch.superoperator() @ rho.reshape(-1)).reshape(3, 3)
         assert np.allclose(via_super, ch.apply_matrix(rho), atol=1e-13)
+
+    # The action goes through the superoperator; the reference is the Kraus
+    # sum, on a single matrix, a stack, and a stack whose matrix axes were
+    # moved (not contiguous), for a channel that keeps its dimension and
+    # one that maps C^3 to C^2.
+    @pytest.mark.parametrize("dim_out", [3, 2])
+    @pytest.mark.parametrize("layout", ["single", "stack", "moved-axis"])
+    def test_action_and_adjoint_match_kraus_sums(self, dim_out, layout):
+        ch = random_channel(3, dim_out, 3, seed=16)
+        rng = np.random.default_rng(17)
+
+        def matrices(dim):
+            shape = {"single": (dim, dim), "stack": (4, dim, dim),
+                     "moved-axis": (dim, 4, dim)}[layout]
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return np.moveaxis(m, 0, 1) if layout == "moved-axis" else m
+
+        m_in, m_out = matrices(3), matrices(dim_out)
+        assert m_in.flags.c_contiguous == (layout != "moved-axis")
+        ref = sum(k @ m_in @ k.conj().T for k in ch.kraus_ops)
+        adj_ref = sum(k.conj().T @ m_out @ k for k in ch.kraus_ops)
+        out, adj = ch.apply_matrix(m_in), ch.adjoint_apply_matrix(m_out)
+        assert out.shape == ref.shape and adj.shape == adj_ref.shape
+        assert np.max(np.abs(out - ref)) < 1e-13
+        assert np.max(np.abs(adj - adj_ref)) < 1e-13
 
     def test_adjoint_is_unital_map_adjoint(self):
         ch = random_channel(3, 3, 3, seed=13)
@@ -400,6 +439,25 @@ class TestStacks:
         bad[2] = 2.0 * stack[2]
         with pytest.raises(InvalidStateError, match="trace"):
             check_states(bad)
+        bad[2] = stack[2]
+        bad[2, 0, 1] = bad[2, 1, 0] = np.nan
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            check_states(bad)
+
+    # A Cholesky factorization of m + TAU_PSD I accepts the stack; where it
+    # fails, the minimum eigenvalue decides, so -TAU_PSD itself passes. The
+    # spectrum of a diagonal matrix is computed exactly.
+    @pytest.mark.parametrize("min_eig, accepted", [
+        (-2e-10, False), (-1e-10, True), (-5e-11, True)])
+    def test_stack_validation_at_the_psd_tolerance(self, min_eig, accepted):
+        stack = random_density_matrices(3, 8, 4)
+        stack[1] = np.diag([0.5 - min_eig, 0.5, min_eig])
+        if accepted:
+            check_states(stack)
+        else:
+            message = "matrix is not PSD: min eigenvalue -2.000e-10 < -1e-10"
+            with pytest.raises(InvalidStateError, match=re.escape(message)):
+                check_states(stack)
 
     def test_norm_and_relative_entropy_take_stacks(self):
         stack = random_density_matrices(4, 7, 5)
