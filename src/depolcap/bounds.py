@@ -45,6 +45,7 @@ from .core import (
     hermitize,
     matrix_power_psd,
     psd_eigenvalues,
+    psd_eigh,
     ptrace_matrix,
     schatten_p_norm,
     spectral_function,
@@ -194,16 +195,22 @@ def lieb_thirring_check(a, b, p: float) -> InequalityCheck:
 
     ``a`` and ``b`` are one pair of matrices, or two stacks ``(T, d, d)``
     of them; for stacks, lhs and rhs hold one value per pair. A matrix whose top
-    eigenvalue m has m^p outside about [1e-100, 1e100] is divided by m first."""
+    eigenvalue m has m^p outside about [1e-100, 1e100] is divided by m first.
+
+    rhs is sum_ij a_i^p b_j^p |<u_i|v_j>|^2 over the eigenpairs (a_i, u_i)
+    of A and (b_j, v_j) of B: a sum of nonnegative terms, so it keeps its
+    relative accuracy when the top eigenvectors of A and B are near
+    orthogonal, where the trace of A^p B^p cancels."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     a, b = (m / _power_scale(psd_eigenvalues(m)[..., -1], 2.0 * p)[..., None, None]
             for m in (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
-    a_half = matrix_power_psd(a, 0.5)
+    (wa, ua), (wb, ub) = psd_eigh(a), psd_eigh(b)
+    a_half = spectral_function(ua, wa ** 0.5)
     inner = psd_eigenvalues(a_half @ b @ a_half)
     lhs = np.sum(inner ** p, axis=-1)
-    rhs = np.real(np.trace(matrix_power_psd(a, p) @ matrix_power_psd(b, p),
-                           axis1=-2, axis2=-1))
+    overlap = np.abs(np.swapaxes(ua.conj(), -1, -2) @ ub) ** 2
+    rhs = np.einsum("...i,...ij,...j->...", wa ** p, overlap, wb ** p)
     return InequalityCheck(lhs=_scalar_or_stack(lhs), rhs=_scalar_or_stack(rhs))
 
 

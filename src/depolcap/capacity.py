@@ -60,10 +60,11 @@ from .optimize import (
     GRAD_TOL,
     INITIAL_STEP,
     MIN_GAIN,
-    MIN_STEP,
     _bfgs_update,
     _project,
     _real,
+    _search_exhausted,
+    _slope,
     maximize_over_pure_states,
     tangent_part,
     unit_rows,
@@ -293,6 +294,17 @@ def holevo_of_ensemble(channel, ensemble: Ensemble) -> float:
     return max(value, 0.0)
 
 
+def _output_logs(outs: np.ndarray):
+    """(-S(out_r), log out_r) for a stack of Hermitian PSD outputs, from
+    one eigendecomposition; the spectrum is floored at LOG_FLOOR inside the
+    logarithm."""
+    w, u = np.linalg.eigh(outs)
+    w = np.clip(w, 0.0, None)
+    log_w = np.log(np.clip(w, LOG_FLOOR, None))
+    own = np.sum(np.where(w > LOG_FLOOR, w * log_w, 0.0), axis=1)
+    return own, spectral_function(u, log_w)
+
+
 def relative_entropy_objective(channel, sigma):
     """Objective S(Psi(psi psi*), sigma) with gradient, on stacks of pure
     inputs; sigma's spectrum is floored so the value stays finite (and
@@ -303,12 +315,9 @@ def relative_entropy_objective(channel, sigma):
 
     def objective(psi: np.ndarray):
         a = outputs(psi)
-        wa, ua = np.linalg.eigh(a)
-        wa = np.clip(wa, 0.0, None)
-        log_wa = np.log(np.clip(wa, LOG_FLOOR, None))
-        own = np.sum(np.where(wa > LOG_FLOOR, wa * log_wa, 0.0), axis=1)
+        own, log_a = _output_logs(a)
         values = own - np.real(np.sum(a.conj() * log_sigma, axis=(1, 2)))
-        return values, pullback(spectral_function(ua, log_wa) - log_sigma, psi)
+        return values, pullback(log_a - log_sigma, psi)
 
     return objective
 
@@ -464,22 +473,27 @@ def _joint_support_ascent(channel, outputs, states: np.ndarray,
     the support (n, d) is one point of R^{2nd} on the product of spheres.
     For a trace-preserving channel the sigma-derivative terms cancel, so
     the gradient in psi_i is p_i times that of S(Psi(psi_i psi_i*), sigma)
-    at the current sigma. The ascent stops once every row of the weighted
-    tangent gradient is below GRAD_TOL, when no step of at least MIN_STEP
-    gains MIN_GAIN, or after JOINT_STEPS line searches; at an optimal
+    at the current sigma. Each candidate is evaluated once, value and
+    weighted tangent gradient together, from one eigendecomposition of the
+    outputs and one of sigma. The ascent stops once every row of the
+    weighted tangent gradient is below GRAD_TOL, when its line search runs
+    out (the next step would be shorter than MIN_STEP or have a first-order
+    gain below MIN_GAIN), or after JOINT_STEPS line searches; at an optimal
     support it evaluates no candidate, allocates no inverse Hessian and
     returns ``states`` itself.
     """
-    def value(states):
-        outs = outputs(states)
-        return _weight_stats(probs, outs, _own_terms(outs))[0], outs
+    _, pullback = pure_output_maps(channel)
 
-    chi, outs = value(states)
+    def evaluate(states):
+        outs = outputs(states)
+        owns, log_outs = _output_logs(outs)
+        chi, _, wc, u = _weight_stats(probs, outs, owns)
+        grad = pullback(log_outs - spectral_function(u, np.log(wc)), states)
+        return chi, probs[:, None] * tangent_part(states, grad)
+
+    chi, grad = evaluate(states)
     inv_hess = None
     for _ in range(JOINT_STEPS):
-        sigma = hermitize(np.tensordot(probs, outs, axes=1))
-        _, grad = relative_entropy_objective(channel, sigma)(states)
-        grad = probs[:, None] * tangent_part(states, grad)
         if np.linalg.norm(grad, axis=1).max() < GRAD_TOL:
             break
         if inv_hess is None:
@@ -492,16 +506,18 @@ def _joint_support_ascent(channel, outputs, states: np.ndarray,
                          _real(s).reshape(1, -1), _real(y).reshape(1, -1))
             step = inv_hess[0] @ _real(grad).reshape(-1)
             direction = _project(states, step.view(complex).reshape(states.shape))
+        flat = direction.reshape(1, -1)
+        slope = _slope(grad.reshape(1, -1), flat)
         alpha = 1.0
         while True:
             cand = unit_rows(states + alpha * direction)
-            cand_chi, cand_outs = value(cand)
+            cand_chi, cand_grad = evaluate(cand)
             if cand_chi > chi + MIN_GAIN:
                 break
             alpha *= 0.5
-            if alpha * np.linalg.norm(direction) < MIN_STEP:
+            if _search_exhausted(alpha, flat, slope)[0]:
                 return states
-        states, chi, outs, last = cand, cand_chi, cand_outs, grad
+        states, chi, grad, last = cand, cand_chi, cand_grad, grad
     return states
 
 

