@@ -323,15 +323,31 @@ def pure_output_maps(channel):
 
 
 def pnorm_power_objective(channel, p: float):
-    """Objective Tr (Psi(psi psi*))^p with its gradient, on stacks of pure
-    inputs; same maximizer as the output p-norm."""
+    """Objective -S_p(Psi(psi psi*)), the negative Renyi p-entropy
+    (p / (p - 1)) ln ||A||_p of the output A, with its gradient, on stacks
+    of pure inputs; same maximizer as the output p-norm. At p = 1 it is
+    the von Neumann limit, ``neg_entropy_objective``.
+
+    Both are evaluated scale-free, from the spectrum w of A over its top
+    eigenvalue m: with S = sum_i (w_i / m)^p >= 1, the value is
+    (p / (p - 1)) (ln m + (ln S) / p) and the gradient
+    (p / (p - 1)) Psi^dag((A/m)^(p-1)) psi / (m S). Both stay of order one
+    at any p > 1: Tr A^p and its gradient p Psi^dag(A^(p-1)) psi fall below
+    the ascent's tolerances, or underflow, once p is in the hundreds, and
+    the gradient of ln ||A||_p vanishes as p approaches 1."""
+    if p == 1.0:
+        return neg_entropy_objective(channel)
     outputs, pullback = pure_output_maps(channel)
+    scale = p / (p - 1.0)
 
     def objective(psi: np.ndarray):
         w, u = np.linalg.eigh(outputs(psi))
-        w = np.clip(w, 0.0, None)
-        grad = p * pullback(spectral_function(u, w ** (p - 1.0)), psi)
-        return np.sum(w ** p, axis=1), grad
+        top = w[:, -1:]
+        x = np.clip(w, 0.0, None) / top
+        power_sum = np.sum(x ** p, axis=1, keepdims=True)
+        grad = pullback(spectral_function(u, x ** (p - 1.0)), psi)
+        values = np.log(top[:, 0]) + np.log(power_sum[:, 0]) / p
+        return scale * values, (scale / (top * power_sum)) * grad
     return objective
 
 
@@ -357,7 +373,9 @@ def max_output_p_norm(channel, p: float, restarts: int = 64,
     best = maximize_over_pure_states(pnorm_power_objective(channel, p),
                                      channel.dim_in,
                                      restarts=restarts, seed=seed)
-    return NumericMeasure(value=best.value ** (1.0 / p), maximizer=best.state,
+    # ||A||_p = exp(-(1 - 1/p) S_p(A)); exactly 1 at p = 1.
+    return NumericMeasure(value=math.exp((1.0 - 1.0 / p) * best.value),
+                          maximizer=best.state,
                           ascent=best)
 
 

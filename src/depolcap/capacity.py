@@ -363,7 +363,9 @@ def _weight_stats(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray):
     w, u = np.linalg.eigh(sigma)
     wc = np.clip(w, LOG_FLOOR, None)
     log_sigma = (u * np.log(wc)) @ u.conj().T
-    divs = owns - np.real(np.einsum("ikl,lk->i", outs, log_sigma))
+    # Tr[out_i log_sigma] as one matrix-vector product on the flattened
+    # outputs: log_sigma is Hermitian, so its transpose is its conjugate.
+    divs = owns - np.real(outs.reshape(len(outs), -1) @ log_sigma.conj().reshape(-1))
     return float(probs @ divs), divs, wc, u
 
 
@@ -377,9 +379,8 @@ def _weight_hessian(wc: np.ndarray, u: np.ndarray, outs: np.ndarray
     near = np.abs(dw) < 1e-12 * np.maximum(wc[:, None], wc[None, :])
     loewner = np.where(near, 2.0 / (wc[:, None] + wc[None, :]),
                        (logw[:, None] - logw[None, :]) / np.where(dw == 0.0, 1.0, dw))
-    rotated = np.einsum("ba,ibc,cd->iad", u.conj(), outs, u)
-    return -np.real(np.einsum("kl,ikl,jkl->ij", loewner,
-                              rotated.conj(), rotated))
+    rotated = (u.conj().T @ outs @ u).reshape(len(outs), -1)
+    return -np.real((rotated.conj() * loewner.reshape(-1)) @ rotated.T)
 
 
 def _solve_weights(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray):
@@ -478,9 +479,11 @@ def _joint_support_ascent(channel, outputs, states: np.ndarray,
     outputs and one of sigma. The ascent stops once every row of the
     weighted tangent gradient is below GRAD_TOL, when its line search runs
     out (the next step would be shorter than MIN_STEP or have a first-order
-    gain below MIN_GAIN), or after JOINT_STEPS line searches; at an optimal
-    support it evaluates no candidate, allocates no inverse Hessian and
-    returns ``states`` itself.
+    gain below MIN_GAIN: unlike ``ascend_lockstep`` it accepts no candidate
+    that only holds the value, since it reports no convergence and the
+    witness search checks the support it returns), or after JOINT_STEPS
+    line searches; at an optimal support it evaluates no candidate,
+    allocates no inverse Hessian and returns ``states`` itself.
     """
     _, pullback = pure_output_maps(channel)
 
@@ -744,16 +747,16 @@ def chi_additivity_check(dep: DepolarizingChannel, psi: Channel,
                          seed: int = 0) -> AdditivityCheck:
     """chi*(Delta (x) Psi) bracketed against chi*(Delta) + chi*(Psi).
 
-    The factor sum is the lower side, chi*(Psi) being ``psi_result.chi``;
-    ``chi_product`` is the min-max upper side sup_rho S((Delta (x) Psi) rho,
-    I/d (x) Psi(omega*)), omega* the average input of ``psi_result``, so no
-    optimizer runs on Psi or the product; ``converged`` covers both runs."""
-    delta_result = holevo_quantity(dep, seed=seed)
+    The factor sum is the lower side, chi*(Delta) in closed form and
+    chi*(Psi) being ``psi_result.chi``; ``chi_product`` is the min-max upper
+    side sup_rho S((Delta (x) Psi) rho, I/d (x) Psi(omega*)), omega* the
+    average input of ``psi_result``, so no Holevo optimizer runs on Delta,
+    Psi or the product; ``converged`` is that of the run on Psi."""
     omega = np.kron(np.eye(dep.dim) / dep.dim,
                     np.asarray(psi_result.average_input))
     upper = opwsw_certificate(tensor_channel(dep.kraus_channel(), psi), omega,
                               seed=seed + 2)
     return AdditivityCheck(chi_product=upper.value,
-                           chi_delta=delta_result.chi,
+                           chi_delta=dep.chi_star(),
                            chi_psi=psi_result.chi,
-                           converged=delta_result.converged and psi_result.converged)
+                           converged=psi_result.converged)

@@ -511,11 +511,6 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(root_seed: int, n: int) -> list[np.random.Generator]:
-    """Independent per-trial generators derived from one root seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(root_seed).spawn(n)]
-
-
 def _ginibre(rng: np.random.Generator, rows: int, cols: int,
              lead: tuple = ()) -> np.ndarray:
     """Complex Ginibre matrices of shape ``lead + (rows, cols)`` from one

@@ -9,9 +9,11 @@ the new point by the tangent projection I - x x^T, and a backtracking line
 search on the retraction x -> (x + a p)/|x + a p| picks the step length.
 Phase invariance of physical objectives makes the quotient by the global
 phase harmless. All starts of a multi-start search advance in lockstep, so
-one objective call serves every start still running. Starting points come
-from independent per-restart generators spawned off one root seed, so
-results are reproducible and restarts are order-independent.
+one objective call serves every start still running. The random starts of
+a search are one Ginibre stack drawn from one generator seeded by the
+search's seed, the stacked form of ``core.random_pure_state``: results are
+reproducible, and the first k starts are the same for any number of
+restarts above k.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import spawn_rngs
+from .core import _ginibre
 
 GRAD_TOL = 1e-8
 MAX_ITER = 2000
@@ -29,7 +31,10 @@ MAX_ITER = 2000
 INITIAL_STEP = 0.5
 MIN_STEP = 1e-14
 # Gains at rounding level would keep a row dithering at the optimum for the
-# whole budget; a step is accepted only when it gains more than this.
+# whole budget; a step is accepted when it gains more than this, or, where
+# its predicted gain is below the value's resolution MIN_GAIN * max(1,
+# |value|), when it holds the value to that resolution and lowers the
+# tangent gradient.
 MIN_GAIN = 1e-15
 # A curvature pair whose s and y are this close to orthogonal is skipped
 # along with those of negative curvature: its update would scale the
@@ -54,8 +59,8 @@ class AscentResult:
     converged: bool
     # Why the ascent ended: "grad_tol" (the tangent gradient fell below
     # grad_tol), "line_search" (the line search ran out: its next step would
-    # be shorter than MIN_STEP, or would have a first-order gain below
-    # MIN_GAIN) or "max_iter".
+    # be shorter than MIN_STEP, or a candidate whose predicted gain was
+    # below the value's resolution was rejected) or "max_iter".
     stop: str
 
 
@@ -133,14 +138,17 @@ def ascend_lockstep(objective: Objective, starts: np.ndarray,
     step is INITIAL_STEP times the tangent gradient g, and later ones are
     p = (I - x x^T) H g. A line search tries x + a p for a = 1, 1/2,
     1/4, ... and accepts the first candidate that gains more than MIN_GAIN.
-    The accepted step s and the gradient change y (both carried to the new
-    point by I - x x^T) update H (see ``_bfgs_update``). A row stops when
-    its tangent gradient norm drops below grad_tol, after max_iter
-    iterations, or when its line search runs out: after a rejected
-    candidate, the next step a |p| would be shorter than MIN_STEP, or its
-    first-order gain a * 2 Re<g, p> would be below MIN_GAIN, so that not
-    even a linear rise would clear the acceptance threshold. The step rule
-    stops a row whose gradient is wrong; the gain rule stops a row near an
+    Once the predicted gain a * 2 Re<g, p> is below the value's resolution
+    MIN_GAIN * max(1, |value|), no candidate can show a gain; such a
+    candidate is accepted instead when it keeps the value within that
+    resolution and has a smaller tangent gradient, so that a row at an
+    optimum exact to rounding still reaches grad_tol. The accepted step s
+    and the gradient change y (both carried to the new point by I - x x^T)
+    update H (see ``_bfgs_update``). A row stops when its tangent gradient
+    norm drops below grad_tol, after max_iter iterations, or when its line
+    search runs out: a candidate below the resolution was rejected, or the
+    next step a |p| would be shorter than MIN_STEP. The step rule stops a
+    row whose gradient is wrong; the resolution rule stops a row near an
     optimum after one or two candidates instead of about 25. ``converged``
     is set only when the gradient norm is below grad_tol. An iteration is
     one line search, however many candidates it tries.
@@ -174,20 +182,25 @@ def ascend_lockstep(objective: Objective, starts: np.ndarray,
             break
         cand = unit_rows(psi[rows] + alpha[rows, None] * direction[rows])
         cand_value, cand_grad = objective(cand)
-        up = cand_value > value[rows] + MIN_GAIN
+        cand_tangent = tangent_part(cand, cand_grad)
+        cand_norm = np.linalg.norm(cand_tangent, axis=1)
+        resolution = MIN_GAIN * np.maximum(1.0, np.abs(value[rows]))
+        flat = alpha[rows] * slope[rows] < resolution
+        up = ((cand_value > value[rows] + MIN_GAIN)
+              | (flat & (cand_value >= value[rows] - resolution)
+                 & (cand_norm < grad_norm[rows])))
         moved, held = rows[up], rows[~up]
 
         alpha[held] *= 0.5
-        stop[held[_search_exhausted(alpha[held], direction[held],
-                                    slope[held])]] = "line_search"
+        short = alpha[held] * np.linalg.norm(direction[held], axis=1) < MIN_STEP
+        stop[held[flat[~up] | short]] = "line_search"
 
-        new = cand[up]
-        new_tangent = tangent_part(new, cand_grad[up])
+        new, new_tangent = cand[up], cand_tangent[up]
         s = _project(new, alpha[moved, None] * direction[moved])
         y = _project(new, tangent[moved]) - new_tangent
         _bfgs_update(inv_hess, scaled, moved, _real(s), _real(y))
         psi[moved], value[moved], tangent[moved] = new, cand_value[up], new_tangent
-        grad_norm[moved] = np.linalg.norm(new_tangent, axis=1)
+        grad_norm[moved] = cand_norm[up]
         step = (inv_hess[moved] @ _real(new_tangent)[:, :, None])[:, :, 0]
         direction[moved] = _project(new, step.view(complex))
         slope[moved] = _slope(new_tangent, direction[moved])
@@ -218,15 +231,13 @@ def maximize_over_pure_states(objective: Objective, dim: int,
                               max_iter: int = MAX_ITER,
                               extra_starts: list[np.ndarray] | None = None
                               ) -> AscentResult:
-    """Best ascent outcome over random restarts plus optional warm starts;
-    the first start reaching the best value wins ties."""
+    """Best ascent outcome over ``restarts`` random starts, drawn as one
+    Ginibre stack from ``np.random.default_rng(seed)``, plus optional warm
+    starts; the first start reaching the best value wins ties."""
     if restarts < 1 and not extra_starts:
         raise ValueError("need at least one start")
-    starts: list[np.ndarray] = []
-    for rng in spawn_rngs(seed, restarts):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        starts.append(v / np.linalg.norm(v))
+    starts = [_ginibre(np.random.default_rng(seed), dim, 1, (restarts,))[..., 0]]
     if extra_starts:
-        starts.extend(np.asarray(s, dtype=complex).reshape(-1) for s in extra_starts)
-    results = ascend_lockstep(objective, np.stack(starts), max_iter=max_iter)
+        starts.extend(np.asarray(s, dtype=complex).reshape(1, -1) for s in extra_starts)
+    results = ascend_lockstep(objective, np.vstack(starts), max_iter=max_iter)
     return max(results, key=lambda r: r.value)

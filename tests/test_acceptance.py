@@ -36,11 +36,11 @@ from depolcap.core import (
     random_bipartite_state,
     random_channel,
     random_density_matrices,
-    spawn_rngs,
 )
 from depolcap.decomposition import diophantine_solutions, full_decomposition
 from depolcap.depolarizing import DepolarizingChannel
 from depolcap.phase_damping import PhaseDampingChannel
+from streams import spawn_rngs
 
 LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 

@@ -37,7 +37,6 @@ from depolcap.core import (
     random_unitaries,
     random_unitary,
     schatten_p_norm,
-    spawn_rngs,
     tensor_channel,
     von_neumann_entropy,
 )
@@ -45,6 +44,7 @@ from depolcap.cli import run_replay
 from depolcap.depolarizing import DepolarizingChannel, lambda_min
 from depolcap.phase_damping import PhaseDampingChannel, damping_lambda_min
 from depolcap.report import child_seed, serialize_matrix
+from streams import spawn_rngs
 
 # Frozen reference: (1-lam)^p + ((d lam + 1 - lam)^p - (1-lam)^p)/d
 # at d=3, lam=0.5, p=2.
@@ -334,10 +334,11 @@ class TestNumericMeasures:
     def test_objective_call_budget_on_the_verify_partners(self, monkeypatch,
                                                           i_dp, dp, budget):
         # nu_1.5 of a default verify's partners, as cmd_verify runs it. The
-        # ascent needs 36 and 26 objective calls here. The budgets sit
-        # below the 56 and 49 calls it needs when its line searches halve
-        # the step down to MIN_STEP near an optimum, so an ascent that
-        # loses the first-order gain stop fails them.
+        # ascent needs 24 and 28 objective calls here. The budgets sit
+        # below the 56 and 51 calls it needs when its line searches halve
+        # the step down to MIN_STEP near an optimum, with neither the
+        # acceptance of a candidate below the value's resolution nor the
+        # stop after one is rejected.
         calls = []
         inner = bounds.pnorm_power_objective
 
@@ -355,6 +356,25 @@ class TestNumericMeasures:
                                     seed=child_seed(0, 5, i_dp, 0))
         assert measure.ascent.converged
         assert len(calls) <= budget
+
+    @pytest.mark.parametrize("p", [3000.0, 1e4, 1e5])
+    @pytest.mark.parametrize("i_dp,dp", [(0, 2), (1, 3)])
+    def test_p_norm_at_large_p_on_the_verify_partners(self, i_dp, dp, p):
+        # Both partners have a pure output, so nu_p = 1. On Tr A^p the
+        # ascent read 0.98886 at p = 3000 and 1e4, marked converged, and
+        # 0.0 at 1e5: the gradient p Psi^dag(A^(p-1)) psi of a random
+        # start is below GRAD_TOL, or underflows.
+        partner = random_channel(dp, dp, 2, seed=child_seed(0, 2, i_dp))
+        measure = max_output_p_norm(partner, p, restarts=32,
+                                    seed=child_seed(0, 5, i_dp, 0))
+        assert abs(measure.value - 1.0) <= 1e-14
+        assert measure.ascent.iterations > 1
+
+    def test_p_norm_at_p_one_is_one(self):
+        # -S_p tends to -S as p -> 1, and the norm exp((1 - 1/p) S_p) to 1.
+        measure = max_output_p_norm(random_channel(3, 3, 2, seed=4), 1.0,
+                                    restarts=4, seed=0)
+        assert measure.value == 1.0
 
     def test_depolarizing_entropy_matches_closed_form(self):
         for lam in (0.25, 0.75):

@@ -35,7 +35,6 @@ from depolcap.core import (
     random_unitary,
     relative_entropy,
     schatten_p_norm,
-    spawn_rngs,
     superoperator_from_action,
     tensor_channel,
     von_neumann_entropy,
@@ -596,10 +595,3 @@ class TestRandomGeneration:
     def test_pure_state_normalized(self):
         psi = random_pure_state(6, seed=8)
         assert abs(np.linalg.norm(np.asarray(psi)) - 1.0) < 1e-13
-
-    def test_spawned_streams_are_independent(self):
-        rngs = spawn_rngs(99, 3)
-        draws = [r.standard_normal(4) for r in rngs]
-        assert not np.allclose(draws[0], draws[1])
-        again = spawn_rngs(99, 3)
-        assert np.array_equal(draws[2], again[2].standard_normal(4))

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from depolcap import capacity
 from depolcap.bounds import neg_entropy_objective, pnorm_power_objective
 from depolcap.capacity import holevo_quantity, relative_entropy_objective
-from depolcap.core import random_channel, random_density_matrix, spawn_rngs
+from depolcap.core import random_channel, random_density_matrix, random_pure_state
+from depolcap.depolarizing import DepolarizingChannel
 from depolcap.optimize import (
     ascend_lockstep,
     ascend_on_sphere,
     maximize_over_pure_states,
 )
 from depolcap.report import child_seed
+from streams import spawn_rngs
 
 VALUE_MATRIX = np.diag([3.0, 2.0, 1.0]).astype(complex)
 UNIFORM_START = np.ones(3, dtype=complex) / np.sqrt(3.0)
@@ -69,16 +72,17 @@ def counted(objective):
 def test_line_search_that_cannot_gain_stops_at_once():
     # Next to the top eigenvector e_0 the tangent gradient is about 2e-8:
     # above GRAD_TOL, but no step can gain more than the value's distance
-    # to the optimum, about 4e-16, less than MIN_GAIN. After the rejected
-    # a = 1 candidate the predicted gain a * 2 Re<g, p> is below MIN_GAIN,
-    # so the search ends there instead of halving a down to MIN_STEP / |p|
-    # (about 20 evaluations).
+    # to the optimum, about 4e-16, less than MIN_GAIN. The predicted gain
+    # a * 2 Re<g, p> of the a = 1 candidate is below the value's
+    # resolution, so the candidate is accepted for holding the value and
+    # lowering the gradient, and the ascent converges in three evaluations
+    # where halving a down to MIN_STEP / |p| took about 20.
     start = np.array([1.0, 2e-8, 0.0], dtype=complex)
     objective, values = counted(quadratic_objective(VALUE_MATRIX))
     result = ascend_on_sphere(objective, start)
-    assert 1e-8 < result.grad_norm < 3e-8
-    assert result.stop == "line_search" and not result.converged
-    assert result.iterations == 1
+    assert result.grad_norm < 1e-8
+    assert result.stop == "grad_tol" and result.converged
+    assert abs(result.value - 3.0) < 1e-15
     assert len(values) <= 3
 
 
@@ -93,6 +97,41 @@ def test_overshooting_first_step_still_backtracks_and_converges():
     assert values[1] < values[0] < values[2]
     assert result.stop == "grad_tol" and result.converged
     assert abs(result.value - 30.0) < 1e-10
+
+
+@pytest.mark.parametrize("start", [[1.0, 1.0, 1.0], [0.1, 1.0, 1.0],
+                                   [0.01, 1.0, 0.01]])
+def test_optimum_exact_to_rounding_above_one_converges(start):
+    # At value 30 one ulp is 3.6e-15, more than MIN_GAIN: next to the
+    # optimum no candidate can show a gain, and these starts used to end
+    # "line_search" with tangent gradients of 0.9-2.1e-7. Below the
+    # resolution MIN_GAIN * |value| a candidate that holds the value and
+    # lowers the gradient is accepted.
+    start = np.asarray(start, dtype=complex)
+    result = ascend_on_sphere(quadratic_objective(10.0 * VALUE_MATRIX),
+                              start / np.linalg.norm(start))
+    assert result.stop == "grad_tol" and result.converged
+    assert abs(result.value - 30.0) < 1e-13
+
+
+def test_flat_candidate_that_keeps_the_gradient_ends_the_search():
+    # The gradient belongs to diag(1, 2, 3), so next to e_0 its tangent
+    # part t e_1 points away from the value's optimum. The first candidate
+    # holds the value to within the resolution but raises the tangent
+    # gradient to 1.5 t: it is rejected, and as its predicted gain was
+    # already below the resolution, the search ends there instead of
+    # halving a down to MIN_STEP / |p| (about 20 evaluations).
+    wrong = np.diag([1.0, 2.0, 3.0]).astype(complex)
+
+    def objective(psi):
+        return quadratic_objective(VALUE_MATRIX)(psi)[0], psi @ wrong.T
+
+    counted_objective, values = counted(objective)
+    start = np.array([1.0, 3e-8, 0.0], dtype=complex)
+    result = ascend_on_sphere(counted_objective, start)
+    assert result.stop == "line_search" and not result.converged
+    assert result.grad_norm > 2e-8
+    assert len(values) <= 2
 
 
 def test_iteration_budget_is_reported_as_max_iter():
@@ -125,11 +164,15 @@ def _relative_entropy_rows(channel, sigma, psi, floor=1e-18):
 
 
 def _pnorm_rows(channel, p, psi):
+    # -S_p(A) = ln(Tr A^p) / (p - 1), with gradient
+    # p Psi^dag(A^(p-1)) psi / ((p - 1) Tr A^p).
     rows = []
     for v, a in zip(psi, _reference_outputs(channel, psi)):
         w, a_pm1 = _spectral(a, lambda w: np.clip(w, 0.0, None) ** (p - 1.0))
-        value = np.sum(np.clip(w, 0.0, None) ** p)
-        rows.append((value, p * channel.adjoint_apply_matrix(a_pm1) @ v))
+        trace = np.sum(np.clip(w, 0.0, None) ** p)
+        rows.append((np.log(trace) / (p - 1.0),
+                     p * channel.adjoint_apply_matrix(a_pm1) @ v
+                     / ((p - 1.0) * trace)))
     return rows
 
 
@@ -197,6 +240,67 @@ def test_maximize_returns_first_of_tied_maxima():
     assert np.array_equal(best.state, 1j * e0)
 
 
+def search_starts(dim, restarts, seed):
+    """The random starts of one maximize_over_pure_states search, as its
+    first objective call sees them."""
+    seen = []
+
+    def objective(psi):
+        seen.append(psi.copy())
+        return np.zeros(len(psi)), np.zeros_like(psi)
+
+    maximize_over_pure_states(objective, dim, restarts=restarts, seed=seed)
+    return seen[0]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_first_start_is_the_seeds_random_pure_state(dim):
+    # The starts are one Ginibre stack, the stacked form of
+    # random_pure_state, so start 0 is that state up to normalization.
+    starts = search_starts(dim, 8, seed=17 + dim)
+    assert np.allclose(starts[0], np.asarray(random_pure_state(dim, 17 + dim)),
+                       rtol=0.0, atol=1e-15)
+    assert np.allclose(np.linalg.norm(starts, axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_first_starts_do_not_depend_on_the_restart_count():
+    few = search_starts(4, 3, seed=11)
+    many = search_starts(4, 32, seed=11)
+    assert np.array_equal(few, many[:3])
+    assert np.array_equal(many, search_starts(4, 32, seed=11))
+    assert not np.allclose(many, search_starts(4, 32, seed=12))
+
+
+def test_one_generator_per_search(monkeypatch):
+    # Every search draws its starts from one generator; holevo_quantity
+    # adds one for its initial support. One generator per start made 8 or
+    # 32 per search.
+    made, searches = [], []
+    inner_rng, inner_search = np.random.default_rng, capacity.maximize_over_pure_states
+
+    def counted_rng(*args, **kwargs):
+        made.append(1)
+        return inner_rng(*args, **kwargs)
+
+    def counted_search(*args, **kwargs):
+        searches.append(kwargs["restarts"])
+        return inner_search(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    monkeypatch.setattr(capacity, "maximize_over_pure_states", counted_search)
+    holevo_quantity(DepolarizingChannel(6, 0.5), seed=0)
+    assert searches and sum(searches) > len(searches)
+    assert len(made) == len(searches) + 1
+
+
+def test_spawned_streams_are_independent():
+    rngs = spawn_rngs(99, 3)
+    draws = [r.standard_normal(4) for r in rngs]
+    assert not np.allclose(draws[0], draws[1])
+    again = spawn_rngs(99, 3)
+    assert np.array_equal(draws[2], again[2].standard_normal(4))
+
+
 def test_lockstep_values_match_lone_runs_to_rounding():
     # A stacked objective may round differently with the stack height, so
     # an iteration count or a stop reason may differ from a lone run; the
@@ -226,7 +330,7 @@ def test_witness_search_on_the_verify_qutrit_partner():
     objective = relative_entropy_objective(partner, sigma)
     rows = ascend_lockstep(objective, random_starts(3, 13, seed=5))
     assert max(r.iterations for r in rows) <= 60
-    assert abs(max(r.value for r in rows) - 0.8378048351595777) <= 1e-12
+    assert abs(max(r.value for r in rows) - 0.8378048351582997) <= 1e-12
 
 
 @pytest.mark.parametrize("start", [[1e-4, 1.0, 1e-4], [1e-3, 1.0, 0.0]],
