@@ -15,9 +15,9 @@ sum over the conditional blocks. Taken together these give the
 multiplicativity of the maximal output p-norm for depolarizing tensor
 factors, checked here Monte-Carlo style.
 
-Product channels act one factor at a time (``core.apply_on_factor``), never
-through a product Kraus set: Phi_lam (x) I is the damper on factor one, and
-Delta (x) Psi is Psi on factor two followed by Delta on factor one, which is
+Product channels act one factor at a time, never through a product Kraus
+set: Phi_lam (x) I is the damper on factor one, and Delta (x) Psi is a
+``core.ProductMap``, Psi on factor two followed by Delta on factor one:
 lam (id (x) Psi) tau + (1 - lam) I/d (x) Psi(tr_1 tau). Every Monte-Carlo
 check takes a stack ``(T, d d', d d')`` of trial states as well as a single
 state and returns one value per trial, so a whole (d, d', lam, p) cell of
@@ -38,6 +38,7 @@ from .core import (
     Channel,
     DensityMatrix,
     InvalidStateError,
+    ProductMap,
     _p_norm_from_eigenvalues,
     _power_scale,
     _scalar_or_stack,
@@ -151,11 +152,9 @@ def conditional_blocks(basis: np.ndarray, tau) -> np.ndarray:
 
 def tensor_output(phi, psi: Channel, tau) -> np.ndarray:
     """(Phi (x) Psi) tau, hermitized, for a state or a stack on C^phi.dim (x)
-    C^d': Psi on factor two, then Phi on factor one. For a depolarizing Phi
-    this is lam (id (x) Psi) tau + (1 - lam) I/d (x) Psi(tr_1 tau)."""
-    m, dp = split_dims(phi.dim, tau)
-    mid = apply_on_factor(psi, m, phi.dim, dp, 2)
-    return hermitize(apply_on_factor(phi, mid, phi.dim, psi.dim_out, 1))
+    C^d', by ``ProductMap``: Psi on factor two, then Phi on factor one."""
+    m, _ = split_dims(phi.dim, tau)
+    return hermitize(ProductMap(phi, psi).apply_matrix(m))
 
 
 def small_b_matrix(d: int, lam: float) -> np.ndarray:
@@ -173,7 +172,7 @@ def spectrum_identity_check(lam: float, rho12: BipartiteState) -> float:
     """
     d, dp = rho12.dim1, rho12.dim2
     ph = PhaseDampingChannel.unchecked(d, lam)
-    damped = apply_on_factor(ph, np.asarray(rho12), d, dp, 1)
+    damped = apply_on_factor(ph.apply_matrix, np.asarray(rho12), d, dp, 1)
     spec_small = psd_eigenvalues(damped)
 
     fact = BlockFactorization(rho12)
@@ -241,7 +240,7 @@ def tensor_output_norm_bound(ch: PhaseDampingChannel, rho12,
     stack, lhs and rhs hold one value per state."""
     d = ch.dim
     m, dp = split_dims(d, rho12)
-    lhs = schatten_p_norm(hermitize(apply_on_factor(ch, m, d, dp, 1)), p)
+    lhs = schatten_p_norm(hermitize(apply_on_factor(ch.apply_matrix, m, d, dp, 1)), p)
     blocks = psd_eigenvalues(conditional_blocks(ch.basis, m))
     # (sum_i Tr rho2_i^p)^(1/p) is the p-norm of all block spectra together.
     block_norm = _p_norm_from_eigenvalues(
@@ -300,24 +299,14 @@ def pure_output_maps(channel):
     ``outputs(psi)`` gives the Hermitian outputs Psi(psi_r psi_r*) of a stack
     psi of shape (R, d_in), and ``pullback(m, psi)`` the rows
     Psi^dag(m_r) psi_r, the gradient of Re Tr[m_r Psi(psi_r psi_r*)] in the
-    conjugate variable. Both act through the superoperator, one matrix
-    product per stack: the objectives sit in the optimizer's inner loop,
-    and one product beats a sum over Kraus conjugations at these dimensions.
+    conjugate variable. Both act on the whole stack at once, through the
+    channel's ``apply_matrix`` and ``adjoint_apply_matrix``.
     """
-    superop = channel.superoperator()
-    # Row-major vectorization: vec(Psi(x)) = S vec(x) and
-    # vec(Psi^dag(y)) = S^dag vec(y), applied here to row stacks.
-    forward, backward = superop.T, superop.conj()
-    dim_out, dim_in = channel.dim_out, channel.dim_in
-
     def outputs(psi: np.ndarray) -> np.ndarray:
-        rho = psi[:, :, None] * psi[:, None, :].conj()
-        out = rho.reshape(len(psi), -1) @ forward
-        return hermitize(out.reshape(-1, dim_out, dim_out))
+        return hermitize(channel.apply_matrix(psi[:, :, None] * psi[:, None, :].conj()))
 
     def pullback(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        back = (m.reshape(len(psi), -1) @ backward).reshape(-1, dim_in, dim_in)
-        return np.einsum("rij,rj->ri", back, psi)
+        return np.einsum("rij,rj->ri", channel.adjoint_apply_matrix(m), psi)
 
     return outputs, pullback
 

@@ -34,6 +34,8 @@ from .core import (
     Channel,
     DensityMatrix,
     InvalidStateError,
+    LinearMap,
+    ProductMap,
     PureState,
     SupportError,
     SUPPORT_EIG_CUTOFF,
@@ -44,7 +46,6 @@ from .core import (
     random_psd_matrices,
     relative_entropy,
     spectral_function,
-    tensor_channel,
     von_neumann_entropy,
 )
 from .bounds import (
@@ -466,7 +467,7 @@ def _settle_weights(states: np.ndarray, probs: np.ndarray, outputs):
     return states[keep], probs, sigma, chi
 
 
-def _joint_support_ascent(channel, outputs, states: np.ndarray,
+def _joint_support_ascent(outputs, pullback, states: np.ndarray,
                           probs: np.ndarray) -> np.ndarray:
     """Riemannian BFGS ascent of the ensemble value
     chi(psi) = sum_i p_i S(Psi(psi_i psi_i*), sigma(psi)) over all support
@@ -484,8 +485,8 @@ def _joint_support_ascent(channel, outputs, states: np.ndarray,
     witness search checks the support it returns), or after JOINT_STEPS
     line searches; at an optimal support it evaluates no candidate,
     allocates no inverse Hessian and returns ``states`` itself.
+    ``outputs`` and ``pullback`` are the channel's ``pure_output_maps``.
     """
-    _, pullback = pure_output_maps(channel)
 
     def evaluate(states):
         outs = outputs(states)
@@ -549,7 +550,7 @@ def holevo_quantity(channel, seed: int = 0,
     # initial support and child max_outer + 1 every final certificate.
     rng = np.random.default_rng(_seed_int(seed, 0))
     final_seed = _seed_int(seed, max_outer + 1)
-    outputs, _ = pure_output_maps(channel)
+    outputs, pullback = pure_output_maps(channel)
 
     states = list(np.eye(dim, dtype=complex))
     while len(states) < dim * dim:
@@ -568,7 +569,7 @@ def holevo_quantity(channel, seed: int = 0,
         # alone can limit-cycle: the search returns a slightly shifted copy
         # of an existing member, weight oscillates between the twins, and
         # the gap stalls.
-        moved = _joint_support_ascent(channel, outputs, states, probs)
+        moved = _joint_support_ascent(outputs, pullback, states, probs)
         m_settled = _settle_weights(moved, probs, outputs)
         if m_settled[3] > chi:
             states, probs, sigma, chi = m_settled
@@ -742,7 +743,7 @@ class AdditivityCheck:
         return self.chi_product - self.chi_sum
 
 
-def chi_additivity_check(dep: DepolarizingChannel, psi: Channel,
+def chi_additivity_check(dep: DepolarizingChannel, psi: LinearMap,
                          psi_result: HolevoResult,
                          seed: int = 0) -> AdditivityCheck:
     """chi*(Delta (x) Psi) bracketed against chi*(Delta) + chi*(Psi).
@@ -751,11 +752,10 @@ def chi_additivity_check(dep: DepolarizingChannel, psi: Channel,
     chi*(Psi) being ``psi_result.chi``; ``chi_product`` is the min-max upper
     side sup_rho S((Delta (x) Psi) rho, I/d (x) Psi(omega*)), omega* the
     average input of ``psi_result``, so no Holevo optimizer runs on Delta,
-    Psi or the product; ``converged`` is that of the run on Psi."""
+    Psi or their ``ProductMap``; ``converged`` is that of the run on Psi."""
     omega = np.kron(np.eye(dep.dim) / dep.dim,
                     np.asarray(psi_result.average_input))
-    upper = opwsw_certificate(tensor_channel(dep.kraus_channel(), psi), omega,
-                              seed=seed + 2)
+    upper = opwsw_certificate(ProductMap(dep, psi), omega, seed=seed + 2)
     return AdditivityCheck(chi_product=upper.value,
                            chi_delta=dep.chi_star(),
                            chi_psi=psi_result.chi,

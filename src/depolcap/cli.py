@@ -385,7 +385,7 @@ def cmd_verify(config: RunConfig) -> Report:
                    if DepolarizingChannel.in_cp_range(2, lam))
     if 2 in config.dims and live2:
         lam_mid = live2[len(live2) // 2]
-        partners = [("depolarizing", DepolarizingChannel(2, 0.7).kraus_channel()),
+        partners = [("depolarizing", DepolarizingChannel(2, 0.7)),
                     ("random-qubit", psis[2])]
         for i, (label, partner) in enumerate(partners):
             seed = child_seed(root, 10, i)

@@ -8,14 +8,16 @@ presentation-layer conversion.
 
 Every channel class shares one protocol. :class:`LinearMap` is the base: a
 subclass supplies ``dim_in``, ``dim_out`` and ``superoperator()``, through
-which ``apply_matrix`` (on a matrix or a stack; closed forms override it)
-and its adjoint act, and inherits ``ch(rho)`` (with a dimension check) and
-the Choi matrix ``choi()``. :class:`Channel` is an arbitrary Kraus channel.
+which ``apply_matrix`` and ``adjoint_apply_matrix`` (on a matrix or a
+stack; closed forms override them) act, and inherits ``ch(rho)`` (with a
+dimension check) and ``choi()``. :class:`Channel` is a Kraus channel.
 :class:`LambdaChannel` is the base of the one-parameter families on C^dim
 (the depolarizing channel, the phase dampers and the intermediate map
 Omega): each names its complete-positivity edge ``lam_min(dim)``, the
 constructor refuses lam outside [lam_min(dim), 1], and ``unchecked`` builds
-the same linear, trace-preserving map without that check.
+the same linear, trace-preserving map without that check; all three are
+self-adjoint. :class:`ProductMap` is phi (x) psi acting factor by factor;
+``tensor_channel``, its product Kraus set, is only a test reference.
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ class LinearMap:
     """A linear map on matrices; the protocol every channel class shares.
 
     Subclasses set ``dim_in``, ``dim_out`` and ``superoperator()``, through
-    which the map and its adjoint act unless a closed form overrides
-    ``apply_matrix``, from which the action on a state and ``choi()`` follow.
+    which the map and its adjoint act unless closed forms override them;
+    the action on a state and ``choi()`` follow from ``apply_matrix``.
     """
 
     dim_in: int
@@ -175,9 +177,9 @@ class LinearMap:
         raise NotImplementedError
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Apply to a raw matrix or a stack; the result is not validated."""
+        """Apply to a matrix or a stack, in one 2-d product; not validated."""
         m = np.asarray(mat)
-        out = m.reshape(m.shape[:-2] + (-1,)) @ self.superoperator().T
+        out = m.reshape(-1, m.shape[-1] ** 2) @ self.superoperator().T
         return out.reshape(m.shape[:-2] + (self.dim_out, self.dim_out))
 
     def __call__(self, rho: DensityMatrix) -> DensityMatrix:
@@ -192,9 +194,9 @@ class LinearMap:
         return choi_matrix(self.apply_matrix, self.dim_in)
 
     def adjoint_apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Apply the adjoint (Heisenberg-picture) map to a matrix or a stack."""
+        """Apply the adjoint (Heisenberg-picture) map likewise."""
         m = np.asarray(mat)
-        out = m.reshape(m.shape[:-2] + (-1,)) @ self.superoperator().conj()
+        out = m.reshape(-1, m.shape[-1] ** 2) @ self.superoperator().conj()
         return out.reshape(m.shape[:-2] + (self.dim_in, self.dim_in))
 
 
@@ -282,6 +284,10 @@ class LambdaChannel(LinearMap):
     @property
     def is_cp(self) -> bool:
         return self.in_cp_range(self.dim, self.lam)
+
+    def adjoint_apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        """The action itself: each family is Hilbert-Schmidt self-adjoint."""
+        return self.apply_matrix(mat)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, lam={self.lam})"
@@ -426,24 +432,44 @@ def ptrace_matrix(mat, dim1: int, dim2: int, keep: int) -> np.ndarray:
     raise ValueError(f"keep must be 1 or 2, got {keep}")
 
 
-def apply_on_factor(channel, mat, dim1: int, dim2: int, factor: int) -> np.ndarray:
-    """(channel (x) id) for ``factor`` 1, (id (x) channel) for 2, applied to
-    a (dim1*dim2)-square matrix or a stack of them without a product Kraus
-    set: the factor's axes go last, through ``channel.apply_matrix``, and
-    back. A channel that changes dimension changes that factor's."""
+def apply_on_factor(action, mat, dim1: int, dim2: int, factor: int) -> np.ndarray:
+    """(action (x) id) for ``factor`` 1, (id (x) action) for 2, applied to
+    a (dim1*dim2)-square matrix or a stack of them: the factor's axes go
+    last, through ``action`` (a map's ``apply_matrix`` or its adjoint), and
+    back. An action that changes dimension changes that factor's."""
     if factor not in (1, 2):
         raise ValueError(f"factor must be 1 or 2, got {factor}")
     m = np.asarray(mat, dtype=complex)
     lead = m.shape[:-2]
-    axes = (len(lead) + factor - 1, len(lead) + factor + 1)
-    split = m.reshape(lead + (dim1, dim2, dim1, dim2))
-    out = np.moveaxis(channel.apply_matrix(np.moveaxis(split, axes, (-2, -1))),
-                      (-2, -1), axes)
+    # (a, a', b, b') to (a, b, a', b'), acted-on pair last; each self-inverse.
+    pairs = m.reshape(lead + (dim1, dim2, dim1, dim2)).swapaxes(-3, -2)
+    last = (*range(len(lead)), *((-2, -1, -4, -3) if factor == 1 else (-4, -3, -2, -1)))
+    out = action(pairs.transpose(last)).transpose(last).swapaxes(-3, -2)
     return out.reshape(lead + (out.shape[-2] * out.shape[-1],) * 2)
 
 
+class ProductMap(LinearMap):
+    """phi (x) psi, acting factor by factor: psi on factor two, then phi on
+    factor one; the adjoint runs phi^dag on factor one, then psi^dag on
+    factor two. Products of more factors nest."""
+
+    def __init__(self, phi: LinearMap, psi: LinearMap) -> None:
+        self.phi, self.psi = phi, psi
+        self.dim_in, self.dim_out = phi.dim_in * psi.dim_in, phi.dim_out * psi.dim_out
+
+    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        phi, psi = self.phi, self.psi
+        mid = apply_on_factor(psi.apply_matrix, mat, phi.dim_in, psi.dim_in, 2)
+        return apply_on_factor(phi.apply_matrix, mid, phi.dim_in, psi.dim_out, 1)
+
+    def adjoint_apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        phi, psi = self.phi, self.psi
+        mid = apply_on_factor(phi.adjoint_apply_matrix, mat, phi.dim_out, psi.dim_out, 1)
+        return apply_on_factor(psi.adjoint_apply_matrix, mid, phi.dim_in, psi.dim_out, 2)
+
+
 def tensor_channel(phi: Channel, psi: Channel) -> Channel:
-    """Product channel phi (x) psi, with all pairwise Kraus tensor products."""
+    """Product Kraus set of phi (x) psi: the reference for ProductMap."""
     ops = [np.kron(a, b) for a in phi.kraus_ops for b in psi.kraus_ops]
     return Channel(ops)
 

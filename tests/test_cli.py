@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from depolcap import capacity, cli
+from depolcap import capacity, cli, core
 from depolcap.bounds import InequalityCheck
 from depolcap.cli import main, run_replay
 from depolcap.core import (
@@ -29,7 +29,8 @@ from depolcap.core import (
     random_density_matrices,
     random_unitaries,
 )
-from depolcap.depolarizing import lambda_min
+from depolcap.depolarizing import DepolarizingChannel, lambda_min
+from depolcap.phase_damping import PhaseDampingChannel
 from depolcap.report import (
     DEFAULT_TOLERANCES,
     CheckRecord,
@@ -1021,6 +1022,36 @@ class TestExitContract:
         _assert_exit_contract(code, out, err, None)
         records = json.loads(out)["records"]
         assert code == (0 if all(r["passed"] for r in records) else 1)
+
+
+# ---------------------------------------------------------------------------
+# Product channels
+# ---------------------------------------------------------------------------
+
+class TestNoKrausForms:
+    # Products act factor by factor; Kraus forms and product Kraus sets are
+    # test references only, so every command runs with them refused.
+    @pytest.mark.parametrize("argv,records", [
+        (["verify"], 218),
+        (["capacity", "--dims", "2", "3", "4", "5", "6"], 30),
+    ])
+    def test_commands_build_no_kraus_form(self, argv, records, tmp_path,
+                                          monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command built a Kraus form")
+
+        original = core.tensor_channel
+        for name, module in list(sys.modules.items()):
+            if name == "depolcap" or name.startswith("depolcap."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+        for family in (DepolarizingChannel, PhaseDampingChannel):
+            monkeypatch.setattr(family, "kraus_channel", refuse)
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(json.loads(out.read_text())["records"]) == records
 
 
 # ---------------------------------------------------------------------------

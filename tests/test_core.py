@@ -14,6 +14,8 @@ from depolcap.core import (
     InvalidChannelError,
     InvalidStateError,
     LambdaChannel,
+    LinearMap,
+    ProductMap,
     PureState,
     apply_on_factor,
     basis_state,
@@ -367,18 +369,18 @@ class TestApplyOnFactor:
         stack = random_density_matrices(d * dp, d + dp, 4)
         first = tensor_channel(phi.kraus_channel(), identity_channel(dp))
         second = tensor_channel(identity_channel(d), psi)
-        on_first = apply_on_factor(phi, stack, d, dp, 1)
-        on_second = apply_on_factor(psi, stack, d, dp, 2)
+        on_first = apply_on_factor(phi.apply_matrix, stack, d, dp, 1)
+        on_second = apply_on_factor(psi.apply_matrix, stack, d, dp, 2)
         assert on_second.shape == (4, d * (dp + 1), d * (dp + 1))
         for t, tau in enumerate(stack):
             assert np.max(np.abs(on_first[t] - first.apply_matrix(tau))) < 1e-13
             assert np.max(np.abs(on_second[t] - second.apply_matrix(tau))) < 1e-13
-        single = apply_on_factor(phi, stack[0], d, dp, 1)
+        single = apply_on_factor(phi.apply_matrix, stack[0], d, dp, 1)
         assert np.max(np.abs(single - on_first[0])) < 1e-15
 
     def test_factor_argument_validation(self):
         with pytest.raises(ValueError, match="factor"):
-            apply_on_factor(identity_channel(2), np.eye(4), 2, 2, 3)
+            apply_on_factor(identity_channel(2).apply_matrix, np.eye(4), 2, 2, 3)
 
 
 class TestStacks:
@@ -595,3 +597,67 @@ class TestRandomGeneration:
     def test_pure_state_normalized(self):
         psi = random_pure_state(6, seed=8)
         assert abs(np.linalg.norm(np.asarray(psi)) - 1.0) < 1e-13
+
+
+def _complex_stack(dim, seed, n):
+    """n complex Gaussian matrices, neither Hermitian nor of unit trace."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+
+
+# (factor one, factor two): Delta with a Kraus partner, Delta at its CP edge
+# with a partner from C^3 to C^2, a damper in a Haar basis, and a Kraus
+# channel from C^2 to C^3 before Delta.
+PRODUCT_CASES = {
+    "depolarizing": (DepolarizingChannel(3, 0.4), random_channel(2, 2, 3, seed=80)),
+    "depolarizing-resizing": (DepolarizingChannel(2, lambda_min(2)),
+                              random_channel(3, 2, 2, seed=81)),
+    "damper-haar": (PhaseDampingChannel(3, -0.3, basis=random_unitary(3, seed=82)),
+                    random_channel(2, 3, 2, seed=83)),
+    "kraus-first": (random_channel(2, 3, 2, seed=84), DepolarizingChannel(2, 0.3)),
+}
+
+
+def _kraus(ch):
+    return ch if isinstance(ch, Channel) else ch.kraus_channel()
+
+
+class TestProductMap:
+    # Reference: the product Kraus set, acting through its superoperator.
+    @staticmethod
+    def assert_acts_like(prod, ref):
+        assert (prod.dim_in, prod.dim_out) == (ref.dim_in, ref.dim_out)
+        for action, reference, dim in (
+                (prod.apply_matrix, ref.apply_matrix, ref.dim_in),
+                (prod.adjoint_apply_matrix, ref.adjoint_apply_matrix, ref.dim_out)):
+            stack = _complex_stack(dim, dim, 3)
+            expected = reference(stack)
+            assert action(stack).shape == expected.shape
+            assert np.max(np.abs(action(stack) - expected)) < 1e-13
+            assert np.max(np.abs(action(stack[0]) - expected[0])) < 1e-13
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+    def test_matches_product_kraus_set(self, name):
+        phi, psi = PRODUCT_CASES[name]
+        self.assert_acts_like(ProductMap(phi, psi),
+                              tensor_channel(_kraus(phi), _kraus(psi)))
+
+    def test_nested_product_matches_triple_kraus_product(self):
+        dep = DepolarizingChannel(2, 0.3)
+        kraus = dep.kraus_channel()
+        self.assert_acts_like(ProductMap(dep, ProductMap(dep, dep)),
+                              tensor_channel(kraus, tensor_channel(kraus, kraus)))
+
+    @pytest.mark.parametrize("name", sorted(LAMBDA_FAMILIES))
+    def test_families_are_self_adjoint(self, name):
+        # Reference: LinearMap's adjoint, through the superoperator.
+        family, extra = LAMBDA_FAMILIES[name]
+        for d in (2, 3, 4):
+            lo = family.lam_min(d)
+            for lam, build in ((lo, family), (0.5, family), (1.0, family),
+                               (lo - 0.5, family.unchecked),
+                               (1.5, family.unchecked)):
+                ch = build(d, lam, **extra(d))
+                stack = _complex_stack(d, d, 3)
+                ref = LinearMap.adjoint_apply_matrix(ch, stack)
+                assert np.max(np.abs(ch.adjoint_apply_matrix(stack) - ref)) < 1e-13
