@@ -9,9 +9,11 @@ Three layers:
   * the Holevo quantity chi* = sup over ensembles of
     S(Psi(rho_bar)) - sum pi_i S(Psi(rho_i)), computed by alternating
     maximization over at most d^2 pure states: projected Newton steps on
-    the weights for fixed states, quasi-Newton ascent to find states whose
-    output relative entropy against the current average exceeds the
-    ensemble value, and the equalization certificate
+    the weights for fixed states, a joint ascent of the support states as
+    one ``optimize.ascend_lockstep`` row on the product of their spheres,
+    quasi-Newton ascent to find states whose output relative entropy
+    against the current average exceeds the ensemble value, and the
+    equalization certificate
     sup_rho S(Psi(rho), Psi(rho_bar)) - chi < tol, which bounds the
     optimizer error directly (chi <= chi* <= sup);
   * inequality checks built on those quantities: the relative-entropy bound
@@ -57,19 +59,7 @@ from .bounds import (
     tensor_output,
 )
 from .depolarizing import DepolarizingChannel
-from .optimize import (
-    GRAD_TOL,
-    INITIAL_STEP,
-    MIN_GAIN,
-    _bfgs_update,
-    _project,
-    _real,
-    _search_exhausted,
-    _slope,
-    maximize_over_pure_states,
-    tangent_part,
-    unit_rows,
-)
+from .optimize import MIN_GAIN, ascend_lockstep, maximize_over_pure_states
 from .phase_damping import PhaseDampingChannel
 
 PROB_SUM_TOL = 1e-12
@@ -471,58 +461,25 @@ def _joint_support_ascent(outputs, pullback, states: np.ndarray,
                           probs: np.ndarray) -> np.ndarray:
     """Riemannian BFGS ascent of the ensemble value
     chi(psi) = sum_i p_i S(Psi(psi_i psi_i*), sigma(psi)) over all support
-    states at once, at fixed weights, by the rules of ``ascend_lockstep``:
-    the support (n, d) is one point of R^{2nd} on the product of spheres.
-    For a trace-preserving channel the sigma-derivative terms cancel, so
-    the gradient in psi_i is p_i times that of S(Psi(psi_i psi_i*), sigma)
-    at the current sigma. Each candidate is evaluated once, value and
-    weighted tangent gradient together, from one eigendecomposition of the
-    outputs and one of sigma. The ascent stops once every row of the
-    weighted tangent gradient is below GRAD_TOL, when its line search runs
-    out (the next step would be shorter than MIN_STEP or have a first-order
-    gain below MIN_GAIN: unlike ``ascend_lockstep`` it accepts no candidate
-    that only holds the value, since it reports no convergence and the
-    witness search checks the support it returns), or after JOINT_STEPS
-    line searches; at an optimal support it evaluates no candidate,
-    allocates no inverse Hessian and returns ``states`` itself.
-    ``outputs`` and ``pullback`` are the channel's ``pure_output_maps``.
+    states at once, at fixed weights: the support (n, d) is one
+    ``ascend_lockstep`` row on the product of n spheres, run for at most
+    JOINT_STEPS line searches. For a trace-preserving channel the
+    sigma-derivative terms cancel, so the gradient in psi_i is p_i times
+    that of S(Psi(psi_i psi_i*), sigma) at the current sigma; value and
+    gradient come from one eigendecomposition of the outputs and one of
+    sigma. ``outputs`` and ``pullback`` are the channel's
+    ``pure_output_maps``.
     """
 
-    def evaluate(states):
+    def objective(rows):
+        states = rows[0]
         outs = outputs(states)
         owns, log_outs = _output_logs(outs)
         chi, _, wc, u = _weight_stats(probs, outs, owns)
         grad = pullback(log_outs - spectral_function(u, np.log(wc)), states)
-        return chi, probs[:, None] * tangent_part(states, grad)
+        return np.array([chi]), (probs[:, None] * grad)[None]
 
-    chi, grad = evaluate(states)
-    inv_hess = None
-    for _ in range(JOINT_STEPS):
-        if np.linalg.norm(grad, axis=1).max() < GRAD_TOL:
-            break
-        if inv_hess is None:
-            inv_hess = INITIAL_STEP * np.eye(2 * grad.size)[None]
-            scaled = np.zeros(1, dtype=bool)
-            direction = INITIAL_STEP * grad
-        else:
-            s, y = _project(states, alpha * direction), _project(states, last) - grad
-            _bfgs_update(inv_hess, scaled, np.zeros(1, dtype=int),
-                         _real(s).reshape(1, -1), _real(y).reshape(1, -1))
-            step = inv_hess[0] @ _real(grad).reshape(-1)
-            direction = _project(states, step.view(complex).reshape(states.shape))
-        flat = direction.reshape(1, -1)
-        slope = _slope(grad.reshape(1, -1), flat)
-        alpha = 1.0
-        while True:
-            cand = unit_rows(states + alpha * direction)
-            cand_chi, cand_grad = evaluate(cand)
-            if cand_chi > chi + MIN_GAIN:
-                break
-            alpha *= 0.5
-            if _search_exhausted(alpha, flat, slope)[0]:
-                return states
-        states, chi, grad, last = cand, cand_chi, cand_grad, grad
-    return states
+    return ascend_lockstep(objective, states[None], max_iter=JOINT_STEPS)[0].state
 
 
 def holevo_quantity(channel, seed: int = 0,

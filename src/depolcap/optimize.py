@@ -7,6 +7,7 @@ tangent space of the sphere and takes a Riemannian BFGS step: each row
 keeps its own inverse-Hessian approximation, curvature pairs are carried to
 the new point by the tangent projection I - x x^T, and a backtracking line
 search on the retraction x -> (x + a p)/|x + a p| picks the step length.
+A row may also be a point on a product of spheres, one per support state.
 Phase invariance of physical objectives makes the quotient by the global
 phase harmless. All starts of a multi-start search advance in lockstep, so
 one objective call serves every start still running. The random starts of
@@ -43,10 +44,10 @@ MIN_GAIN = 1e-15
 # optimum the cosine stays above about 2 / sqrt(condition number).
 MIN_CURVATURE_COS = 1e-6
 
-# Objective callable: stack of unit vectors (R, d) -> (values (R,),
-# gradients (R, d)). Gradient row r is the Wirtinger derivative with respect
-# to the conjugate variable, so the first order change of row r is
-# 2 Re <grad_r, dpsi_r>.
+# Objective callable: stack of unit vectors (R, d) or (R, n, d) -> (values
+# (R,), gradients of the same shape). Gradient row r is the Wirtinger
+# derivative with respect to the conjugate variable, so the first order
+# change of row r is 2 Re <grad_r, dpsi_r>.
 Objective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -55,6 +56,7 @@ class AscentResult:
     value: float
     state: np.ndarray
     iterations: int
+    # The largest tangent-gradient norm over the row's spheres.
     grad_norm: float
     converged: bool
     # Why the ascent ended: "grad_tol" (the tangent gradient fell below
@@ -66,39 +68,36 @@ class AscentResult:
 
 def tangent_part(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Rows of grad projected onto the sphere's tangent spaces at the rows
-    of psi."""
-    return grad - np.sum(psi.conj() * grad, axis=1, keepdims=True) * psi
+    of psi, along the last axis."""
+    return grad - np.sum(psi.conj() * grad, axis=-1, keepdims=True) * psi
 
 
 def unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def _project(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rows of v projected by I - x x^T, with the rows of x read as real
-    unit vectors in R^{2d}: v - Re<x, v> x."""
-    return v - np.real(np.sum(x.conj() * v, axis=1, keepdims=True)) * x
+    unit vectors in R^{2d}: v - Re<x, v> x, along the last axis."""
+    return v - np.real(np.sum(x.conj() * v, axis=-1, keepdims=True)) * x
 
 
 def _slope(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """First-order gain 2 Re<g_r, p_r> of each row per unit step along p,
     for Wirtinger gradient rows g."""
-    return 2.0 * np.real(np.sum(g.conj() * p, axis=1))
+    return 2.0 * np.real(np.sum(g.conj() * p, axis=tuple(range(1, g.ndim))))
 
 
-def _search_exhausted(alpha, direction: np.ndarray, slope) -> np.ndarray:
-    """Whether a line search along the rows of ``direction`` has no
-    candidate left at step alpha: the step alpha |p| is shorter than
-    MIN_STEP, or its first-order gain alpha * slope is below MIN_GAIN, the
-    least gain a candidate must show to be accepted."""
-    return ((alpha * np.linalg.norm(direction, axis=1) < MIN_STEP)
-            | (alpha * slope < MIN_GAIN))
+def _sphere_norms(t: np.ndarray) -> np.ndarray:
+    """The largest norm over each row's spheres."""
+    norms = np.linalg.norm(t, axis=-1)
+    return norms if norms.ndim == 1 else norms.max(axis=1)
 
 
 def _real(z: np.ndarray) -> np.ndarray:
-    """Complex rows (R, d) as real rows (R, 2d), real and imaginary parts
-    interleaved."""
-    return np.ascontiguousarray(z).view(float)
+    """Complex rows (R, d) or (R, n, d) as flat real rows (R, 2d) or
+    (R, 2nd), real and imaginary parts interleaved."""
+    return np.ascontiguousarray(z).view(float).reshape(len(z), -1)
 
 
 def _bfgs_update(inv_hess: np.ndarray, scaled: np.ndarray, rows: np.ndarray,
@@ -117,9 +116,10 @@ def _bfgs_update(inv_hess: np.ndarray, scaled: np.ndarray, rows: np.ndarray,
     rows, s, y, sy = rows[keep], s[keep], y[keep], sy[keep]
     h = inv_hess[rows]
     first = ~scaled[rows]
-    h[first] = (sy[first] / np.sum(y[first] ** 2, axis=1))[:, None, None] \
-        * np.eye(s.shape[1])
-    scaled[rows] = True
+    if first.any():
+        h[first] = (sy[first] / np.sum(y[first] ** 2, axis=1))[:, None, None] \
+            * np.eye(s.shape[1])
+        scaled[rows] = True
     hy = (h @ y[:, :, None])[:, :, 0]
     rho = 1.0 / sy
     ss = rho * (1.0 + rho * np.sum(y * hy, axis=1))
@@ -151,7 +151,14 @@ def ascend_lockstep(objective: Objective, starts: np.ndarray,
     row whose gradient is wrong; the resolution rule stops a row near an
     optimum after one or two candidates instead of about 25. ``converged``
     is set only when the gradient norm is below grad_tol. An iteration is
-    one line search, however many candidates it tries.
+    one line search, however many candidates it tries. H is allocated at
+    the first accepted step: rows that all start below grad_tol cost one
+    objective call.
+
+    Rows of ``starts`` of shape (R, n, d) are points on a product of n
+    spheres, one point of R^{2nd} each: normalization and I - x x^T act on
+    each sphere, H (2nd, 2nd), the slope and the step length on the whole
+    row, and the gradient norm is the largest over the row's spheres.
 
     The rows are independent: no row's steps read another row's data, and
     every round makes one objective call on the candidates of the rows still
@@ -163,16 +170,17 @@ def ascend_lockstep(objective: Objective, starts: np.ndarray,
     if max_iter < 1:
         raise ValueError(f"max_iter must be positive, got {max_iter}")
     psi = unit_rows(np.asarray(starts, dtype=complex))
-    n, dim = psi.shape
+    n = len(psi)
     value, grad = objective(psi)
     value = np.array(value, dtype=float)
     tangent = tangent_part(psi, grad)
-    grad_norm = np.linalg.norm(tangent, axis=1)
-    inv_hess = np.tile(INITIAL_STEP * np.eye(2 * dim), (n, 1, 1))
-    scaled = np.zeros(n, dtype=bool)
+    grad_norm = _sphere_norms(tangent)
+    inv_hess = scaled = None
     direction = INITIAL_STEP * tangent
     slope = _slope(tangent, direction)
     alpha = np.ones(n)
+    # alpha broadcast over each row's entries; a view, so it follows alpha.
+    row_alpha = alpha.reshape((n,) + (1,) * (psi.ndim - 1))
     iterations = np.ones(n, dtype=int)
     stop = np.full(n, "", dtype=object)
     stop[grad_norm < grad_tol] = "grad_tol"
@@ -180,10 +188,10 @@ def ascend_lockstep(objective: Objective, starts: np.ndarray,
         rows = np.flatnonzero(stop == "")
         if rows.size == 0:
             break
-        cand = unit_rows(psi[rows] + alpha[rows, None] * direction[rows])
+        cand = unit_rows(psi[rows] + row_alpha[rows] * direction[rows])
         cand_value, cand_grad = objective(cand)
         cand_tangent = tangent_part(cand, cand_grad)
-        cand_norm = np.linalg.norm(cand_tangent, axis=1)
+        cand_norm = _sphere_norms(cand_tangent)
         resolution = MIN_GAIN * np.maximum(1.0, np.abs(value[rows]))
         flat = alpha[rows] * slope[rows] < resolution
         up = ((cand_value > value[rows] + MIN_GAIN)
@@ -191,18 +199,25 @@ def ascend_lockstep(objective: Objective, starts: np.ndarray,
                  & (cand_norm < grad_norm[rows])))
         moved, held = rows[up], rows[~up]
 
-        alpha[held] *= 0.5
-        short = alpha[held] * np.linalg.norm(direction[held], axis=1) < MIN_STEP
-        stop[held[flat[~up] | short]] = "line_search"
+        if held.size:
+            alpha[held] *= 0.5
+            short = (alpha[held] * np.linalg.norm(
+                direction[held], axis=tuple(range(1, psi.ndim))) < MIN_STEP)
+            stop[held[flat[~up] | short]] = "line_search"
+        if moved.size == 0:
+            continue
+        if inv_hess is None:
+            inv_hess = np.tile(INITIAL_STEP * np.eye(2 * psi[0].size), (n, 1, 1))
+            scaled = np.zeros(n, dtype=bool)
 
         new, new_tangent = cand[up], cand_tangent[up]
-        s = _project(new, alpha[moved, None] * direction[moved])
+        s = _project(new, row_alpha[moved] * direction[moved])
         y = _project(new, tangent[moved]) - new_tangent
         _bfgs_update(inv_hess, scaled, moved, _real(s), _real(y))
         psi[moved], value[moved], tangent[moved] = new, cand_value[up], new_tangent
         grad_norm[moved] = cand_norm[up]
         step = (inv_hess[moved] @ _real(new_tangent)[:, :, None])[:, :, 0]
-        direction[moved] = _project(new, step.view(complex))
+        direction[moved] = _project(new, step.view(complex).reshape(new.shape))
         slope[moved] = _slope(new_tangent, direction[moved])
         alpha[moved] = 1.0
         done = iterations[moved] == max_iter

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .core import nats_to_bits
 from .depolarizing import lambda_min
 
 ENV_OUT_DIR = "DEPOLCAP_OUT_DIR"
-LN2 = math.log(2.0)
 
 # Every record cites one of these claims; the registry is the single place
 # that states, in prose, what each check verifies.
@@ -120,6 +120,9 @@ def _is_number(x) -> bool:
 def _entries(name: str, value, valid, kind: str) -> tuple:
     if not isinstance(value, (list, tuple)) or not all(valid(x) for x in value):
         raise ConfigError(f"{name} must be a list of {kind}, got {value!r}")
+    # A repeated entry would give two records of one cell the same digest.
+    if len(set(value)) < len(value):
+        raise ConfigError(f"{name} must not repeat an entry, got {value!r}")
     return tuple(value)
 
 
@@ -288,7 +291,7 @@ class CheckRecord:
         if bits:
             for k in values:
                 if k in ENTROPY_VALUE_KEYS and isinstance(values[k], float):
-                    values[k] = values[k] / LN2
+                    values[k] = nats_to_bits(values[k])
         out = {
             "name": self.name,
             "claim": self.claim,

@@ -324,12 +324,13 @@ class TestHolevoQuantity:
     # 3.472622500666489e-08, 7 rounds): chi is a lower bound, so it may
     # only rise, and the certificate gap may only shrink. The one-draw
     # random starts and the matrix-product weight Hessian move them again
-    # by rounding.
+    # by rounding, and running the joint step through ascend_lockstep by
+    # -8.4e-14 (from 0.8378048340982429, gap 1.060056931123654e-09).
     def test_frozen_verify_qutrit_partner(self):
         partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
         result = holevo_quantity(partner, seed=child_seed(0, 7, 1))
-        assert result.chi == 0.8378048340982429
-        assert result.certificate_gap == 1.060056931123654e-09
+        assert result.chi == 0.8378048340981589
+        assert result.certificate_gap == 1.0606905354038076e-09
         assert result.outer_iterations == 4 and result.converged
         assert result.chi >= 0.8378048329142747
         assert result.certificate_gap <= 3.472622500666489e-08
@@ -345,11 +346,13 @@ class TestHolevoQuantity:
 
     def test_frozen_short_budget_run(self):
         # max_outer = 30 puts the final certificate's seed at child 31. The
-        # floors are the gradient step's values, as above (7 rounds).
+        # floors are the gradient step's values, as above (7 rounds). The
+        # joint step through ascend_lockstep moved chi by +1.1e-15 (from
+        # 0.8185568306864831, gap 6.088792803282672e-10).
         result = holevo_quantity(random_channel(3, 3, 2, seed=72), seed=72,
                                  max_outer=30)
-        assert result.chi == 0.8185568306864831
-        assert result.certificate_gap == 6.088792803282672e-10
+        assert result.chi == 0.8185568306864842
+        assert result.certificate_gap == 6.089313497881221e-10
         assert result.outer_iterations == 5 and result.converged
         assert result.chi >= 0.8185568269276159
         assert result.certificate_gap <= 1.5062781577590556e-08
@@ -501,24 +504,42 @@ class TestHolevoRoundWork:
                                                         weight_evaluations):
         # The uniform basis ensemble is optimal for Delta_d, so the tangent
         # gradient vanishes: only the input's own value is evaluated and
-        # the input comes back unchanged.
+        # the input comes back unchanged, as a renormalized copy.
         ch = DepolarizingChannel(dim, 0.5)
         states = np.eye(dim, dtype=complex)
         probs = np.full(dim, 1.0 / dim)
         moved = _joint_support_ascent(*pure_output_maps(ch), states, probs)
-        assert moved is states
+        assert np.array_equal(moved, states)
         assert len(weight_evaluations) == 1
 
     def test_weight_evaluation_budget_on_the_verify_qutrit_partner(
             self, weight_evaluations):
         # The first-order joint step took all JOINT_STEPS steps in each of
         # 7 rounds here, 611 weight evaluations in all; the BFGS step
-        # needs 4 rounds and 170 evaluations. The budget sits below the
+        # needs 4 rounds and 173 evaluations. The budget sits below the
         # 188 or 212 (by last-bit rounding) it needs when its line searches
         # halve the step down to MIN_STEP near the optimum.
         partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
         assert holevo_quantity(partner, seed=child_seed(0, 7, 1)).converged
         assert len(weight_evaluations) <= 180
+
+    def test_joint_steps_run_through_ascend_lockstep(self, monkeypatch):
+        # One joint step per round, each one ascend_lockstep row on the
+        # product of the support's spheres.
+        shapes = []
+        inner = capacity.ascend_lockstep
+
+        def counted(objective, starts, **kwargs):
+            shapes.append(starts.shape)
+            return inner(objective, starts, **kwargs)
+
+        monkeypatch.setattr(capacity, "ascend_lockstep", counted)
+        partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
+        result = holevo_quantity(partner, seed=child_seed(0, 7, 1))
+        assert result.converged
+        assert len(shapes) == result.outer_iterations
+        assert all(len(shape) == 3 and shape[0] == 1 and shape[2] == 3
+                   for shape in shapes)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 0.75, 1.0])

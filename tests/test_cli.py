@@ -85,6 +85,13 @@ class TestRunConfig:
         cfg = RunConfig(dims=(2,), lambdas=(-0.9,), unchecked_lambda=True)
         assert cfg.lambdas == (-0.9,)
 
+    @pytest.mark.parametrize("grid", [{"dims": (2, 3, 2)},
+                                      {"lambdas": (0.5, 0.5)},
+                                      {"p_grid": (2, 2.0)}])
+    def test_rejects_repeated_entries(self, grid):
+        with pytest.raises(ConfigError, match="must not repeat"):
+            RunConfig(**grid)
+
     def test_rejects_unknown_tolerance(self):
         with pytest.raises(ConfigError):
             RunConfig(tolerances={"nope": 1e-3})
@@ -248,6 +255,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "error:" in err and "Traceback" not in err
+
+    def test_repeated_grid_entries_exit_two(self, capsys, tmp_path):
+        # verify keys its partners by d': a repeated dimension would run one
+        # cell twice and give its records one digest.
+        code, out, err = run_cli(["verify", "--dims", "2", "2", "--trials",
+                                  "2", "--p-grid", "2", "--lambdas", "0.5"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert "must not repeat" in err and "Traceback" not in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambdas": [0.5, 0.25, 0.5]}))
+        code, out, err = run_cli(["measures", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "must not repeat" in err and "Traceback" not in err
 
     def test_non_integer_trials_in_config_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -878,8 +899,9 @@ def run_case(draw):
     return argv, files
 
 
-VALID_LAMBDAS = st.lists(st.floats(lambda_min(2), 1.0), min_size=1, max_size=2)
-VALID_PS = st.lists(st.floats(1.0, 12.0), min_size=1, max_size=2)
+VALID_LAMBDAS = st.lists(st.floats(lambda_min(2), 1.0), min_size=1, max_size=2,
+                         unique=True)
+VALID_PS = st.lists(st.floats(1.0, 12.0), min_size=1, max_size=2, unique=True)
 VALID_CONFIG_VALUES = {
     "dims": st.just([2]),
     "lambdas": VALID_LAMBDAS,

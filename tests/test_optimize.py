@@ -10,6 +10,7 @@ from depolcap.optimize import (
     ascend_lockstep,
     ascend_on_sphere,
     maximize_over_pure_states,
+    tangent_part,
 )
 from depolcap.report import child_seed
 from streams import spawn_rngs
@@ -315,6 +316,80 @@ def test_lockstep_values_match_lone_runs_to_rounding():
         assert abs(row.value - lone.value) <= 1e-12
     assert abs(max(r.value for r in batched)
                - max(r.value for r in alone)) <= 1e-12
+
+
+def test_one_sphere_products_ascend_like_plain_rows():
+    # Rows of shape (1, d) are products of one sphere: the same ascent,
+    # bit for bit, as the plain (d,) rows.
+    channel = random_channel(3, 3, 2, seed=1)
+    sigma = np.asarray(channel(random_density_matrix(3, seed=2)))
+    objective = relative_entropy_objective(channel, sigma)
+
+    def nested(psi):
+        values, grads = objective(psi[:, 0])
+        return values, grads[:, None]
+
+    starts = random_starts(3, 13, seed=3)
+    plain = ascend_lockstep(objective, starts)
+    products = ascend_lockstep(nested, starts[:, None])
+    for row, product in zip(plain, products):
+        assert product.value == row.value
+        assert np.array_equal(product.state, row.state[None])
+        assert product.iterations == row.iterations
+        assert product.stop == row.stop
+        assert product.grad_norm == row.grad_norm
+
+
+def separable_objective(hs):
+    """sum_i <psi_i|h_i|psi_i> on rows (R, n, d), with gradient h_i psi_i
+    on sphere i."""
+    def objective(psi):
+        h_psi = np.einsum("ijk,rik->rij", hs, psi)
+        return np.real(np.sum(psi.conj() * h_psi, axis=(1, 2))), h_psi
+    return objective
+
+
+def random_hermitian_stack(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    return g + np.swapaxes(g.conj(), 1, 2)
+
+
+def test_product_of_spheres_reaches_the_sum_of_top_eigenvalues():
+    hs = random_hermitian_stack(4, 3, seed=6)
+    objective = separable_objective(hs)
+    starts = np.stack([random_starts(3, 4, seed=10 + r) for r in range(3)])
+    top = np.linalg.eigvalsh(hs)[:, -1].sum()
+    for row in ascend_lockstep(objective, starts):
+        assert row.state.shape == (4, 3)
+        assert row.stop == "grad_tol" and row.converged
+        assert abs(row.value - top) <= 1e-12
+
+
+def test_product_row_grad_norm_is_the_largest_sphere_norm():
+    # Two steps leave every sphere's tangent gradient far from zero; the
+    # row reports the largest of them, not the norm of the whole row.
+    hs = random_hermitian_stack(4, 3, seed=6)
+    objective = separable_objective(hs)
+    row = ascend_lockstep(objective, random_starts(3, 4, seed=10)[None],
+                          max_iter=2)[0]
+    assert row.stop == "max_iter"
+    sphere_norms = np.linalg.norm(tangent_part(row.state, objective(
+        row.state[None])[1][0]), axis=1)
+    assert row.grad_norm == pytest.approx(sphere_norms.max(), rel=1e-12)
+    assert row.grad_norm < np.linalg.norm(sphere_norms)
+
+
+def test_product_row_stops_when_every_sphere_is_below_grad_tol():
+    # Each of four spheres starts 7e-9 off the top eigenvector of
+    # diag(3, 2, 1), a tangent gradient of 7e-9 per sphere and 1.4e-8 for
+    # the whole row: the row has converged at its start.
+    start = np.array([1.0, 7e-9, 0.0], dtype=complex)
+    objective, values = counted(separable_objective(np.stack([VALUE_MATRIX] * 4)))
+    row = ascend_lockstep(objective, np.tile(start, (1, 4, 1)))[0]
+    assert row.stop == "grad_tol" and row.converged
+    assert row.iterations == 1 and len(values) == 1
+    assert 5e-9 < row.grad_norm < 1e-8
 
 
 def test_witness_search_on_the_verify_qutrit_partner():
