@@ -522,14 +522,15 @@ def holevo_quantity(channel, seed: int = 0,
         states, probs, sigma, chi = _settle_weights(states, probs, outputs)
 
         # Move the support states themselves, and adopt the moved support
-        # only when its re-equalized value improves. Witness admission
-        # alone can limit-cycle: the search returns a slightly shifted copy
-        # of an existing member, weight oscillates between the twins, and
-        # the gap stalls.
+        # only when its re-equalized value improves (an unmoved support was
+        # settled just above). Witness admission alone can limit-cycle: the
+        # search returns a slightly shifted copy of an existing member,
+        # weight oscillates between the twins, and the gap stalls.
         moved = _joint_support_ascent(outputs, pullback, states, probs)
-        m_settled = _settle_weights(moved, probs, outputs)
-        if m_settled[3] > chi:
-            states, probs, sigma, chi = m_settled
+        if not np.array_equal(moved, states):
+            m_settled = _settle_weights(moved, probs, outputs)
+            if m_settled[3] > chi:
+                states, probs, sigma, chi = m_settled
         objective = relative_entropy_objective(channel, sigma)
 
         thin = np.linalg.eigh(sigma)[1][:, 0]

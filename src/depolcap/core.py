@@ -7,10 +7,11 @@ are computed in nats throughout; :func:`nats_to_bits` is the one
 presentation-layer conversion.
 
 Every channel class shares one protocol. :class:`LinearMap` is the base: a
-subclass supplies ``dim_in``, ``dim_out`` and ``superoperator()``, through
-which ``apply_matrix`` and ``adjoint_apply_matrix`` (on a matrix or a
-stack; closed forms override them) act, and inherits ``ch(rho)`` (with a
-dimension check) and ``choi()``. :class:`Channel` is a Kraus channel.
+subclass supplies ``dim_in``, ``dim_out`` and ``superoperator()``, which is
+built and frozen on the first action of each instance; ``apply_matrix``
+and ``adjoint_apply_matrix`` (on a matrix or a stack) act through it, one
+product each, and ``ch(rho)`` (with a dimension check) and ``choi()`` are
+inherited. :class:`Channel` is a Kraus channel.
 :class:`LambdaChannel` is the base of the one-parameter families on C^dim
 (the depolarizing channel, the phase dampers and the intermediate map
 Omega): each names its complete-positivity edge ``lam_min(dim)``, the
@@ -164,22 +165,30 @@ class PureState:
 class LinearMap:
     """A linear map on matrices; the protocol every channel class shares.
 
-    Subclasses set ``dim_in``, ``dim_out`` and ``superoperator()``, through
-    which the map and its adjoint act unless closed forms override them;
-    the action on a state and ``choi()`` follow from ``apply_matrix``.
+    Subclasses set ``dim_in``, ``dim_out`` and ``superoperator()``. The map
+    and its adjoint act through that matrix, built and frozen on the first
+    action of each instance; the action on a state and ``choi()`` follow
+    from ``apply_matrix``.
     """
 
     dim_in: int
     dim_out: int
+    _superoperator: np.ndarray | None = None
 
     def superoperator(self) -> np.ndarray:
         """Matrix of the map on row-major vectorized inputs."""
         raise NotImplementedError
 
+    def _action(self) -> np.ndarray:
+        """``superoperator()``, built and frozen on the first call."""
+        if self._superoperator is None:
+            self._superoperator = _freeze(self.superoperator())
+        return self._superoperator
+
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Apply to a matrix or a stack, in one 2-d product; not validated."""
         m = np.asarray(mat)
-        out = m.reshape(-1, m.shape[-1] ** 2) @ self.superoperator().T
+        out = m.reshape(-1, m.shape[-1] ** 2) @ self._action().T
         return out.reshape(m.shape[:-2] + (self.dim_out, self.dim_out))
 
     def __call__(self, rho: DensityMatrix) -> DensityMatrix:
@@ -196,7 +205,7 @@ class LinearMap:
     def adjoint_apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Apply the adjoint (Heisenberg-picture) map likewise."""
         m = np.asarray(mat)
-        out = m.reshape(-1, m.shape[-1] ** 2) @ self.superoperator().conj()
+        out = m.reshape(-1, m.shape[-1] ** 2) @ self._action().conj()
         return out.reshape(m.shape[:-2] + (self.dim_in, self.dim_in))
 
 
@@ -204,9 +213,7 @@ class Channel(LinearMap):
     """A completely positive trace-preserving map in Kraus form.
 
     Complete positivity is automatic from the Kraus representation; trace
-    preservation (sum K_i^dag K_i = I) is checked at construction. The
-    superoperator matrix acting on row-major vectorized inputs is built on
-    demand and cached; the map acts through it, one product per stack.
+    preservation (sum K_i^dag K_i = I) is checked at construction.
     """
 
     def __init__(self, kraus_ops: Iterable[np.ndarray]) -> None:
@@ -225,13 +232,9 @@ class Channel(LinearMap):
         self.kraus_ops = tuple(_freeze(k) for k in ops)
         self.dim_in: int = dim_in
         self.dim_out: int = dim_out
-        self._superoperator: np.ndarray | None = None
 
     def superoperator(self) -> np.ndarray:
-        # Kept on the instance: every action of the channel goes through it.
-        if self._superoperator is None:
-            self._superoperator = _freeze(kraus_superoperator(self.kraus_ops))
-        return self._superoperator
+        return kraus_superoperator(self.kraus_ops)
 
     def __repr__(self) -> str:
         return (f"Channel(dim_in={self.dim_in}, dim_out={self.dim_out}, "
@@ -491,9 +494,8 @@ def superoperator_from_action(apply_fn: Callable[[np.ndarray], np.ndarray],
 
     Columns are the vectorized images of the matrix units, so this works for
     maps that are not completely positive (no Kraus form required). It is
-    the generic reference path, one ``apply_fn`` call per matrix unit;
-    channels with a closed form (phase dampers, the depolarizing channel)
-    build their superoperators directly and are tested against it.
+    the generic path, one ``apply_fn`` call per matrix unit, behind
+    ``choi_matrix`` and the tests' references.
     """
     out_dim = np.asarray(apply_fn(np.eye(dim, dtype=complex))).shape[0]
     s = np.zeros((out_dim * out_dim, dim * dim), dtype=complex)

@@ -110,13 +110,6 @@ class OmegaChannel(LambdaChannel):
 
     lam_min = staticmethod(damping_lambda_min)
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Linear action on a raw matrix, or on each matrix of a stack
-        ``(..., d, d)``."""
-        m = np.asarray(mat, dtype=complex)
-        delta = DepolarizingChannel.unchecked(self.dim, self.lam).apply_matrix(m)
-        return delta + (1.0 - self.lam) / self.dim * (m - m * np.eye(self.dim))
-
     def superoperator(self) -> np.ndarray:
         """S_Delta + ((1 - lam)/d) diag(1 - vec I), in closed form."""
         off = 1.0 - np.eye(self.dim).reshape(-1)

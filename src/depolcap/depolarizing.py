@@ -50,15 +50,9 @@ class DepolarizingChannel(LambdaChannel):
 
     lam_min = staticmethod(lambda_min)
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Linear action lam*M + (1 - lam) * Tr(M)/d * I on a raw matrix, or
-        on each matrix of a stack ``(..., d, d)``."""
-        m = np.asarray(mat, dtype=complex)
-        tr = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
-        return self.lam * m + (1.0 - self.lam) * (tr / self.dim) * np.eye(self.dim)
-
     def superoperator(self) -> np.ndarray:
-        """Matrix on row-major vectorized inputs; valid for any lam."""
+        """Matrix of lam*M + (1 - lam) * Tr(M)/d * I on row-major vectorized
+        inputs; valid for any lam."""
         d = self.dim
         vec_eye = np.eye(d, dtype=complex).reshape(-1)
         return (self.lam * np.eye(d * d, dtype=complex)

@@ -106,23 +106,11 @@ class PhaseDampingChannel(LambdaChannel):
 
     # -- action ---------------------------------------------------------------
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Linear action on a raw matrix, or on each matrix of a stack
-        ``(..., d, d)``: off-diagonals scaled by lam in the channel's own
-        basis, diagonal untouched."""
-        m = np.asarray(mat, dtype=complex)
-        if self.is_computational_basis:
-            inner = m
-        else:
-            inner = self.basis.conj().T @ m @ self.basis
-        damped = self.lam * inner + (1.0 - self.lam) * (inner * np.eye(self.dim))
-        if self.is_computational_basis:
-            return damped
-        return self.basis @ damped @ self.basis.conj().T
-
     def superoperator(self) -> np.ndarray:
         """Closed form lam I + (1 - lam) V V^dag, the one-term
-        :func:`damper_superoperator_sum`."""
+        :func:`damper_superoperator_sum`: off-diagonals scaled by lam in the
+        channel's own basis, diagonal untouched. The channel acts through
+        it, on a matrix or a stack ``(..., d, d)``."""
         return damper_superoperator_sum(self.basis[None], self.lam, 1.0)
 
     def kraus_channel(self) -> Channel:

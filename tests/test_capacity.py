@@ -336,13 +336,35 @@ class TestHolevoQuantity:
         assert result.certificate_gap <= 3.472622500666489e-08
 
     def test_frozen_six_dim_depolarizing(self):
-        # The objectives act through the closed-form action of Delta, not
-        # its superoperator, which moved the value by rounding.
+        # Delta acts through its superoperator, which gives back
+        # 0.4419670730556541, 1.1e-16 from chi_star(), the value before the
+        # objectives acted through a closed-form action (0.4419670730556546).
+        # Skipping the weight solve on the unmoved support moves it by
+        # -7.2e-16.
         ch = DepolarizingChannel(6, 0.5)
         result = holevo_quantity(ch, seed=0)
-        assert result.chi == 0.4419670730556546
+        assert result.chi == 0.44196707305565336
         assert abs(result.chi - ch.chi_star()) <= 1e-15
         assert result.outer_iterations == 1 and result.converged
+
+    def test_round_limit_reports_a_consistent_unconverged_ensemble(self):
+        # The verify qutrit partner needs 4 rounds. Cut short, each run
+        # ends at its limit, not converged, with the certificate still
+        # open, and the re-settled ensemble it returns matches its own chi
+        # and average states; chi only rises with the limit.
+        partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
+        chis = []
+        for max_outer in range(4):
+            result = holevo_quantity(partner, seed=child_seed(0, 7, 1),
+                                     max_outer=max_outer)
+            assert not result.converged and result.outer_iterations == max_outer
+            assert result.certificate_gap >= capacity.CERT_TOL
+            ensemble_chi = holevo_of_ensemble(partner, result.ensemble())
+            assert abs(result.chi - ensemble_chi) <= 1e-14
+            expected = partner.apply_matrix(np.asarray(result.average_input))
+            assert np.max(np.abs(np.asarray(result.average_output) - expected)) <= 1e-14
+            chis.append(result.chi)
+        assert chis == sorted(chis)
 
     def test_frozen_short_budget_run(self):
         # max_outer = 30 puts the final certificate's seed at child 31. The
@@ -540,6 +562,22 @@ class TestHolevoRoundWork:
         assert len(shapes) == result.outer_iterations
         assert all(len(shape) == 3 and shape[0] == 1 and shape[2] == 3
                    for shape in shapes)
+
+    def test_unmoved_support_is_settled_once_per_round(self, monkeypatch):
+        # The uniform basis ensemble is optimal for Delta_3, so the joint
+        # step returns the settled support unmoved and its weights are not
+        # solved again.
+        calls = []
+        inner = capacity._settle_weights
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(capacity, "_settle_weights", counted)
+        result = holevo_quantity(DepolarizingChannel(3, 0.5), seed=0)
+        assert result.converged
+        assert len(calls) == result.outer_iterations == 1
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -513,6 +513,19 @@ PROTOCOL_CASES = {
     "omega": OmegaChannel(3, 0.6),
 }
 
+
+def reference_action(ch):
+    """An action that does not go through ch's superoperator: the Kraus sum
+    of a Kraus channel, or of the ``kraus_channel()`` of Delta or a damper
+    (each case lies inside its CP range), and for Omega its definition
+    Delta_lam(rho) + ((1 - lam)/d)(rho - diag rho), written out."""
+    if isinstance(ch, OmegaChannel):
+        c, eye = (1.0 - ch.lam) / ch.dim, np.eye(ch.dim)
+        return lambda m: ch.lam * m + c * (np.trace(m) * eye + m - m * eye)
+    ops = ch.kraus_ops if isinstance(ch, Channel) else ch.kraus_channel().kraus_ops
+    return lambda m: sum(k @ m @ k.conj().T for k in ops)
+
+
 # (family, extra keyword arguments) of every one-parameter family.
 LAMBDA_FAMILIES = {
     "depolarizing": (DepolarizingChannel, lambda d: {}),
@@ -540,8 +553,34 @@ class TestChannelProtocol:
         assert np.array_equal(ch.choi(), choi_matrix(ch.apply_matrix, ch.dim_in))
         s = ch.superoperator()
         assert s.shape == (ch.dim_out ** 2, ch.dim_in ** 2)
-        ref = superoperator_from_action(ch.apply_matrix, ch.dim_in)
+        ref = superoperator_from_action(reference_action(ch), ch.dim_in)
         assert np.max(np.abs(s - ref)) < 1e-13
+
+    def test_superoperator_built_once_per_instance(self, monkeypatch):
+        # The first action builds and keeps the matrix; the adjoint, the
+        # action on a state and the Choi matrix reuse it. Each instance,
+        # checked or not, keeps its own.
+        builds = []
+        inner = DepolarizingChannel.superoperator
+
+        def counted(ch):
+            builds.append(ch)
+            return inner(ch)
+
+        monkeypatch.setattr(DepolarizingChannel, "superoperator", counted)
+        a, b = DepolarizingChannel(3, 0.5), DepolarizingChannel.unchecked(3, -0.5)
+        rho = random_density_matrix(3, seed=75)
+        m = np.asarray(rho)
+        for ch in (a, b):
+            ch.apply_matrix(m)
+            ch.adjoint_apply_matrix(m)
+            ch.choi()
+        a(rho)
+        assert builds == [a, b]
+        for ch in (a, b):
+            expected = ch.lam * m + (1.0 - ch.lam) * np.eye(3) / 3
+            assert np.max(np.abs(ch.apply_matrix(m) - expected)) < 1e-15
+        assert len(builds) == 2
 
     @pytest.mark.parametrize("name", sorted(LAMBDA_FAMILIES))
     def test_cp_range_gate(self, name):

@@ -50,11 +50,12 @@ def phase_channel(d, lam, a):
 
 
 def omega_alt_form(om, mat):
-    """The second closed form of Omega for unit-trace input, or for each
-    matrix of a stack: (lam + (1-lam)/d) rho + ((1-lam)/d)(I - diag rho)."""
+    """The second closed form of Omega on a matrix, or on each matrix of a
+    stack: (lam + (1-lam)/d) rho + ((1-lam)/d)(Tr(rho) I - diag rho)."""
     m = np.asarray(mat, dtype=complex)
     c = (1.0 - om.lam) / om.dim
-    return (om.lam + c) * m + c * (np.eye(om.dim) - m * np.eye(om.dim))
+    tr = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    return (om.lam + c) * m + c * (tr * np.eye(om.dim) - m * np.eye(om.dim))
 
 
 def qubit_four_term_decomposition(lam):
@@ -203,12 +204,13 @@ class TestOmegaChannel:
             OmegaChannel(3, -0.51)
 
     def test_closed_form_superoperator_matches_action(self):
-        # Reference: the superoperator built one matrix unit at a time.
+        # Reference: the second closed form, applied to one matrix unit at
+        # a time.
         for d in range(2, 7):
             for lam in (-1.0 / (d - 1), -1.0 / (d * d - 1), -0.1, 0.0, 0.3,
                         0.77, 1.0):
                 om = OmegaChannel.unchecked(d, lam)
-                ref = superoperator_from_action(om.apply_matrix, d)
+                ref = superoperator_from_action(lambda m: omega_alt_form(om, m), d)
                 assert np.max(np.abs(om.superoperator() - ref)) < 1e-15
 
     def test_trace_preserving(self):
