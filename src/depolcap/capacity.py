@@ -468,7 +468,9 @@ def _joint_support_ascent(outputs, pullback, states: np.ndarray,
     that of S(Psi(psi_i psi_i*), sigma) at the current sigma; value and
     gradient come from one eigendecomposition of the outputs and one of
     sigma. ``outputs`` and ``pullback`` are the channel's
-    ``pure_output_maps``.
+    ``pure_output_maps``. A support that stops with ``grad_tol`` before
+    any step is returned as the input array itself, not as the ascent's
+    renormalized copy, so the caller can tell that it did not move.
     """
 
     def objective(rows):
@@ -479,7 +481,10 @@ def _joint_support_ascent(outputs, pullback, states: np.ndarray,
         grad = pullback(log_outs - spectral_function(u, np.log(wc)), states)
         return np.array([chi]), (probs[:, None] * grad)[None]
 
-    return ascend_lockstep(objective, states[None], max_iter=JOINT_STEPS)[0].state
+    result = ascend_lockstep(objective, states[None], max_iter=JOINT_STEPS)[0]
+    if result.stop == "grad_tol" and result.iterations == 1:
+        return states
+    return result.state
 
 
 def holevo_quantity(channel, seed: int = 0,

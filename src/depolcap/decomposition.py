@@ -14,10 +14,13 @@ and two exact identities:
     bases are {G^k H^a theta}_k for a = 1 .. 2 d^2, where H carries quadratic
     phases and theta is the constant unit vector.
 
-Chaining the two yields 2 d^2 (d + 1) terms (weight, conjugating unitary,
-uniform phase-damping channel) whose weights are nonnegative for lam in
-[0, 1]. For lam < 0 both identities still hold linearly but some weights go
-negative; the decomposition is then flagged as signed rather than convex.
+Chaining the two yields 2 d^2 (d + 1) terms, held as arrays: a weight grid
+over d + 1 conjugating unitaries (I and the powers of G) by 2 d^2 uniform
+damper bases, all at one lam. The weights are nonnegative for lam in
+[0, 1]. Each unitary's row is constant, so the superoperator takes one
+stacked damper sum per distinct row. For lam < 0 both identities still
+hold linearly but some weights go negative; the decomposition is then
+flagged as signed rather than convex.
 The second identity reduces to a quadruple-index counting problem over
 (x, y, u, v) in {1..d}^4, enumerated exhaustively by
 :func:`diophantine_solutions`.
@@ -31,13 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    InvalidChannelError,
     LambdaChannel,
     PureState,
+    _freeze,
     frobenius_distance,
 )
 from .depolarizing import DepolarizingChannel
 from .phase_damping import (
-    PhaseDampingChannel,
+    UNIFORM_TOL,
+    check_orthonormal,
     damper_superoperator_sum,
     damping_lambda_min,
 )
@@ -78,8 +84,8 @@ def psi_state(d: int, k: int, a: int) -> PureState:
 def psi_basis(d: int, a: int) -> np.ndarray:
     """Orthonormal basis matrix whose column k-1 is psi_{k,a}.
 
-    Unlike psi_state, the columns are not validated one by one;
-    PhaseDampingChannel checks the whole basis against GRAM_TOL.
+    Unlike psi_state, the columns are not validated one by one; the channel
+    or decomposition built on it checks the whole basis against GRAM_TOL.
     """
     if not 1 <= a <= 2 * d * d:
         raise ValueError(f"a must be in 1..{2 * d * d}, got {a}")
@@ -260,63 +266,57 @@ def diophantine_solutions(d: int) -> DiophantineCensus:
 # Full decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DecompositionTerm:
-    """One summand: weight * U^* Phi(rho) U."""
-
-    weight: float
-    unitary: np.ndarray
-    channel: PhaseDampingChannel
-
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        u = self.unitary
-        return u.conj() @ self.channel.apply_matrix(mat) @ u
-
-
 class ConvexDecomposition:
-    """A weighted sum of conjugated uniform phase-damping channels.
+    """The sum over k, a of w[k, a] U_k^* Phi_a(rho) U_k, where every damper
+    Phi_a shares one lam: a weight grid ``weights`` (K, A), K conjugating
+    ``unitaries`` (K, d, d) and A damper ``bases`` (A, d, d), so K A terms.
 
-    ``is_convex`` records whether all weights are nonnegative; the weight sum
-    must equal 1 regardless (the split is always an exact affine identity).
+    The constructor validates the stacks once: each basis must pass the
+    GRAM_TOL orthonormality check and the weights must sum to 1 regardless
+    of sign (the split is always an exact affine identity). It records
+    whether every basis column is uniform within UNIFORM_TOL and, as
+    ``is_convex``, whether all weights are nonnegative.
     """
 
-    def __init__(self, dim: int, lam: float, terms: list[DecompositionTerm]) -> None:
-        total = sum(t.weight for t in terms)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total}, expected 1")
+    def __init__(self, dim: int, lam: float, weights, unitaries, bases) -> None:
         self.dim = int(dim)
         self.lam = float(lam)
-        self.terms = tuple(terms)
+        self.weights = _freeze(np.array(weights, dtype=float))
+        self.unitaries = _freeze(np.array(unitaries, dtype=complex))
+        self.bases = _freeze(np.array(bases, dtype=complex))
+        if (self.weights.shape != self.unitaries.shape[:1] + self.bases.shape[:1]
+                or {self.unitaries.shape[1:], self.bases.shape[1:]} != {(dim, dim)}):
+            raise InvalidChannelError(f"weights {self.weights.shape}, unitaries "
+                                      f"{self.unitaries.shape}, bases {self.bases.shape}")
+        check_orthonormal(self.bases)
+        # Term by term in grid order; np.sum pairs the terms and rounds differently.
+        self.weight_sum = float(sum(self.weights.flat))
+        if abs(self.weight_sum - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"weights sum to {self.weight_sum}, expected 1")
+        self.is_convex = bool(np.all(self.weights >= -CONVEXITY_TOL))
+        mags = np.abs(self.bases)
+        self._uniform = bool(np.all(mags.max(axis=1) - mags.min(axis=1) < UNIFORM_TOL))
 
     def __len__(self) -> int:
-        return len(self.terms)
-
-    @property
-    def weight_sum(self) -> float:
-        return float(sum(t.weight for t in self.terms))
-
-    @property
-    def is_convex(self) -> bool:
-        return all(t.weight >= -CONVEXITY_TOL for t in self.terms)
+        return self.weights.size
 
     def all_channels_uniform(self) -> bool:
-        distinct = {id(t.channel): t.channel for t in self.terms}
-        return all(ch.is_uniform() for ch in distinct.values())
-
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        m = np.asarray(mat, dtype=complex)
-        return sum(t.weight * t.apply_matrix(m) for t in self.terms)
+        return self._uniform
 
     def superoperator(self) -> np.ndarray:
-        """Terms grouped by the value of their unitary: each group's dampers,
-        with their own weights, bases and lams, form one stacked closed form
-        that is conjugated once (d + 1 conjugations in full_decomposition)."""
+        """The unitaries whose weight rows are equal share one stacked damper
+        sum, in which every term keeps its own weight, basis and lam; the
+        sum of their conjugation superoperators kron(U*, U^T) then acts on
+        it once (two damper sums in full_decomposition)."""
         groups: dict = {}
-        for t in self.terms:
-            groups.setdefault(t.unitary.tobytes(), []).append(t)
-        return sum(conjugation_superoperator(g[0].unitary, damper_superoperator_sum(
-            [t.channel.basis for t in g], [t.channel.lam for t in g],
-            [t.weight for t in g])) for g in groups.values())
+        for row, u in zip(self.weights, self.unitaries):
+            groups.setdefault(row.tobytes(), (row, []))[1].append(u)
+        total = np.zeros((self.dim ** 2,) * 2, dtype=complex)
+        for row, us in groups.values():
+            u = np.array(us)
+            conj = np.einsum("kij,kba->iajb", u.conj(), u).reshape(total.shape)
+            total += conj @ damper_superoperator_sum(self.bases, self.lam, row)
+        return total
 
     def reconstruction_error(self) -> float:
         """Frobenius distance to the depolarizing superoperator."""
@@ -325,26 +325,24 @@ class ConvexDecomposition:
 
     def __repr__(self) -> str:
         return (f"ConvexDecomposition(dim={self.dim}, lam={self.lam}, "
-                f"terms={len(self.terms)}, convex={self.is_convex})")
+                f"terms={len(self)}, convex={self.is_convex})")
 
 
 def full_decomposition(d: int, lam: float) -> ConvexDecomposition:
     """Decompose Delta_lam into 2 d^2 (d + 1) conjugated uniform
-    phase-damping terms.
+    phase-damping terms: a (d + 1, 2 d^2) weight grid over the unitaries
+    G^0 = I, G, ..., G^d and the 2 d^2 bases of :func:`psi_bases`.
 
-    First block: weight lam/((1 + (d-1) lam) 2 d) on each unconjugated
-    Phi^(a). Second block: weight (1 - lam)/((1 + (d-1) lam) 2 d^3) on each
-    G^k-conjugated Phi^(a). Convex (all weights >= 0) exactly for lam in
-    [0, 1]; outside that the same terms form a signed identity and the
-    result is flagged via ``is_convex``.
+    Row of I: weight lam/((1 + (d-1) lam) 2 d) on each Phi^(a). Rows of
+    G^k: weight (1 - lam)/((1 + (d-1) lam) 2 d^3) on each Phi^(a). Convex
+    (all weights >= 0) exactly for lam in [0, 1]; outside that the same
+    terms form a signed identity and the result is flagged via
+    ``is_convex``.
     """
     c0, c1 = mixing_weights(d, lam)
     n = 2 * d * d
-    channels = [PhaseDampingChannel.unchecked(d, lam, basis=b) for b in psi_bases(d)]
-    eye = np.eye(d, dtype=complex)
+    weights = np.full((d + 1, n), c1 / (d * n))
+    weights[0] = c0 / n
     g_diag = np.diagonal(build_g(d))
-    terms = [DecompositionTerm(c0 / n, eye, ch) for ch in channels]
-    for k in range(1, d + 1):
-        gk = np.diag(g_diag ** k)
-        terms.extend(DecompositionTerm(c1 / (d * n), gk, ch) for ch in channels)
-    return ConvexDecomposition(d, lam, terms)
+    unitaries = [np.diag(g_diag ** k) for k in range(d + 1)]
+    return ConvexDecomposition(d, lam, weights, unitaries, psi_bases(d))

@@ -581,6 +581,25 @@ class TestHolevoRoundWork:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_capacity_grid_settles_once_per_round(self, dim, lam, monkeypatch):
+        # A support that the joint step stops at before any step comes back
+        # as the same array. Its renormalized copy differs from members
+        # drawn as v / |v| in the last bit, which would solve the weights
+        # again (at lam = 0 on every dim here).
+        calls = []
+        inner = capacity._settle_weights
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(capacity, "_settle_weights", counted)
+        result = holevo_quantity(DepolarizingChannel(dim, lam), seed=0)
+        assert result.converged
+        assert len(calls) == result.outer_iterations
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_weight_evaluation_budget_on_the_capacity_grid(
             self, dim, lam, weight_evaluations):
         # Every run here is certified in its first round, where the joint

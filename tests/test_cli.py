@@ -457,6 +457,38 @@ class TestDecomposeContent:
         assert row["values"]["signed"] is True
         assert row["values"]["reconstruction_error"] < 1e-10
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_signed_at_depolarizing_lambda_min(self, capsys, d):
+        # -1/(d^2 - 1), the lower edge of Delta's CP range, needs no
+        # --unchecked-lambda; the decomposition there is signed.
+        lam = lambda_min(d)
+        code, out, _ = run_cli(["decompose", "--dims", str(d), "--lambdas",
+                                repr(lam)], capsys)
+        assert code == 0
+        row = [r for r in json.loads(out)["records"]
+               if r["name"] == "decomposition-reconstruction"][0]
+        assert row["passed"]
+        assert row["values"]["convex"] is False
+        assert row["values"]["reconstruction_error"] <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_singular_weight_denominator_is_an_error_record(self, capsys, d):
+        # At lam = -1/(d - 1) the mixing weights are singular: the
+        # decomposition's record carries the error and fails, the identity
+        # checks of that lambda are skipped, and the run exits 1.
+        code, out, err = run_cli(
+            ["decompose", "--dims", str(d), "--lambdas", repr(-1.0 / (d - 1)),
+             "--unchecked-lambda"], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        records = json.loads(out)["records"]
+        assert sorted(r["name"] for r in records) == [
+            "decomposition-reconstruction", "diophantine-census"]
+        row = [r for r in records if r["name"] == "decomposition-reconstruction"][0]
+        assert row["passed"] is False
+        assert list(row["values"]) == ["error"]
+        assert "singular weight denominator" in row["values"]["error"]
+
 
 class TestCapacityContent:
     def test_chain_rows_and_monotonicity(self, capsys):

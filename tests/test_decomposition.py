@@ -14,7 +14,6 @@ from depolcap.core import (
 )
 from depolcap.decomposition import (
     ConvexDecomposition,
-    DecompositionTerm,
     OmegaChannel,
     averaged_projector_identity_error,
     build_g,
@@ -64,20 +63,31 @@ def qubit_four_term_decomposition(lam):
     At d = 2 the eight phase channels pair up into four distinct ones and
     Omega itself is the average of just two of them (indices a = 2 and
     a = 4, the sigma_y- and sigma_x-basis dampers), so Delta_lam needs only
-    four terms: those two channels plain, and the same two conjugated by G.
+    a 2 x 2 grid: those two dampers plain (row I), and the same two
+    conjugated by G (row G).
     """
     c0, c1 = mixing_weights(2, lam)
-    g = build_g(2)
-    eye = np.eye(2, dtype=complex)
-    phi_y = phase_channel(2, lam, 2)
-    phi_x = phase_channel(2, lam, 4)
-    terms = [
-        DecompositionTerm(c0 / 2 + c1 / 4, eye, phi_y),
-        DecompositionTerm(c0 / 2 + c1 / 4, eye, phi_x),
-        DecompositionTerm(c1 / 4, g, phi_y),
-        DecompositionTerm(c1 / 4, g, phi_x),
-    ]
-    return ConvexDecomposition(2, lam, terms)
+    weights = [[c0 / 2 + c1 / 4] * 2, [c1 / 4] * 2]
+    unitaries = [np.eye(2, dtype=complex), build_g(2)]
+    return ConvexDecomposition(2, lam, weights, unitaries,
+                               [psi_basis(2, 2), psi_basis(2, 4)])
+
+
+def term_actions(dec):
+    """(weight, action) of every term, each channel built here from the
+    term's unitary U and basis: rho -> U^* Phi(rho) U."""
+    for k, u in enumerate(dec.unitaries):
+        for a, basis in enumerate(dec.bases):
+            phi = PhaseDampingChannel.unchecked(dec.dim, dec.lam, basis=basis)
+            yield (dec.weights[k, a],
+                   lambda m, u=u, phi=phi: u.conj() @ phi.apply_matrix(m) @ u)
+
+
+def per_term_superoperator(dec):
+    """The reference sum: every term's own conjugated superoperator."""
+    return sum(dec.weights[k, a] * conjugation_superoperator(
+        u, PhaseDampingChannel.unchecked(dec.dim, dec.lam, basis=basis).superoperator())
+        for k, u in enumerate(dec.unitaries) for a, basis in enumerate(dec.bases))
 
 
 class TestClockAndQuadraticUnitaries:
@@ -334,29 +344,32 @@ class TestFullDecomposition:
 
     def test_terms_are_valid_channels(self):
         dec = full_decomposition(2, 0.3)
-        for term in dec.terms:
-            rho = np.asarray(random_density_matrix(2, seed=3))
-            out = term.apply_matrix(rho)
-            assert abs(np.trace(out) - 1.0) < 1e-12
-            assert min_choi_eigenvalue(term.apply_matrix, 2) > -1e-10
+        rho = np.asarray(random_density_matrix(2, seed=3))
+        actions = [act for _, act in term_actions(dec)]
+        assert len(actions) == len(dec)
+        for act in actions:
+            assert abs(np.trace(act(rho)) - 1.0) < 1e-12
+            assert min_choi_eigenvalue(act, 2) > -1e-10
 
     def test_action_matches_superoperator(self):
         dec = full_decomposition(2, 0.7)
         rho = np.asarray(random_density_matrix(2, seed=4))
-        via_action = dec.apply_matrix(rho)
+        via_action = sum(w * act(rho) for w, act in term_actions(dec))
         via_super = (dec.superoperator() @ rho.reshape(-1)).reshape(2, 2)
         assert np.allclose(via_action, via_super, atol=1e-12)
 
     def test_weight_sum_guard(self):
         dec = full_decomposition(2, 0.5)
         with pytest.raises(ValueError, match="sum"):
-            ConvexDecomposition(2, 0.5, list(dec.terms[:4]))
+            ConvexDecomposition(2, 0.5, dec.weights[:, :4], dec.unitaries,
+                                dec.bases[:4])
 
-
-def per_term_superoperator(dec):
-    """The reference sum: every term's own conjugated superoperator."""
-    return sum(t.weight * conjugation_superoperator(t.unitary, t.channel.superoperator())
-               for t in dec.terms)
+    def test_grid_shape_guard(self):
+        dec = full_decomposition(3, 0.5)
+        with pytest.raises(InvalidChannelError, match="weights"):
+            ConvexDecomposition(3, 0.5, dec.weights[1:], dec.unitaries, dec.bases)
+        with pytest.raises(InvalidChannelError, match="weights"):
+            ConvexDecomposition(3, 0.5, dec.weights, dec.unitaries[:, :2], dec.bases)
 
 
 class TestStackedSuperoperator:
@@ -375,24 +388,54 @@ class TestStackedSuperoperator:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_other_g_power_on_one_term_shows(self, d):
-        # Grouping by unitary must neither drop nor merge a moved term.
-        g_diag = np.diagonal(build_g(d))
+        # The last term (G^d, last basis) moves to G: an extra unitary row
+        # carries its weight, zeroed at its old place. Grouping by weight
+        # row must neither drop nor merge the moved term.
         dec = full_decomposition(d, 0.3)
-        terms = list(dec.terms)
-        t = terms[-1]
-        terms[-1] = DecompositionTerm(t.weight, np.diag(g_diag), t.channel)
-        assert ConvexDecomposition(d, 0.3, terms).reconstruction_error() > 1e-10
+        weights = np.vstack([dec.weights, np.zeros(len(dec.bases))])
+        weights[-1, -1], weights[-2, -1] = weights[-2, -1], 0.0
+        unitaries = np.vstack([dec.unitaries, build_g(d)[None]])
+        mutant = ConvexDecomposition(d, 0.3, weights, unitaries, dec.bases)
+        assert mutant.reconstruction_error() > 1e-10
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_computational_damper_on_one_term_shows(self, d):
+        # Term (I, basis d) takes the computational basis: an extra basis
+        # column carries its weight, zeroed at its old place.
         dec = full_decomposition(d, 0.3)
-        terms = list(dec.terms)
-        t = terms[d]
-        terms[d] = DecompositionTerm(t.weight, t.unitary,
-                                     PhaseDampingChannel.unchecked(d, 0.3))
-        mutant = ConvexDecomposition(d, 0.3, terms)
+        weights = np.hstack([dec.weights, np.zeros((len(dec.unitaries), 1))])
+        weights[0, -1], weights[0, d] = weights[0, d], 0.0
+        bases = np.vstack([dec.bases, np.eye(d, dtype=complex)[None]])
+        mutant = ConvexDecomposition(d, 0.3, weights, dec.unitaries, bases)
         assert mutant.reconstruction_error() > 1e-10
         assert not mutant.all_channels_uniform()
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 6])
+    def test_weight_moved_between_rows_shows(self, d):
+        # 1e-6 moves from term (I, first basis) to term (G, second basis):
+        # the weight sum and convexity stay, but the two rows no longer
+        # equal their old selves. At lam = 1/(d^2 + 1) all rows agree to
+        # rounding (exactly at d = 2 and 6), so the grid starts as one group.
+        for lam in (0.3, 1.0 / (d * d + 1)):
+            dec = full_decomposition(d, lam)
+            weights = dec.weights.copy()
+            weights[0, 0] -= 1e-6
+            weights[1, 1] += 1e-6
+            mutant = ConvexDecomposition(d, lam, weights, dec.unitaries, dec.bases)
+            assert abs(mutant.weight_sum - dec.weight_sum) < 1e-15
+            assert mutant.is_convex == dec.is_convex
+            assert mutant.reconstruction_error() > 1e-10, (d, lam)
+            assert np.max(np.abs(mutant.superoperator()
+                                 - per_term_superoperator(mutant))) < 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_non_orthonormal_basis_anywhere_raises(self, d):
+        dec = full_decomposition(d, 0.3)
+        for a in (0, d, len(dec.bases) - 1):
+            bases = dec.bases.copy()
+            bases[a, :, -1] *= 1.0 + 1e-8
+            with pytest.raises(InvalidChannelError, match="orthonormal"):
+                ConvexDecomposition(d, 0.3, dec.weights, dec.unitaries, bases)
 
 
 class TestQubitFourTerm:
@@ -419,11 +462,13 @@ class TestQubitFourTerm:
 
 def test_decomposition_applied_to_maximally_mixed_is_fixed_point():
     dec = full_decomposition(3, 0.6)
-    out = dec.apply_matrix(np.asarray(maximally_mixed(3)))
+    out = sum(w * act(np.asarray(maximally_mixed(3))) for w, act in term_actions(dec))
     assert np.allclose(out, np.eye(3) / 3, atol=1e-12)
+    via_super = dec.superoperator() @ np.asarray(maximally_mixed(3)).reshape(-1)
+    assert np.allclose(via_super.reshape(3, 3), np.eye(3) / 3, atol=1e-12)
 
 
 def test_term_choi_trace_one():
-    term = full_decomposition(2, 0.5).terms[-1]
-    j = choi_matrix(term.apply_matrix, 2)
+    _, act = list(term_actions(full_decomposition(2, 0.5)))[-1]
+    j = choi_matrix(act, 2)
     assert abs(np.trace(j) - 1.0) < 1e-12
