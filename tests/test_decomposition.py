@@ -413,8 +413,8 @@ class TestStackedSuperoperator:
     @pytest.mark.parametrize("d", [2, 3, 5, 6])
     def test_weight_moved_between_rows_shows(self, d):
         # 1e-6 moves from term (I, first basis) to term (G, second basis):
-        # the weight sum and convexity stay, but the two rows no longer
-        # equal their old selves. At lam = 1/(d^2 + 1) all rows agree to
+        # the weight sum and convexity stay, but the two touched rows now
+        # differ from every other row. At lam = 1/(d^2 + 1) all rows agree to
         # rounding (exactly at d = 2 and 6), so the grid starts as one group.
         for lam in (0.3, 1.0 / (d * d + 1)):
             dec = full_decomposition(d, lam)
