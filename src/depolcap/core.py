@@ -495,7 +495,8 @@ def superoperator_from_action(apply_fn: Callable[[np.ndarray], np.ndarray],
     Columns are the vectorized images of the matrix units, so this works for
     maps that are not completely positive (no Kraus form required). It is
     the generic path, one ``apply_fn`` call per matrix unit, behind
-    ``choi_matrix`` and the tests' references.
+    ``choi_matrix`` and the tests' references; a map that holds its
+    superoperator reshuffles it with :func:`choi_from_superoperator`.
     """
     out_dim = np.asarray(apply_fn(np.eye(dim, dtype=complex))).shape[0]
     s = np.zeros((out_dim * out_dim, dim * dim), dtype=complex)
@@ -507,17 +508,22 @@ def superoperator_from_action(apply_fn: Callable[[np.ndarray], np.ndarray],
     return s
 
 
-def choi_matrix(apply_fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Normalized Choi matrix (1/d) sum_ij fn(E_ij) (x) E_ij of a linear map.
+def choi_from_superoperator(s: np.ndarray, dim_in: int) -> np.ndarray:
+    """Normalized Choi matrix (1/d) sum_ij fn(E_ij) (x) E_ij of the map
+    whose superoperator is ``s``.
 
     PSD exactly when the map is completely positive; unit trace when it is
     trace preserving. Entry ((a, i), (b, j)) is fn(E_ij)[a, b], which is a
     reshuffle of the superoperator's entry ((a, b), (i, j)).
     """
-    s = superoperator_from_action(apply_fn, dim)
     out_dim = int(round(math.sqrt(s.shape[0])))
-    return (s.reshape(out_dim, out_dim, dim, dim).transpose(0, 2, 1, 3)
-            .reshape(out_dim * dim, out_dim * dim) / dim)
+    return (s.reshape(out_dim, out_dim, dim_in, dim_in).transpose(0, 2, 1, 3)
+            .reshape(out_dim * dim_in, out_dim * dim_in) / dim_in)
+
+
+def choi_matrix(apply_fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
+    """Normalized Choi matrix of a linear map given by its action."""
+    return choi_from_superoperator(superoperator_from_action(apply_fn, dim), dim)
 
 
 def min_choi_eigenvalue(apply_fn: Callable[[np.ndarray], np.ndarray], dim: int) -> float:

@@ -28,6 +28,7 @@ The second identity reduces to a quadruple-index counting problem over
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,12 +42,7 @@ from .core import (
     frobenius_distance,
 )
 from .depolarizing import DepolarizingChannel
-from .phase_damping import (
-    UNIFORM_TOL,
-    check_orthonormal,
-    damper_superoperator_sum,
-    damping_lambda_min,
-)
+from .phase_damping import DamperStack, damping_lambda_min
 
 WEIGHT_SUM_TOL = 1e-12
 CONVEXITY_TOL = 1e-12
@@ -101,6 +97,29 @@ def psi_bases(d: int) -> np.ndarray:
     h_diag = np.diagonal(build_h(d))
     theta = np.ones(d, dtype=complex) / math.sqrt(d)
     return (g_diag[:, None] ** k) * ((h_diag ** a) * theta)[:, :, None]
+
+
+# Each dimension's lam-independent structure, built on first use and shared,
+# read-only, by every lam.
+
+@functools.cache
+def _psi_stack(d: int) -> DamperStack:
+    """The checked and vectorized :func:`psi_bases` stack of dimension d."""
+    return DamperStack(psi_bases(d))
+
+
+@functools.cache
+def _clock_powers(d: int) -> np.ndarray:
+    """The stack ``(d + 1, d, d)`` of G^0 = I, G, ..., G^d."""
+    g_diag = np.diagonal(build_g(d))
+    return _freeze(np.array([np.diag(g_diag ** k) for k in range(d + 1)]))
+
+
+@functools.cache
+def _clock_conjugation_sum(d: int) -> np.ndarray:
+    """sum_k kron(G^k*, G^k^T) over k = 1..d, the superoperator of
+    rho -> sum_k (G*)^k rho G^k, summed term by term."""
+    return _freeze(conjugation_sum(_clock_powers(d)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +181,11 @@ def mixing_weights(d: int, lam: float) -> tuple[float, float]:
     return lam * d / denom, (1.0 - lam) / denom
 
 
-def conjugation_superoperator(u: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> U* inner(rho) U for a square matrix U."""
-    return np.kron(u.conj(), u.T) @ inner
+def conjugation_sum(unitaries: np.ndarray) -> np.ndarray:
+    """sum_k kron(U_k*, U_k^T) over a stack ``(K, d, d)``: the superoperator
+    of rho -> sum_k U_k* rho U_k."""
+    d = unitaries.shape[-1]
+    return np.einsum("kij,kba->iajb", unitaries.conj(), unitaries).reshape(d * d, d * d)
 
 
 def omega_split_check(d: int, lam: float) -> IdentityCheck:
@@ -172,11 +193,7 @@ def omega_split_check(d: int, lam: float) -> IdentityCheck:
     c0, c1 = mixing_weights(d, lam)
     target = DepolarizingChannel.unchecked(d, lam).superoperator()
     s_omega = OmegaChannel.unchecked(d, lam).superoperator()
-    g = build_g(d)
-    recon = c0 * s_omega
-    for k in range(1, d + 1):
-        gk = np.diag(np.diagonal(g) ** k)
-        recon += (c1 / d) * conjugation_superoperator(gk, s_omega)
+    recon = c0 * s_omega + (c1 / d) * (_clock_conjugation_sum(d) @ s_omega)
     return IdentityCheck(dim=d, lam=lam,
                          distance=frobenius_distance(target, recon),
                          weights=(c0,) + (c1 / d,) * d, n_terms=d + 1)
@@ -186,7 +203,7 @@ def phase_average_check(d: int, lam: float) -> IdentityCheck:
     """Check Omega = (1/(2 d^2)) sum_a Phi^(a) over all 2 d^2 channels."""
     n = 2 * d * d
     target = OmegaChannel.unchecked(d, lam).superoperator()
-    recon = damper_superoperator_sum(psi_bases(d), lam, 1.0 / n)
+    recon = _psi_stack(d).superoperator(lam, 1.0 / n)
     return IdentityCheck(dim=d, lam=lam,
                          distance=frobenius_distance(target, recon),
                          weights=(1.0 / n,) * n, n_terms=n)
@@ -271,11 +288,12 @@ class ConvexDecomposition:
     Phi_a shares one lam: a weight grid ``weights`` (K, A), K conjugating
     ``unitaries`` (K, d, d) and A damper ``bases`` (A, d, d), so K A terms.
 
-    The constructor validates the stacks once: each basis must pass the
-    GRAM_TOL orthonormality check and the weights must sum to 1 regardless
-    of sign (the split is always an exact affine identity). It records
-    whether every basis column is uniform within UNIFORM_TOL and, as
-    ``is_convex``, whether all weights are nonnegative.
+    ``bases`` is a :class:`DamperStack`, or a raw stack that the constructor
+    turns into one: each basis must pass the GRAM_TOL orthonormality check,
+    and the stack records whether every basis column is uniform within
+    UNIFORM_TOL. The weights must sum to 1 regardless of sign (the split is
+    always an exact affine identity); ``is_convex`` records whether all
+    weights are nonnegative.
     """
 
     def __init__(self, dim: int, lam: float, weights, unitaries, bases) -> None:
@@ -283,25 +301,23 @@ class ConvexDecomposition:
         self.lam = float(lam)
         self.weights = _freeze(np.array(weights, dtype=float))
         self.unitaries = _freeze(np.array(unitaries, dtype=complex))
-        self.bases = _freeze(np.array(bases, dtype=complex))
+        self.stack = bases if isinstance(bases, DamperStack) else DamperStack(bases)
+        self.bases = self.stack.bases
         if (self.weights.shape != self.unitaries.shape[:1] + self.bases.shape[:1]
                 or {self.unitaries.shape[1:], self.bases.shape[1:]} != {(dim, dim)}):
             raise InvalidChannelError(f"weights {self.weights.shape}, unitaries "
                                       f"{self.unitaries.shape}, bases {self.bases.shape}")
-        check_orthonormal(self.bases)
         # Term by term in grid order; np.sum pairs the terms and rounds differently.
         self.weight_sum = float(sum(self.weights.flat))
         if abs(self.weight_sum - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {self.weight_sum}, expected 1")
         self.is_convex = bool(np.all(self.weights >= -CONVEXITY_TOL))
-        mags = np.abs(self.bases)
-        self._uniform = bool(np.all(mags.max(axis=1) - mags.min(axis=1) < UNIFORM_TOL))
 
     def __len__(self) -> int:
         return self.weights.size
 
     def all_channels_uniform(self) -> bool:
-        return self._uniform
+        return self.stack.uniform
 
     def superoperator(self) -> np.ndarray:
         """The unitaries whose weight rows are equal share one stacked damper
@@ -313,9 +329,7 @@ class ConvexDecomposition:
             groups.setdefault(row.tobytes(), (row, []))[1].append(u)
         total = np.zeros((self.dim ** 2,) * 2, dtype=complex)
         for row, us in groups.values():
-            u = np.array(us)
-            conj = np.einsum("kij,kba->iajb", u.conj(), u).reshape(total.shape)
-            total += conj @ damper_superoperator_sum(self.bases, self.lam, row)
+            total += conjugation_sum(np.array(us)) @ self.stack.superoperator(self.lam, row)
         return total
 
     def reconstruction_error(self) -> float:
@@ -343,6 +357,4 @@ def full_decomposition(d: int, lam: float) -> ConvexDecomposition:
     n = 2 * d * d
     weights = np.full((d + 1, n), c1 / (d * n))
     weights[0] = c0 / n
-    g_diag = np.diagonal(build_g(d))
-    unitaries = [np.diag(g_diag ** k) for k in range(d + 1)]
-    return ConvexDecomposition(d, lam, weights, unitaries, psi_bases(d))
+    return ConvexDecomposition(d, lam, weights, _clock_powers(d), _psi_stack(d))

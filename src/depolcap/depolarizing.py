@@ -21,7 +21,8 @@ from .core import (
     InvalidChannelError,
     LambdaChannel,
     _p_norm_from_eigenvalues,
-    min_choi_eigenvalue,
+    choi_from_superoperator,
+    hermitize,
 )
 
 DERIVATIVE_STEP = 1e-4
@@ -122,6 +123,7 @@ class DepolarizingChannel(LambdaChannel):
 
 def min_choi_eig(dim: int, lam: float) -> float:
     """Smallest Choi eigenvalue of the (possibly non-CP) map; the
-    complete-positivity witness used at and beyond the range edges."""
-    ch = DepolarizingChannel.unchecked(dim, lam)
-    return min_choi_eigenvalue(ch.apply_matrix, dim)
+    complete-positivity witness used at and beyond the range edges. The
+    Choi matrix is a reshuffle of the closed-form superoperator."""
+    s = DepolarizingChannel.unchecked(dim, lam).superoperator()
+    return float(np.linalg.eigvalsh(hermitize(choi_from_superoperator(s, dim)))[0])

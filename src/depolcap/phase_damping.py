@@ -53,19 +53,35 @@ def check_orthonormal(bases) -> None:
             f"basis is not orthonormal: Gram defect {gram_defect:.3e}")
 
 
-def damper_superoperator_sum(bases, lams, weights) -> np.ndarray:
-    """sum_t w_t (lam_t I + (1 - lam_t) V_t V_t^dag) over a stack ``(T, d, d)`` of
-    orthonormal bases; a scalar lam or weight applies to all. Column i of V_t is
-    b_i (x) conj(b_i): row-major, E_i rho E_i is kron(E_i, E_i^T) = v_i v_i^dag."""
-    b = np.asarray(bases, dtype=complex)
-    check_orthonormal(b)
-    t, d = b.shape[0], b.shape[-1]
-    lam, w = (np.broadcast_to(np.asarray(x, dtype=float), (t,)) for x in (lams, weights))
-    v = (b[:, :, None, :] * b.conj()[:, None, :, :]).reshape(t, d * d, d)
-    v = np.moveaxis(v, 0, 1).reshape(d * d, t * d)
-    s = (v * np.repeat(w * (1.0 - lam), d)) @ v.conj().T
-    s[np.diag_indices_from(s)] += np.sum(w * lam)
-    return s
+class DamperStack:
+    """A stack ``(T, d, d)`` of orthonormal bases, checked and vectorized once.
+
+    The constructor runs the GRAM_TOL check on every basis, records as
+    ``uniform`` whether every basis column is uniform within UNIFORM_TOL,
+    and builds V ``(d^2, T d)``: column t d + i is b_ti (x) conj(b_ti), so
+    that, row-major, E_i rho E_i is kron(E_i, E_i^T) = v_i v_i^dag. The
+    arrays are read-only, so one stack can serve every lam.
+    """
+
+    def __init__(self, bases) -> None:
+        b = np.array(bases, dtype=complex)
+        check_orthonormal(b)
+        t, d = b.shape[0], b.shape[-1]
+        v = (b[:, :, None, :] * b.conj()[:, None, :, :]).reshape(t, d * d, d)
+        self.bases = _freeze(b)
+        self.vectors = _freeze(np.moveaxis(v, 0, 1).reshape(d * d, t * d))
+        mags = np.abs(b)
+        self.uniform = bool(np.all(mags.max(axis=1) - mags.min(axis=1) < UNIFORM_TOL))
+
+    def superoperator(self, lams, weights) -> np.ndarray:
+        """sum_t w_t (lam_t I + (1 - lam_t) V_t V_t^dag); a scalar lam or
+        weight applies to every basis."""
+        t, d = self.bases.shape[0], self.bases.shape[-1]
+        lam, w = (np.broadcast_to(np.asarray(x, dtype=float), (t,)) for x in (lams, weights))
+        v = self.vectors
+        s = (v * np.repeat(w * (1.0 - lam), d)) @ v.conj().T
+        s[np.diag_indices_from(s)] += np.sum(w * lam)
+        return s
 
 
 class PhaseDampingChannel(LambdaChannel):
@@ -82,11 +98,11 @@ class PhaseDampingChannel(LambdaChannel):
             if not isinstance(basis, np.ndarray) or basis.ndim != 2:
                 basis = np.column_stack([np.asarray(v, dtype=complex).reshape(-1)
                                          for v in basis])
-            b = np.array(basis, dtype=complex)
+            b = np.asarray(basis, dtype=complex)
         if b.shape != (dim, dim):
             raise InvalidChannelError(f"basis must be {dim}x{dim}, got {b.shape}")
-        check_orthonormal(b)
-        self.basis = _freeze(b)
+        self._stack = DamperStack(b[None])
+        self.basis = self._stack.bases[0]
 
     # -- derived structure --------------------------------------------------
 
@@ -101,17 +117,16 @@ class PhaseDampingChannel(LambdaChannel):
 
     def is_uniform(self) -> bool:
         """True when every basis column is a uniform vector."""
-        mags = np.abs(self.basis)
-        return bool(np.all(mags.max(axis=0) - mags.min(axis=0) < UNIFORM_TOL))
+        return self._stack.uniform
 
     # -- action ---------------------------------------------------------------
 
     def superoperator(self) -> np.ndarray:
-        """Closed form lam I + (1 - lam) V V^dag, the one-term
-        :func:`damper_superoperator_sum`: off-diagonals scaled by lam in the
+        """Closed form lam I + (1 - lam) V V^dag, the one-basis
+        :class:`DamperStack` sum: off-diagonals scaled by lam in the
         channel's own basis, diagonal untouched. The channel acts through
         it, on a matrix or a stack ``(..., d, d)``."""
-        return damper_superoperator_sum(self.basis[None], self.lam, 1.0)
+        return self._stack.superoperator(self.lam, 1.0)
 
     def kraus_channel(self) -> Channel:
         """Kraus form built from powers of the basis-diagonal clock unitary.

@@ -20,6 +20,7 @@ from depolcap.core import (
     apply_on_factor,
     basis_state,
     check_states,
+    choi_from_superoperator,
     choi_matrix,
     hermitize,
     kraus_superoperator,
@@ -491,6 +492,17 @@ class TestSuperoperatorsAndChoi:
         j = ch.choi()
         assert np.linalg.eigvalsh(j)[0] > -1e-12
         assert abs(np.trace(j) - 1.0) < 1e-12
+
+    def test_reshuffle_matches_action_built_choi(self):
+        # Includes a map that changes dimension, 2 -> 3.
+        for ch in (random_channel(2, 3, 2, seed=62), random_channel(3, 3, 2, seed=63)):
+            assert np.array_equal(choi_from_superoperator(ch.superoperator(), ch.dim_in),
+                                  choi_matrix(ch.apply_matrix, ch.dim_in))
+
+    def test_product_map_choi(self):
+        phi, psi = random_channel(2, 3, 2, seed=64), random_channel(2, 2, 3, seed=65)
+        ref = tensor_channel(phi, psi).choi()
+        assert np.max(np.abs(ProductMap(phi, psi).choi() - ref)) < 1e-15
 
     def test_transpose_map_is_not_cp(self):
         assert min_choi_eigenvalue(lambda m: m.T, 2) < -0.1

@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from depolcap import decomposition, phase_damping
+from depolcap.cli import main
 from depolcap.core import (
     InvalidChannelError,
     choi_matrix,
@@ -18,7 +21,6 @@ from depolcap.decomposition import (
     averaged_projector_identity_error,
     build_g,
     build_h,
-    conjugation_superoperator,
     dephasing_average,
     diophantine_solutions,
     full_decomposition,
@@ -31,7 +33,7 @@ from depolcap.decomposition import (
     theta_state,
 )
 from depolcap.depolarizing import DepolarizingChannel
-from depolcap.phase_damping import PhaseDampingChannel, is_uniform_vector
+from depolcap.phase_damping import DamperStack, PhaseDampingChannel, is_uniform_vector
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -81,6 +83,11 @@ def term_actions(dec):
             phi = PhaseDampingChannel.unchecked(dec.dim, dec.lam, basis=basis)
             yield (dec.weights[k, a],
                    lambda m, u=u, phi=phi: u.conj() @ phi.apply_matrix(m) @ u)
+
+
+def conjugation_superoperator(u, inner):
+    """Superoperator of rho -> U* inner(rho) U for a square matrix U."""
+    return np.kron(u.conj(), u.T) @ inner
 
 
 def per_term_superoperator(dec):
@@ -255,6 +262,105 @@ class TestOmegaSplit:
             + ((1 - lam) / (1 + lam)) * 0.5 * (om.apply_matrix(rho) + conj)
         lhs = DepolarizingChannel(2, lam).apply_matrix(rho)
         assert np.allclose(lhs, rhs, atol=1e-13)
+
+
+def clock_sum_over(d, powers):
+    """sum of kron(G^k*, G^k^T) over the given powers k, one term at a time."""
+    return sum(conjugation_superoperator(np.linalg.matrix_power(build_g(d), k),
+                                         np.eye(d * d)) for k in powers)
+
+
+def omega_split_reference(d, lam, powers):
+    """c0 S_Omega + (c1/d) sum_k (G*)^k Omega(.) G^k over the given powers,
+    each conjugation applied to S_Omega on its own."""
+    c0, c1 = mixing_weights(d, lam)
+    s_omega = OmegaChannel.unchecked(d, lam).superoperator()
+    g = build_g(d)
+    return c0 * s_omega + sum((c1 / d) * conjugation_superoperator(
+        np.linalg.matrix_power(g, k), s_omega) for k in powers)
+
+
+class TestSummedClockConjugation:
+    LAMS = (0.3, 0.77)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_per_term_reference(self, d):
+        powers = range(1, d + 1)
+        assert np.max(np.abs(decomposition._clock_conjugation_sum(d)
+                             - clock_sum_over(d, powers))) < 1e-15
+        for lam in (DepolarizingChannel.lam_min(d),) + self.LAMS:
+            target = DepolarizingChannel.unchecked(d, lam).superoperator()
+            ref = frobenius_distance(target, omega_split_reference(d, lam, powers))
+            assert abs(omega_split_check(d, lam).distance - ref) < 2e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_one_term_fault_shows(self, d, monkeypatch):
+        # One G^k swapped for G^(k+1), or one term dropped, in the summed
+        # conjugation: the check must see it, and agree with the per-term
+        # reference over the same faulty powers.
+        for k in range(1, d + 1):
+            swapped = [j + 1 if j == k else j for j in range(1, d + 1)]
+            dropped = [j for j in range(1, d + 1) if j != k]
+            for powers in (swapped, dropped):
+                monkeypatch.setattr(decomposition, "_clock_conjugation_sum",
+                                    lambda _d, p=powers: clock_sum_over(_d, p))
+                for lam in self.LAMS:
+                    target = DepolarizingChannel.unchecked(d, lam).superoperator()
+                    ref = frobenius_distance(target, omega_split_reference(d, lam, powers))
+                    dist = omega_split_check(d, lam).distance
+                    assert dist > 1e-10, (k, powers, lam)
+                    assert abs(dist - ref) < 1e-12 * ref
+
+
+class TestSharedStructure:
+    CACHES = ("_psi_stack", "_clock_powers", "_clock_conjugation_sum")
+
+    def test_built_once_per_dimension(self, monkeypatch, capsys):
+        # decompose at three lambdas builds each dimension's psi_bases stack,
+        # its Gram check and its V once; none of them depends on lam.
+        for name in self.CACHES:
+            getattr(decomposition, name).cache_clear()
+        psi_builds, gram_checks, v_builds = [], [], []
+        psi_bases_fn = decomposition.psi_bases
+        check_fn = phase_damping.check_orthonormal
+        init_fn = DamperStack.__init__
+
+        def counted_psi_bases(d):
+            psi_builds.append(d)
+            return psi_bases_fn(d)
+
+        def counted_check(bases):
+            b = np.asarray(bases)
+            if b.ndim == 3 and b.shape[0] == 2 * b.shape[-1] ** 2:
+                gram_checks.append(b.shape[-1])
+            check_fn(bases)
+
+        def counted_init(self, bases):
+            init_fn(self, bases)
+            if len(self.bases) == 2 * self.bases.shape[-1] ** 2:
+                v_builds.append(self.bases.shape[-1])
+
+        monkeypatch.setattr(decomposition, "psi_bases", counted_psi_bases)
+        monkeypatch.setattr(phase_damping, "check_orthonormal", counted_check)
+        monkeypatch.setattr(DamperStack, "__init__", counted_init)
+        code = main(["decompose", "--dims", "2", "3", "--lambdas", "0.1", "0.5", "0.9"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and len(report["records"]) == 2 * (1 + 3 * 3)
+        assert psi_builds == gram_checks == v_builds == [2, 3]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cached_arrays_are_read_only(self, d):
+        stack = decomposition._psi_stack(d)
+        arrays = (stack.bases, stack.vectors, decomposition._clock_powers(d),
+                  decomposition._clock_conjugation_sum(d))
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 7.0
+        dec = full_decomposition(d, 0.35)
+        assert dec.bases is stack.bases
+        assert dec.reconstruction_error() < 1e-10 and dec.all_channels_uniform()
+        assert omega_split_check(d, 0.35).distance < 1e-10
+        assert phase_average_check(d, 0.35).distance < 1e-10
 
 
 class TestPhaseAverage:

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from depolcap.core import (
     InvalidChannelError,
+    LinearMap,
     basis_state,
     frobenius_distance,
+    min_choi_eigenvalue,
     random_pure_state,
     schatten_p_norm,
     von_neumann_entropy,
@@ -124,6 +126,21 @@ class TestRepresentations:
             assert min_choi_eig(d, 1.0) > -1e-10
             assert min_choi_eig(d, lambda_min(d) - 0.01) < -1e-6
             assert min_choi_eig(d, 0.3) > -1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_reshuffled_superoperator_matches_action_built_choi(self, d, monkeypatch):
+        # Each Choi column is the image of one matrix unit, which the action
+        # reads off the superoperator exactly, so the two routes agree bit
+        # for bit; the reshuffle calls no action.
+        lams = (lambda_min(d), 0.0, 1.0, lambda_min(d) - 0.01, 1.01)
+        ref = [min_choi_eigenvalue(DepolarizingChannel.unchecked(d, lam).apply_matrix, d)
+               for lam in lams]
+
+        def refuse(self, mat):
+            raise AssertionError("min_choi_eig went through an action")
+
+        monkeypatch.setattr(LinearMap, "apply_matrix", refuse)
+        assert [min_choi_eig(d, lam) for lam in lams] == ref
 
 
 class TestClosedForms:

@@ -20,9 +20,9 @@ from depolcap.core import (
 from depolcap.decomposition import psi_basis
 from depolcap.phase_damping import (
     UNIFORM_TOL,
+    DamperStack,
     PhaseDampingChannel,
     check_orthonormal,
-    damper_superoperator_sum,
     damping_lambda_min,
     is_uniform_vector,
     uniform_diag_expectation,
@@ -178,13 +178,14 @@ class TestClosedFormSuperoperator:
         ref = sum(w * superoperator_from_action(
             projector_form(PhaseDampingChannel.unchecked(d, lam, basis=b)), d)
             for b, lam, w in zip(bases, lams, weights))
-        err = np.max(np.abs(damper_superoperator_sum(bases, lams, weights) - ref))
+        err = np.max(np.abs(DamperStack(bases).superoperator(lams, weights) - ref))
         assert err < 1e-13, err
 
     def test_scalar_lam_and_weight_apply_to_every_term(self):
         bases = random_unitaries(3, 210, 4)
-        assert np.array_equal(damper_superoperator_sum(bases, 0.4, 0.25),
-                              damper_superoperator_sum(bases, [0.4] * 4, [0.25] * 4))
+        stack = DamperStack(bases)
+        assert np.array_equal(stack.superoperator(0.4, 0.25),
+                              stack.superoperator([0.4] * 4, [0.25] * 4))
 
 
 class TestStackedBasisChecks:
@@ -199,7 +200,7 @@ class TestStackedBasisChecks:
         bases = random_unitaries(3, 222, 4)
         bases[1, :, 2] *= 1.0 + 1e-8
         with pytest.raises(InvalidChannelError, match="Gram defect"):
-            damper_superoperator_sum(bases, 0.5, 0.25)
+            DamperStack(bases)
 
 
 class TestUniformity:
