@@ -192,26 +192,100 @@ def cmd_decompose(config: RunConfig) -> Report:
 # verify
 # ---------------------------------------------------------------------------
 
-def _cells(config: RunConfig, family):
-    """(i_d, d, i_dp, dp, i_l, lam) over the (d, d', lam) grid, in report
-    order, for the lambdas at which the channel ``family`` can be built."""
-    for (i_d, d), (i_dp, dp), (i_l, lam) in itertools.product(
-            enumerate(config.dims), enumerate(config.dims),
-            enumerate(config.lambdas)):
-        if family.in_cp_range(d, lam):
-            yield i_d, d, i_dp, dp, i_l, lam
+# The randomized families. Each takes its cell (channels and p), its trial
+# stacks and the scalars its verdict reads, and returns (values, slack,
+# passed, keep), where keep indexes the trials a failed record's witness
+# stores. verify runs it on a cell's samples, --replay on a witness.
+
+def _min_slack(slack, scalars):
+    # A NaN slack is the minimum, and fails.
+    worst = int(np.argmin(slack))
+    min_slack = float(slack[worst])
+    return ({"min_slack": min_slack, "trials": len(slack)}, min_slack,
+            min_slack >= -scalars["tolerance"], [worst])
 
 
-def _family_record(name, inputs, seed, values, slack, passed, scalars,
-                   matrices) -> CheckRecord:
-    """A randomized family's record. A failed one carries the witness that
-    ``verify --replay`` re-runs; ``matrices()`` serializes its inputs and
-    is called only then."""
-    witness = None if passed else {"check": name, "inputs": inputs,
-                                   "seed": seed, "matrices": matrices(),
-                                   "scalars": scalars}
+def _lieb_thirring(p, a, b, scalars):
+    # Relative to rhs, since both sides reach 1e96 at p = 50.
+    return _min_slack(lieb_thirring_check(a, b, p).relative_slack, scalars)
+
+
+def _norm_bound(ph, p, rho12, scalars):
+    return _min_slack(tensor_output_norm_bound(ph, rho12, p).slack, scalars)
+
+
+def _invariance(dep, psi, p, tau12, u, scalars):
+    dev = local_unitary_invariance_check(dep, psi, tau12, u, p).difference
+    worst = int(np.argmax(dev))
+    max_dev, tol = float(dev[worst]), scalars["tolerance"]
+    return ({"max_deviation": max_dev, "trials": len(tau12)}, tol - max_dev,
+            max_dev <= tol, [worst])
+
+
+def _multiplicativity(dep, psi, p, tau12, scalars):
+    # The last trial is the saturating product input.
+    bound, tol, sat_tol = (scalars[k] for k in ("bound", "tolerance",
+                                                "saturation"))
+    norms = multiplicativity_check(dep, psi, tau12, p, bound).lhs
+    worst = int(np.argmax(norms[:-1]))
+    top, product = float(norms[worst]), float(norms[-1])
+    return ({"max_norm": top, "bound": bound, "product_norm": product,
+             "saturation_gap": product - bound, "trials": len(tau12) - 1},
+            bound + tol - top,
+            top <= bound + tol and abs(product - bound) <= sat_tol,
+            [worst, -1])
+
+
+def _relent(dep, psi, average_output, tau12, scalars):
+    # The last trial is the saturating product input. rhs is
+    # chi*(Delta) + chi*(Psi); the slack takes it as recorded.
+    rhs, tol, sat_tol = (scalars[k] for k in ("rhs", "tolerance", "saturation"))
+    slack = rhs - tensor_relative_entropy_bound(
+        dep, psi, tau12, rhs - dep.chi_star(), average_output).lhs
+    worst = int(np.argmin(slack[:-1]))
+    low, sat = float(slack[worst]), float(slack[-1])
+    return ({"relent_min_slack": low, "relent_saturation_gap": sat,
+             "trials": len(tau12) - 1,
+             "certificate_gap": scalars["certificate_gap"]}, low,
+            low >= -tol and abs(sat) <= sat_tol,
+            [worst, -1])
+
+
+# Check name -> (family function, names of its trial stacks).
+_FAMILIES = {
+    "lieb-thirring": (_lieb_thirring, ("a", "b")),
+    "tensor-output-norm-bound": (_norm_bound, ("rho12",)),
+    "local-unitary-invariance": (_invariance, ("tau12", "u")),
+    "nu-p-multiplicativity": (_multiplicativity, ("tau12",)),
+    "relative-entropy-tensor-bound": (_relent, ("tau12",)),
+}
+
+
+def _family_record(name, inputs, seed, cell, stacks, scalars,
+                   shared=None) -> CheckRecord:
+    """A randomized family's record on one cell. A failed one carries the
+    witness that ``verify --replay`` re-runs: the kept trials of each stack,
+    the cell's ``shared`` matrices and the scalars."""
+    family, keys = _FAMILIES[name]
+    values, slack, passed, keep = family(*cell, *stacks, scalars)
+    witness = None
+    if not passed:
+        kept = {k: stack[keep] for k, stack in zip(keys, stacks)}
+        witness = {"check": name, "inputs": inputs, "seed": seed,
+                   "matrices": {k: [serialize_matrix(x) for x in m]
+                                if isinstance(m, tuple) else serialize_matrix(m)
+                                for k, m in {**kept, **(shared or {})}.items()},
+                   "scalars": scalars}
     return CheckRecord(name, inputs=inputs, values=values, slack=slack,
                        passed=passed, seed=seed, witness=witness)
+
+
+def _saturating_stack(trials, d, state) -> np.ndarray:
+    """The trial stack with |0><0| (x) |state><state| appended. Any pure
+    state maximizes the depolarizing factor, by covariance, so with the
+    partner's maximizer this product input saturates the family's bound."""
+    prod = np.kron(np.eye(d, dtype=complex)[0], state)
+    return np.concatenate([trials, np.outer(prod, prod.conj())[None]])
 
 
 def cmd_verify(config: RunConfig) -> Report:
@@ -226,12 +300,6 @@ def cmd_verify(config: RunConfig) -> Report:
     records = []
     root = config.seed
     trials = config.trials
-    # Families built on a valid depolarizing channel run only for lambda
-    # inside the admissible range of that dimension; out-of-range values
-    # (reachable with the unchecked flag) still get their CP witness row.
-    any_live = any(DepolarizingChannel.in_cp_range(d, lam)
-                   for d in config.dims for lam in config.lambdas)
-
     for i_d, d in enumerate(config.dims):
         for i_l, lam in enumerate(config.lambdas):
             eig = min_choi_eig(d, lam)
@@ -242,143 +310,84 @@ def cmd_verify(config: RunConfig) -> Report:
                 values={"min_choi_eig": eig, "cp_expected": cp},
                 passed=bool(eig >= -1e-10 if cp else eig < -1e-12)))
 
-    lt_tol = config.tolerance("lieb_thirring")
     for i_d, d in enumerate(config.dims):
         for i_p, p in enumerate(config.p_grid):
             seed = child_seed(root, 1, i_d, i_p)
             pairs = random_psd_matrices(d, seed, (trials, 2))
-            slack = lieb_thirring_check(pairs[:, 0], pairs[:, 1], p).relative_slack
-            # Relative to rhs (1e96 at p = 50); a NaN slack is the minimum, and fails.
-            worst = int(np.argmin(slack))
-            min_slack = float(slack[worst])
             records.append(_family_record(
-                "lieb-thirring", {"dim": d, "p": p}, seed,
-                {"min_slack": min_slack, "trials": trials}, min_slack,
-                min_slack >= -lt_tol, {"tolerance": lt_tol},
-                lambda: {"a": serialize_matrix(pairs[worst, 0]),
-                         "b": serialize_matrix(pairs[worst, 1])}))
+                "lieb-thirring", {"dim": d, "p": p}, seed, (p,),
+                (pairs[:, 0], pairs[:, 1]),
+                {"tolerance": config.tolerance("lieb_thirring")}))
 
     # One random reference channel per second-factor dimension, reused by
-    # the invariance, multiplicativity, and relative-entropy families.
+    # the invariance, multiplicativity, and relative-entropy families. Its
+    # nu_p per p and its Holevo optimizer run are made in its first cell.
     psis = {dp: random_channel(dp, dp, 2, seed=child_seed(root, 2, i))
             for i, dp in enumerate(config.dims)}
-    psi_kraus = {dp: [serialize_matrix(k) for k in psi.kraus_ops]
-                 for dp, psi in psis.items()}
-
-    # Each (d, d', lam, p) cell below evaluates its trials as one stack.
-    nb_tol = config.tolerance("norm_bound")
-    for i_d, d, i_dp, dp, i_l, lam in _cells(config, PhaseDampingChannel):
+    psi_norms, holevo = {}, {}
+    nb_scalars = {"tolerance": config.tolerance("norm_bound")}
+    inv_scalars = {"tolerance": config.tolerance("invariance")}
+    mult_scalars = {"tolerance": config.tolerance("multiplicativity"),
+                    "saturation": config.tolerance("product_saturation")}
+    re_scalars = {"tolerance": config.tolerance("relent_bound"),
+                  "saturation": config.tolerance("relent_saturation")}
+    n_unitaries = min(trials, 20)
+    # Each (d, d', lam, p) cell evaluates its trials as one stack. The phase
+    # damper is admissible at every lambda where Delta is, and below them.
+    # Families built on Delta skip the lambdas outside its range (reachable
+    # with the unchecked flag), which still get their CP witness row.
+    for (i_d, d), (i_dp, dp), (i_l, lam) in itertools.product(
+            enumerate(config.dims), enumerate(config.dims),
+            enumerate(config.lambdas)):
+        if not PhaseDampingChannel.in_cp_range(d, lam):
+            continue
         ph = PhaseDampingChannel.unchecked(d, lam)
+        cell = {"d": d, "dp": dp, "lam": lam}
         for i_p, p in enumerate(config.p_grid):
             seed = child_seed(root, 3, i_d, i_dp, i_l, i_p)
-            rho12 = random_density_matrices(d * dp, seed, trials)
-            slack = tensor_output_norm_bound(ph, rho12, p).slack
-            worst = int(np.argmin(slack))
-            min_slack = float(slack[worst])
             records.append(_family_record(
-                "tensor-output-norm-bound",
-                {"d": d, "dp": dp, "lam": lam, "p": p}, seed,
-                {"min_slack": min_slack, "trials": trials}, min_slack,
-                min_slack >= -nb_tol, {"tolerance": nb_tol},
-                lambda: {"rho12": serialize_matrix(rho12[worst])}))
-
-    inv_tol = config.tolerance("invariance")
-    n_unitaries = min(trials, 20)
-    for i_d, d, i_dp, dp, i_l, lam in _cells(config, DepolarizingChannel):
+                "tensor-output-norm-bound", {**cell, "p": p}, seed, (ph, p),
+                (random_density_matrices(d * dp, seed, trials),), nb_scalars))
+        if not DepolarizingChannel.in_cp_range(d, lam):
+            continue
         psi, dep = psis[dp], DepolarizingChannel(d, lam)
+        shared = {"psi_kraus": psi.kraus_ops}
+        if dp not in holevo:
+            holevo[dp] = holevo_quantity(psi, seed=child_seed(root, 7, i_dp))
+            for i_p, p in enumerate(config.p_grid):
+                psi_norms[dp, p] = max_output_p_norm(
+                    psi, p, restarts=32, seed=child_seed(root, 5, i_dp, i_p))
         for i_p, p in enumerate(config.p_grid):
+            inputs = {**cell, "p": p}
             seed = child_seed(root, 4, i_d, i_dp, i_l, i_p)
             # The unitaries come from a second generator of the cell, so
             # that neither stack's first rows depend on the trial count.
-            tau = random_density_matrices(d * dp, seed, n_unitaries)
-            u = random_unitaries(d, child_seed(seed, 1), n_unitaries)
-            dev = local_unitary_invariance_check(dep, psi, tau, u, p).difference
-            worst = int(np.argmax(dev))
-            max_dev = float(dev[worst])
             records.append(_family_record(
-                "local-unitary-invariance",
-                {"d": d, "dp": dp, "lam": lam, "p": p}, seed,
-                {"max_deviation": max_dev, "trials": n_unitaries},
-                inv_tol - max_dev, max_dev <= inv_tol, {"tolerance": inv_tol},
-                lambda: {"tau12": serialize_matrix(tau[worst]),
-                         "u": serialize_matrix(u[worst]),
-                         "psi_kraus": psi_kraus[dp]}))
-
-    mult_tol = config.tolerance("multiplicativity")
-    sat_tol = config.tolerance("product_saturation")
-    psi_norms = {}
-    if any_live:
-        for i_dp, dp in enumerate(config.dims):
-            for i_p, p in enumerate(config.p_grid):
-                psi_norms[dp, p] = max_output_p_norm(
-                    psis[dp], p, restarts=32,
-                    seed=child_seed(root, 5, i_dp, i_p))
-    for i_d, d, i_dp, dp, i_l, lam in _cells(config, DepolarizingChannel):
-        psi, dep = psis[dp], DepolarizingChannel(d, lam)
-        for i_p, p in enumerate(config.p_grid):
-            seed = child_seed(root, 6, i_d, i_dp, i_l, i_p)
+                "local-unitary-invariance", inputs, seed, (dep, psi, p),
+                (random_density_matrices(d * dp, seed, n_unitaries),
+                 random_unitaries(d, child_seed(seed, 1), n_unitaries)),
+                inv_scalars, shared))
             measure = psi_norms[dp, p]
-            bound = dep.nu_p(p) * measure.value
-            tau = random_density_matrices(d * dp, seed + 1, trials)
-            # Any pure state maximizes the depolarizing factor, by
-            # covariance, so the product of maximizers rides at the end of
-            # the stack and should saturate the bound.
-            prod = np.kron(np.eye(d, dtype=complex)[0], measure.maximizer)
-            stack = np.concatenate([tau, np.outer(prod, prod.conj())[None]])
-            norms = multiplicativity_check(dep, psi, stack, p, bound).lhs
-            worst = int(np.argmax(norms[:-1]))
-            max_norm, product_norm = float(norms[worst]), float(norms[-1])
+            seed = child_seed(root, 6, i_d, i_dp, i_l, i_p)
             records.append(_family_record(
-                "nu-p-multiplicativity",
-                {"d": d, "dp": dp, "lam": lam, "p": p}, seed,
-                {"max_norm": max_norm, "bound": bound,
-                 "product_norm": product_norm,
-                 "saturation_gap": product_norm - bound,
-                 "trials": trials},
-                bound + mult_tol - max_norm,
-                max_norm <= bound + mult_tol
-                and abs(product_norm - bound) <= sat_tol,
-                {"bound": bound, "tolerance": mult_tol},
-                lambda: {"tau12": serialize_matrix(tau[worst]),
-                         "psi_kraus": psi_kraus[dp]}))
-
-    re_tol = config.tolerance("relent_bound")
-    re_sat_tol = config.tolerance("relent_saturation")
-    holevo_cache, witness_cache = {}, {}
-    if any_live:
-        for i_dp, dp in enumerate(config.dims):
-            res = holevo_quantity(psis[dp], seed=child_seed(root, 7, i_dp))
-            holevo_cache[dp] = res
-            # Saturating second factor: the heaviest support state of the
-            # optimal ensemble, whose divergence from the average output
-            # equals chi* by the equalization condition.
-            ens = res.ensemble()
-            witness_cache[dp] = np.asarray(
-                ens.states[int(np.argmax(ens.probs))], dtype=complex)
-    for i_d, d, i_dp, dp, i_l, lam in _cells(config, DepolarizingChannel):
-        psi, res = psis[dp], holevo_cache[dp]
+                "nu-p-multiplicativity", inputs, seed, (dep, psi, p),
+                (_saturating_stack(random_density_matrices(
+                    d * dp, seed + 1, trials), d, measure.maximizer),),
+                {"bound": dep.nu_p(p) * measure.value, **mult_scalars},
+                shared))
+        # The partner's side of the saturating input: the heaviest support
+        # state of the optimal ensemble, whose divergence from the average
+        # output equals chi* by the equalization condition.
+        res = holevo[dp]
         seed = child_seed(root, 9, i_d, i_dp, i_l)
-        tau = random_density_matrices(d * dp, seed, trials)
-        p0 = np.diag(np.eye(d)[0])
-        tau_prod = BipartiteState(d, dp, np.kron(p0, witness_cache[dp]))
-        # The saturating product input rides at the end of the stack.
-        chk = tensor_relative_entropy_bound(
-            DepolarizingChannel(d, lam), psi,
-            np.concatenate([tau, np.asarray(tau_prod)[None]]),
-            res.chi, res.average_output)
-        worst = int(np.argmin(chk.slack[:-1]))
-        min_slack, sat_slack = float(chk.slack[worst]), float(chk.slack[-1])
         records.append(_family_record(
-            "relative-entropy-tensor-bound", {"d": d, "dp": dp, "lam": lam},
-            seed,
-            {"relent_min_slack": min_slack, "relent_saturation_gap": sat_slack,
-             "trials": trials, "certificate_gap": res.certificate_gap},
-            min_slack, min_slack >= -re_tol and abs(sat_slack) <= re_sat_tol,
-            {"rhs": float(chk.rhs), "tolerance": re_tol},
-            lambda: {"tau12": serialize_matrix(tau[worst]),
-                     "psi_kraus": psi_kraus[dp],
-                     "average_output": serialize_matrix(
-                         np.asarray(res.average_output))}))
+            "relative-entropy-tensor-bound", cell, seed,
+            (dep, psi, res.average_output),
+            (_saturating_stack(random_density_matrices(d * dp, seed, trials),
+                               d, res.states[int(np.argmax(res.probs))]),),
+            {"rhs": float(dep.chi_star() + res.chi), **re_scalars,
+             "certificate_gap": float(res.certificate_gap)},
+            {**shared, "average_output": np.asarray(res.average_output)}))
 
     add_tol = config.tolerance("additivity")
     live2 = sorted(lam for lam in config.lambdas
@@ -389,7 +398,7 @@ def cmd_verify(config: RunConfig) -> Report:
                     ("random-qubit", psis[2])]
         for i, (label, partner) in enumerate(partners):
             seed = child_seed(root, 10, i)
-            psi_result = holevo_cache[2] if i else holevo_quantity(partner, seed=seed + 1)
+            psi_result = holevo[2] if i else holevo_quantity(partner, seed=seed + 1)
             chk = chi_additivity_check(DepolarizingChannel(2, lam_mid),
                                        partner, psi_result, seed=seed)
             warning = None if chk.converged else "optimizer did not converge"
@@ -480,64 +489,62 @@ def cmd_capacity(config: RunConfig) -> Report:
 # replay
 # ---------------------------------------------------------------------------
 
+def _replay_cell(name: str, inputs: dict, mats: dict) -> tuple:
+    """A witness's cell: the arguments its family takes before the trial
+    stacks, built from the witness's inputs and shared matrices."""
+    if name == "lieb-thirring":
+        return (inputs["p"],)
+    d, lam = inputs["d"], inputs["lam"]
+    if name == "tensor-output-norm-bound":
+        return PhaseDampingChannel.unchecked(d, lam), inputs["p"]
+    return (DepolarizingChannel(d, lam), Channel(mats["psi_kraus"]),
+            DensityMatrix(mats["average_output"])
+            if name == "relative-entropy-tensor-bound" else inputs["p"])
+
+
+def _replay_stack(key: str, m: np.ndarray, inputs: dict) -> np.ndarray:
+    """A witness's trial stack ``key``, checked as verify would have drawn
+    it; a 2-d matrix is one trial."""
+    m = m[None] if m.ndim == 2 else m
+    if key in ("rho12", "tau12"):
+        return np.stack([np.asarray(BipartiteState(inputs["d"], inputs["dp"], t))
+                         for t in m])
+    dim = inputs["dim" if key in ("a", "b") else "d"]
+    if m.shape[1:] != (dim, dim):
+        raise ConfigError(f"witness matrix {key} must be {dim} x {dim}")
+    if key == "u" and np.max(np.abs(
+            np.swapaxes(m.conj(), -1, -2) @ m - np.eye(dim))) > 1e-10:
+        raise ConfigError(f"witness u must be a {dim} x {dim} unitary")
+    return m
+
+
 def _replay_check(data: dict):
-    """(name, inputs, values, slack, passed) of a witness re-run."""
-    name = data["check"]
-    inputs = data["inputs"]
+    """(name, inputs, values, slack, passed) of a witness re-run through its
+    family's function."""
+    name, inputs = data["check"], data["inputs"]
     dims = [inputs[k] for k in ("d", "dp", "dim") if k in inputs]
     if not all(isinstance(d, int) and 2 <= d <= 6 for d in dims):
         raise ConfigError(f"witness dimensions {dims} are out of scope")
+    if name not in _FAMILIES:
+        raise ConfigError(f"witness file names unknown check {name!r}")
+    scalars = data["scalars"]
+    # Every scalar is a number (JSON holds no non-finite one), and the
+    # tolerances are not negative, as in RunConfig.
+    for key, value in scalars.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or (key in ("tolerance", "saturation") and value < 0.0)):
+            raise ConfigError(f"witness scalar {key} must be a number, "
+                              f"not negative for a tolerance: got {value!r}")
     mats = {k: (deserialize_matrix(v) if isinstance(v, dict)
                 else [deserialize_matrix(x) for x in v])
-            for k, v in data.get("matrices", {}).items()}
-    scalars = data.get("scalars", {})
-
-    if name == "lieb-thirring":
-        dim = inputs["dim"]
-        if any(np.shape(mats[k]) != (dim, dim) for k in ("a", "b")):
-            raise ConfigError(f"witness matrices a and b must be {dim} x {dim}")
-        chk = lieb_thirring_check(mats["a"], mats["b"], inputs["p"])
-        return (name, inputs, {"lhs": chk.lhs, "rhs": chk.rhs}, chk.relative_slack,
-                chk.relative_slack >= -scalars["tolerance"])
-    if name not in ("tensor-output-norm-bound", "local-unitary-invariance",
-                    "nu-p-multiplicativity", "relative-entropy-tensor-bound"):
-        raise ConfigError(f"witness file names unknown check {name!r}")
-    # The randomized families re-run through verify's own code, on a stack
-    # of one trial.
-    d, tol = inputs["d"], scalars["tolerance"]
-    key = "rho12" if name == "tensor-output-norm-bound" else "tau12"
-    tau = np.asarray(BipartiteState(d, inputs["dp"], mats[key]))[None]
-    if name == "tensor-output-norm-bound":
-        ph = PhaseDampingChannel.unchecked(d, inputs["lam"])
-        chk = tensor_output_norm_bound(ph, tau, inputs["p"])
-        values, slack = {"lhs": chk.lhs[0], "rhs": chk.rhs[0]}, chk.slack[0]
-        return name, inputs, values, float(slack), bool(slack >= -tol)
-    dep = DepolarizingChannel(d, inputs["lam"])
-    psi = Channel(mats["psi_kraus"])
-    if name == "local-unitary-invariance":
-        u = np.asarray(mats["u"])
-        if (u.shape != (d, d)
-                or np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-10):
-            raise ConfigError(f"witness u must be a {d} x {d} unitary")
-        chk = local_unitary_invariance_check(dep, psi, tau, u[None],
-                                             inputs["p"])
-        values = {"value_a": chk.value_a[0], "value_b": chk.value_b[0]}
-        deviation = chk.difference[0]
-        return (name, inputs, values, float(tol - deviation),
-                bool(deviation <= tol))
-    if name == "nu-p-multiplicativity":
-        norm = multiplicativity_check(dep, psi, tau, inputs["p"],
-                                      scalars["bound"]).lhs[0]
-        slack = scalars["bound"] + tol - norm
-        return (name, inputs, {"norm": norm, "bound": scalars["bound"]},
-                float(slack), bool(slack >= 0.0))
-    # The recorded rhs is chi*(Delta) + chi*(Psi).
-    lhs = tensor_relative_entropy_bound(
-        dep, psi, tau, scalars["rhs"] - dep.chi_star(),
-        DensityMatrix(mats["average_output"])).lhs[0]
-    slack = scalars["rhs"] - lhs
-    return (name, inputs, {"lhs": lhs, "rhs": scalars["rhs"]}, float(slack),
-            bool(slack >= -tol))
+            for k, v in data["matrices"].items()}
+    family, keys = _FAMILIES[name]
+    stacks = [_replay_stack(k, mats[k], inputs) for k in keys]
+    if len({len(s) for s in stacks}) > 1:
+        raise ConfigError("witness trial stacks differ in length")
+    values, slack, passed, _ = family(*_replay_cell(name, inputs, mats),
+                                      *stacks, scalars)
+    return name, inputs, values, slack, passed
 
 
 def _finite_float(token: str) -> float:
@@ -566,23 +573,15 @@ def run_replay(path: str) -> tuple[dict, bool]:
         raise ConfigError(f"witness file lacks the key {exc}")
     except ConfigError:
         raise
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError,
+            OverflowError) as exc:
         raise ConfigError(f"witness file does not fit its check: {exc}")
     if not all(math.isfinite(x) for x in (slack, *values.values())):
         raise ConfigError("witness values give a non-finite result")
 
-    record = {
-        "tool": "depolcap",
-        "version": __version__,
-        "command": "replay",
-        "check": name,
-        "inputs": inputs,
-        "seed": data.get("seed"),
-        "values": values,
-        "slack": slack,
-        "passed": passed,
-    }
-    return record, passed
+    return {"tool": "depolcap", "version": __version__, "command": "replay",
+            "check": name, "inputs": inputs, "seed": data.get("seed"),
+            "values": values, "slack": slack, "passed": passed}, passed
 
 
 # ---------------------------------------------------------------------------

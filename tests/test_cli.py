@@ -7,6 +7,7 @@ stripping the timestamp line.
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -50,6 +51,23 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The check function of each randomized verify family, in family order.
+FAMILY_CHECKS = ["lieb_thirring_check", "tensor_output_norm_bound",
+                 "local_unitary_invariance_check", "multiplicativity_check",
+                 "tensor_relative_entropy_bound"]
+
+
+def count_family_checks(monkeypatch) -> dict:
+    """Wrap each family's check function on ``cli`` with a call counter."""
+    calls = dict.fromkeys(FAMILY_CHECKS, 0)
+    for name in FAMILY_CHECKS:
+        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
 
 
 def strip_timestamp(text: str) -> str:
@@ -148,9 +166,9 @@ class TestExitCodes:
         assert json.loads(out)["summary"]["failed"] == 0
 
     def test_failed_check_exits_one(self, forced_failure):
-        # An impossible saturation tolerance forces a multiplicativity
-        # failure without touching the mathematics; the run exits 1 and
-        # the failing record carries a replayable witness.
+        # A seeded fault in nu_p(Delta) forces a multiplicativity failure;
+        # the run exits 1 (asserted by the fixture) and the failing record
+        # carries a replayable witness.
         failed, _ = forced_failure
         assert failed["name"] == "nu-p-multiplicativity"
         assert failed["witness"] is not None
@@ -567,6 +585,41 @@ class TestVerifyContent:
         assert code == 0
         assert len(calls) == 3
 
+    def test_one_check_call_per_cell(self, capsys, monkeypatch):
+        # Each cell evaluates its trials as one stack: one call per (d, p)
+        # of the trace inequality, per (d, d', lam, p) of the norm bound,
+        # invariance and multiplicativity, and per (d, d', lam) of the
+        # relative-entropy bound.
+        calls = count_family_checks(monkeypatch)
+        code, _, _ = run_cli(["verify", "--dims", "2", "3", "--trials", "3"],
+                             capsys)
+        assert code == 0
+        assert [calls[name] for name in FAMILY_CHECKS] == [6, 60, 60, 60, 20]
+
+    # An optimizer run that did not converge is a warning, and a failure
+    # under --strict.
+    @pytest.mark.parametrize("argv, name", [
+        (["capacity", "--dims", "2", "--lambdas", "0.5"], "capacity-chain"),
+        (["verify"] + FAST, "chi-additivity")])
+    def test_strict_fails_unconverged_rows(self, capsys, monkeypatch, argv,
+                                           name):
+        real = cli.holevo_quantity
+        monkeypatch.setattr(cli, "holevo_quantity", lambda *a, **k: (
+            dataclasses.replace(real(*a, **k), converged=False)))
+
+        def rows(extra):
+            code, out, err = run_cli(argv + extra, capsys)
+            found = [r for r in json.loads(out)["records"] if r["name"] == name]
+            assert found and all(r["warning"] == "optimizer did not converge"
+                                 for r in found)
+            assert "optimizer did not converge" in err
+            return code, found
+
+        code, found = rows([])
+        assert code == 0 and all(r["passed"] for r in found)
+        code, found = rows(["--strict"])
+        assert code == 1 and not any(r["passed"] for r in found)
+
     def test_nan_slack_fails_its_row(self, capsys, monkeypatch):
         # A NaN slack can show nothing and must not pass. Large p no longer
         # produces one (test_lieb_thirring_holds_at_large_p), so one trial's
@@ -682,23 +735,43 @@ class TestVerifyContent:
 # Witness replay
 # ---------------------------------------------------------------------------
 
+# Two seeded faults, each of which fails one saturation clause of the fast
+# verify at seed 11: nu_p(Delta) scaled by 1 + 1e-3 moves the product bound
+# off the product input's norm (saturation_gap -7.4e-4), and chi*(Delta)
+# raised by 1e-3 moves rhs off the saturating input (relent_saturation_gap
+# 1.0e-3). Each entry: (check, gap key, attribute, faulty version).
+_real_nu_p = DepolarizingChannel.nu_p
+_real_chi_star = DepolarizingChannel.chi_star
+SEEDED_FAULTS = {
+    "nu_p": ("nu-p-multiplicativity", "saturation_gap", "nu_p",
+             lambda self, p: _real_nu_p(self, p) * (1.0 + 1e-3)),
+    "chi_star": ("relative-entropy-tensor-bound", "relent_saturation_gap",
+                 "chi_star", lambda self: _real_chi_star(self) + 1e-3),
+}
+
+
+def faulty_verify(base, fault):
+    """The fast verify at seed 11 run in-process under a seeded fault:
+    returns (failed record of the fault's check, its witness file path)."""
+    check, _, attr, faulty = SEEDED_FAULTS[fault]
+    out = io.StringIO()
+    with mock.patch.object(DepolarizingChannel, attr, faulty), \
+            contextlib.redirect_stdout(out):
+        code = main(["verify"] + FAST + ["--seed", "11"])
+    assert code == 1
+    failed = [r for r in json.loads(out.getvalue())["records"]
+              if not r["passed"] and r["name"] == check]
+    assert len(failed) == 1
+    path = base / f"{fault}.json"
+    path.write_text(json.dumps(failed[0]["witness"]))
+    return failed[0], str(path)
+
+
 @pytest.fixture(scope="module")
 def forced_failure(tmp_path_factory):
-    """One verify run with an impossible saturation tolerance, reused by
-    every replay test: returns (failed record, witness file path)."""
-    base = tmp_path_factory.mktemp("replay")
-    cfg = base / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"product_saturation": 1e-30}}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "depolcap.cli", "verify"] + FAST
-        + ["--config", str(cfg), "--seed", "11"],
-        capture_output=True, text=True)
-    assert proc.returncode == 1
-    report = json.loads(proc.stdout)
-    failed = [r for r in report["records"] if not r["passed"]][0]
-    path = base / "witness.json"
-    path.write_text(json.dumps(failed["witness"]))
-    return failed, str(path)
+    """The nu_p fault's failed record and witness file, reused by the
+    replay tests."""
+    return faulty_verify(tmp_path_factory.mktemp("replay"), "nu_p")
 
 
 @pytest.fixture(scope="module")
@@ -728,71 +801,132 @@ class TestReplay:
     def test_invariance_round_trip(self, zero_tolerance_witnesses):
         failed, path = zero_tolerance_witnesses["local-unitary-invariance"]
         record, passed = run_replay(path)
-        values = record["values"]
-        deviation = abs(values["value_a"] - values["value_b"])
-        assert deviation == pytest.approx(failed["values"]["max_deviation"],
-                                          abs=1e-12)
-        assert record["slack"] == pytest.approx(-deviation, abs=1e-15)
+        assert not passed
+        assert record["values"]["max_deviation"] == pytest.approx(
+            failed["values"]["max_deviation"], abs=1e-12)
+        assert record["slack"] == pytest.approx(
+            -record["values"]["max_deviation"], abs=1e-15)
 
     def test_relent_round_trip(self, zero_tolerance_witnesses):
         failed, path = zero_tolerance_witnesses["relative-entropy-tensor-bound"]
         record, passed = run_replay(path)
-        # Only the saturation tolerance was zeroed; the bound itself holds.
-        assert passed
+        # Only the saturation tolerance was zeroed: the bound itself holds,
+        # and the saturating input's gap fails again.
+        assert not passed
+        for key in ("relent_min_slack", "relent_saturation_gap"):
+            assert record["values"][key] == pytest.approx(
+                failed["values"][key], abs=1e-12)
         assert record["slack"] == pytest.approx(
             failed["values"]["relent_min_slack"], abs=1e-12)
-
 
     def test_witness_written_on_failure_and_replays(self, forced_failure):
         failed, path = forced_failure
         assert failed["witness"]["check"] == "nu-p-multiplicativity"
         record, passed = run_replay(path)
-        # The recorded worst input still satisfies the actual bound, so the
-        # replayed inequality holds; the original failure was the saturation
-        # tolerance, which replay does not re-tighten.
+        # The recorded worst input still satisfies the bound; the failure
+        # is the saturation clause, which replay checks again.
         assert record["check"] == "nu-p-multiplicativity"
-        assert record["values"]["norm"] <= record["values"]["bound"] + 1e-8
-        assert passed
+        assert record["values"]["max_norm"] <= record["values"]["bound"] + 1e-8
+        assert not passed
 
     def test_replay_cli_exit_codes(self, forced_failure, capsys):
         _, path = forced_failure
         code, out, _ = run_cli(["verify", "--replay", path], capsys)
-        assert code == 0
+        assert code == 1
         replayed = json.loads(out)
         assert replayed["command"] == "replay"
-        assert replayed["passed"] is True
+        assert replayed["passed"] is False
 
     def test_replay_reproduces_recorded_norm(self, forced_failure):
         failed, path = forced_failure
         record, _ = run_replay(path)
-        assert record["values"]["norm"] == pytest.approx(
-            failed["values"]["max_norm"], abs=1e-12)
-        assert record["values"]["bound"] == pytest.approx(
-            failed["values"]["bound"], abs=1e-12)
+        for key in ("max_norm", "bound", "product_norm", "saturation_gap"):
+            assert record["values"][key] == pytest.approx(
+                failed["values"][key], abs=1e-12)
 
-    def test_lieb_thirring_replay_slack_is_relative(self, tmp_path,
-                                                     monkeypatch):
-        # A commuting pair at p = 50, where both sides are about 1e-30.
-        # Its top eigenvectors coincide, so rhs = Tr A^p B^p is accurate.
-        u = random_unitaries(3, 4, 1)[0]
-        a = (u * [0.2, 0.3, 0.5]) @ u.conj().T
-        b = (u * [0.2, 0.4, 0.5]) @ u.conj().T
-        path = tmp_path / "lt.json"
-        path.write_text(json.dumps({
-            "check": "lieb-thirring", "inputs": {"dim": 3, "p": 50.0},
-            "seed": 0, "matrices": {"a": serialize_matrix(a),
-                                    "b": serialize_matrix(b)},
-            "scalars": {"tolerance": 1e-10}}))
-        record, passed = run_replay(str(path))
-        assert passed and abs(record["slack"]) < 1e-12
-        real = cli.lieb_thirring_check
-        monkeypatch.setattr(cli, "lieb_thirring_check", lambda a, b, p: (
-            lambda chk: InequalityCheck(lhs=chk.lhs * (1.0 + 1e-9),
-                                        rhs=chk.rhs))(real(a, b, p)))
-        record, passed = run_replay(str(path))
-        assert not passed
-        assert record["slack"] == pytest.approx(-1e-9, rel=1e-3)
-        assert type(record["slack"]) is float
+    # Each witness replays, in a fresh process without the fault, to its
+    # record's verdict and gap.
+    @pytest.mark.parametrize("fault", sorted(SEEDED_FAULTS))
+    def test_seeded_fault_witness_replays_to_its_verdict(self, tmp_path,
+                                                         fault):
+        check, gap, _, _ = SEEDED_FAULTS[fault]
+        failed, path = faulty_verify(tmp_path, fault)
+        assert abs(failed["values"][gap]) > 5e-4
+        proc = subprocess.run(
+            [sys.executable, "-m", "depolcap.cli", "verify", "--replay", path],
+            capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["check"] == check and record["passed"] is False
+        assert abs(record["values"][gap] - failed["values"][gap]) <= 1e-12
+        assert abs(record["slack"] - failed["slack"]) <= 1e-12
+
+    # The witness's tolerances follow RunConfig's rule: a finite,
+    # non-negative number that is not a bool. -1.0 made a 4.4e-16
+    # deviation read as a reproduced violation, and true read as 1.0.
+    @pytest.mark.parametrize("key", ["tolerance", "saturation"])
+    @pytest.mark.parametrize("value", [-1.0, True, "x", "missing"])
+    def test_witness_tolerance_follows_the_config_rule(
+            self, forced_failure, tmp_path, capsys, key, value):
+        witness = json.loads(open(forced_failure[1]).read())
+        if value == "missing":
+            del witness["scalars"][key]
+        else:
+            witness["scalars"][key] = value
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(witness))
+        code, out, err = run_cli(["verify", "--replay", str(path)], capsys)
+        assert code == 2
+        assert out == "" and "error:" in err and "Traceback" not in err
+
+    # The previous witness format kept only the worst trial and no
+    # saturation tolerance; a saturating family's witness with either of
+    # those is rejected, not replayed without its saturation clause.
+    @pytest.mark.parametrize("change", ["one trial", "no saturation"])
+    def test_earlier_saturating_witness_exits_two(
+            self, forced_failure, zero_tolerance_witnesses, tmp_path, capsys,
+            change):
+        paths = [forced_failure[1],
+                 zero_tolerance_witnesses["relative-entropy-tensor-bound"][1]]
+        for path in paths:
+            witness = json.loads(open(path).read())
+            if change == "one trial":
+                tau = deserialize_matrix(witness["matrices"]["tau12"])
+                witness["matrices"]["tau12"] = serialize_matrix(tau[0])
+            else:
+                del witness["scalars"]["saturation"]
+            old = tmp_path / "old.json"
+            old.write_text(json.dumps(witness))
+            code, out, err = run_cli(["verify", "--replay", str(old)], capsys)
+            assert code == 2, err
+            assert out == "" and "Traceback" not in err
+
+    def test_replay_makes_one_check_call(self, forced_failure,
+                                         zero_tolerance_witnesses, tmp_path,
+                                         monkeypatch):
+        a = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+        hand_written = {
+            "lieb-thirring": {
+                "check": "lieb-thirring", "inputs": {"dim": 2, "p": 2.5},
+                "matrices": {"a": serialize_matrix(a),
+                             "b": serialize_matrix(a @ a)},
+                "scalars": {"tolerance": 1e-10}},
+            "tensor-output-norm-bound": _valid_witness()}
+        paths = [forced_failure[1]] + [
+            path for _, path in zero_tolerance_witnesses.values()]
+        for name, witness in hand_written.items():
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(witness))
+        calls = count_family_checks(monkeypatch)
+        checked = set()
+        for path in paths:
+            calls.update(dict.fromkeys(calls, 0))
+            record, _ = run_replay(str(path))
+            assert sum(calls.values()) == 1
+            checked.add(record["check"])
+        assert checked == {"lieb-thirring", "tensor-output-norm-bound",
+                           "local-unitary-invariance", "nu-p-multiplicativity",
+                           "relative-entropy-tensor-bound"}
 
     # A dim outside 2..6, or matrices that are not dim x dim.
     @pytest.mark.parametrize("dim, a_dim, b_dim", [(50, 9, 9), (1, 1, 1),
