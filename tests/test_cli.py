@@ -928,6 +928,30 @@ class TestReplay:
                            "local-unitary-invariance", "nu-p-multiplicativity",
                            "relative-entropy-tensor-bound"}
 
+    def test_lieb_thirring_replay_slack_is_relative(self, tmp_path,
+                                                     monkeypatch):
+        # A commuting pair at p = 50, where both sides are about 1e-30.
+        # Its top eigenvectors coincide, so rhs = Tr A^p B^p is accurate.
+        u = random_unitaries(3, 4, 1)[0]
+        a = (u * [0.2, 0.3, 0.5]) @ u.conj().T
+        b = (u * [0.2, 0.4, 0.5]) @ u.conj().T
+        path = tmp_path / "lt.json"
+        path.write_text(json.dumps({
+            "check": "lieb-thirring", "inputs": {"dim": 3, "p": 50.0},
+            "seed": 0, "matrices": {"a": serialize_matrix(a),
+                                    "b": serialize_matrix(b)},
+            "scalars": {"tolerance": 1e-10}}))
+        record, passed = run_replay(str(path))
+        assert passed and abs(record["slack"]) < 1e-12
+        real = cli.lieb_thirring_check
+        monkeypatch.setattr(cli, "lieb_thirring_check", lambda a, b, p: (
+            lambda chk: InequalityCheck(lhs=chk.lhs * (1.0 + 1e-9),
+                                        rhs=chk.rhs))(real(a, b, p)))
+        record, passed = run_replay(str(path))
+        assert not passed
+        assert record["slack"] == pytest.approx(-1e-9, rel=1e-3)
+        assert type(record["slack"]) is float
+
     # A dim outside 2..6, or matrices that are not dim x dim.
     @pytest.mark.parametrize("dim, a_dim, b_dim", [(50, 9, 9), (1, 1, 1),
                                                    (3, 2, 2), (3, 3, 4)])
