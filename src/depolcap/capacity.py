@@ -2,10 +2,10 @@
 
 Three layers:
 
-  * induced classical channels: an input ensemble and a POVM turn a quantum
-    channel into a row-stochastic transition matrix whose Shannon capacity
-    is computed by Blahut-Arimoto iteration with a duality-gap stopping
-    rule;
+  * the basis-to-basis classical channel: basis states sent through the
+    quantum channel and read by projections onto the same basis give a
+    row-stochastic transition matrix, whose Shannon capacity is computed
+    by Blahut-Arimoto iteration with a duality-gap stopping rule;
   * the Holevo quantity chi* = sup over ensembles of
     S(Psi(rho_bar)) - sum pi_i S(Psi(rho_i)), computed by alternating
     maximization over at most d^2 pure states: projected Newton steps on
@@ -45,7 +45,6 @@ from .core import (
     hermitize,
     psd_eigenvalues,
     ptrace_matrix,
-    random_psd_matrices,
     relative_entropy,
     spectral_function,
     von_neumann_entropy,
@@ -63,7 +62,6 @@ from .optimize import MIN_GAIN, ascend_lockstep, maximize_over_pure_states
 from .phase_damping import PhaseDampingChannel
 
 PROB_SUM_TOL = 1e-12
-POVM_TOL = 1e-10
 ROW_SUM_TOL = 1e-10
 ENTRY_TOL = 1e-12
 JOINT_STEPS = 50
@@ -85,7 +83,7 @@ WEIGHT_ROUNDS = 500
 
 
 # ---------------------------------------------------------------------------
-# Ensembles, POVMs, induced classical channels
+# Ensembles and the basis-to-basis classical channel
 # ---------------------------------------------------------------------------
 
 class Ensemble:
@@ -129,45 +127,6 @@ class Ensemble:
         return cls(items)
 
 
-class Povm:
-    """Positive operators summing to the identity."""
-
-    def __init__(self, elements) -> None:
-        ops = [np.asarray(e, dtype=complex) for e in elements]
-        if not ops:
-            raise ValueError("POVM needs at least one element")
-        dim = ops[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in ops:
-            if e.shape != (dim, dim):
-                raise ValueError("POVM elements must share one square shape")
-            w = np.linalg.eigvalsh(hermitize(e))
-            if w[0] < -POVM_TOL:
-                raise ValueError(f"POVM element has eigenvalue {w[0]:.3e}")
-            total += e
-        if np.max(np.abs(total - np.eye(dim))) > POVM_TOL:
-            raise ValueError("POVM elements do not sum to the identity")
-        self.elements = tuple(ops)
-        self.dim = dim
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @classmethod
-    def basis(cls, dim: int) -> "Povm":
-        eye = np.eye(dim, dtype=complex)
-        return cls([np.outer(eye[:, i], eye[:, i].conj()) for i in range(dim)])
-
-    @classmethod
-    def random(cls, dim: int, n_elements: int, seed=None) -> "Povm":
-        """Random POVM: Ginibre Grams whitened by their total."""
-        raws = random_psd_matrices(dim, seed, (n_elements,))
-        total = np.sum(raws, axis=0)
-        w, u = np.linalg.eigh(hermitize(total))
-        inv_half = (u * (1.0 / np.sqrt(np.clip(w, 1e-30, None)))) @ u.conj().T
-        return cls([inv_half @ r @ inv_half for r in raws])
-
-
 class ClassicalChannelMatrix:
     """Row-stochastic transition matrix of an induced classical channel."""
 
@@ -185,35 +144,13 @@ class ClassicalChannelMatrix:
         self.rows, self.cols = p.shape
 
 
-def transition_matrix(channel, ensemble: Ensemble, povm: Povm
-                      ) -> ClassicalChannelMatrix:
-    """p_ij = Tr[Psi(rho_i) E_j]."""
-    if ensemble.dim != channel.dim_in:
-        raise ValueError(f"ensemble dim {ensemble.dim} does not match channel")
-    rows = []
-    for rho in ensemble.states:
-        out = channel.apply_matrix(np.asarray(rho, dtype=complex))
-        if out.shape[0] != povm.dim:
-            raise ValueError(f"POVM dim {povm.dim} does not match channel output")
-        rows.append([float(np.real(np.trace(out @ e))) for e in povm.elements])
-    return ClassicalChannelMatrix(rows)
-
-
-def mutual_information(prior, t: ClassicalChannelMatrix) -> float:
-    """I(X; Y) in nats of the joint distribution prior_i p_ij."""
-    r = np.asarray(prior, dtype=float)
-    if abs(r.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"prior sums to {r.sum()}, expected 1")
-    p = t.probs
-    q = r @ p
-    total = 0.0
-    for i in range(t.rows):
-        if r[i] <= 0.0:
-            continue
-        row = p[i]
-        mask = row > 0.0
-        total += r[i] * float(np.sum(row[mask] * np.log(row[mask] / q[mask])))
-    return max(total, 0.0)
+def transition_matrix(channel) -> ClassicalChannelMatrix:
+    """p_ij = <j|Psi(|i><i|)|j>: basis state i sent through the channel and
+    read by the projector onto basis state j, from one stacked action on
+    the basis projectors |i><i|."""
+    eye = np.eye(channel.dim_in, dtype=complex)
+    outs = channel.apply_matrix(eye[:, :, None] * eye[:, None, :])
+    return ClassicalChannelMatrix(np.real(np.diagonal(outs, axis1=-2, axis2=-1)))
 
 
 @dataclass(frozen=True)
@@ -261,9 +198,7 @@ def shannon_capacity_depolarizing(ch: DepolarizingChannel) -> float:
     """Shannon capacity of the depolarizing channel with the basis ensemble
     and basis measurement, cross-checked against the closed-form Holevo
     value (the two must agree to 1e-8)."""
-    ensemble = Ensemble.uniform_basis(ch.dim)
-    povm = Povm.basis(ch.dim)
-    result = shannon_capacity_fixed(transition_matrix(ch, ensemble, povm))
+    result = shannon_capacity_fixed(transition_matrix(ch))
     closed = ch.chi_star()
     if abs(result.capacity - closed) > 1e-8:
         raise ArithmeticError(
@@ -274,16 +209,6 @@ def shannon_capacity_depolarizing(ch: DepolarizingChannel) -> float:
 # ---------------------------------------------------------------------------
 # Holevo quantity
 # ---------------------------------------------------------------------------
-
-def holevo_of_ensemble(channel, ensemble: Ensemble) -> float:
-    """S(Psi(rho_bar)) - sum_i pi_i S(Psi(rho_i)); nonnegative by concavity."""
-    outs = [hermitize(channel.apply_matrix(np.asarray(s, dtype=complex)))
-            for s in ensemble.states]
-    avg = sum(p * o for p, o in zip(ensemble.probs, outs))
-    value = von_neumann_entropy(avg) - sum(
-        p * von_neumann_entropy(o) for p, o in zip(ensemble.probs, outs))
-    return max(value, 0.0)
-
 
 def _output_logs(outs: np.ndarray):
     """(-S(out_r), log out_r) for a stack of Hermitian PSD outputs, from
@@ -331,12 +256,6 @@ class HolevoResult:
     certificate_gap: float
     outer_iterations: int
     converged: bool
-
-    def ensemble(self) -> Ensemble:
-        items = [(p, PureState(s).projector())
-                 for p, s in zip(self.probs, self.states) if p > 1e-12]
-        total = sum(p for p, _ in items)
-        return Ensemble([(p / total, rho) for p, rho in items])
 
 
 def _seed_int(root_seed: int, i: int) -> int:

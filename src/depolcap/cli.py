@@ -34,8 +34,6 @@ from .bounds import (
     tensor_output_norm_bound,
 )
 from .capacity import (
-    Ensemble,
-    Povm,
     chi_additivity_check,
     holevo_quantity,
     shannon_capacity_fixed,
@@ -64,6 +62,7 @@ from .report import (
     ConfigError,
     Report,
     RunConfig,
+    _is_number,
     child_seed,
     deserialize_matrix,
     resolve_out_path,
@@ -446,8 +445,7 @@ def cmd_capacity(config: RunConfig) -> Report:
             ch = DepolarizingChannel(d, lam)
             chi = ch.chi_star()
             s_min = ch.s_min()
-            ba = shannon_capacity_fixed(
-                transition_matrix(ch, Ensemble.uniform_basis(d), Povm.basis(d)))
+            ba = shannon_capacity_fixed(transition_matrix(ch))
             prior_dev = float(np.max(np.abs(ba.prior - 1.0 / d)))
             seed = child_seed(config.seed, 11, i_d, i_l)
             numeric = holevo_quantity(ch, seed=seed)
@@ -496,7 +494,7 @@ def _replay_cell(name: str, inputs: dict, mats: dict) -> tuple:
         return (inputs["p"],)
     d, lam = inputs["d"], inputs["lam"]
     if name == "tensor-output-norm-bound":
-        return PhaseDampingChannel.unchecked(d, lam), inputs["p"]
+        return PhaseDampingChannel(d, lam), inputs["p"]
     return (DepolarizingChannel(d, lam), Channel(mats["psi_kraus"]),
             DensityMatrix(mats["average_output"])
             if name == "relative-entropy-tensor-bound" else inputs["p"])
@@ -527,12 +525,19 @@ def _replay_check(data: dict):
         raise ConfigError(f"witness dimensions {dims} are out of scope")
     if name not in _FAMILIES:
         raise ConfigError(f"witness file names unknown check {name!r}")
+    # As in RunConfig: p and lam are numbers (JSON holds no non-finite
+    # one), p >= 1; the channels built on lam refuse it outside their CP
+    # range, as verify builds none there.
+    for key in ("p", "lam"):
+        if key in inputs and not (_is_number(inputs[key])
+                                  and (key == "lam" or inputs[key] >= 1.0)):
+            raise ConfigError(f"witness input {key} must be a number"
+                              f"{' >= 1' if key == 'p' else ''}, got {inputs[key]!r}")
     scalars = data["scalars"]
-    # Every scalar is a number (JSON holds no non-finite one), and the
-    # tolerances are not negative, as in RunConfig.
+    # Every scalar is a number, and the tolerances are not negative.
     for key, value in scalars.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or (key in ("tolerance", "saturation") and value < 0.0)):
+        if not _is_number(value) or (key in ("tolerance", "saturation")
+                                     and value < 0.0):
             raise ConfigError(f"witness scalar {key} must be a number, "
                               f"not negative for a tolerance: got {value!r}")
     mats = {k: (deserialize_matrix(v) if isinstance(v, dict)
@@ -654,7 +659,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError: malformed JSON, or an integer of over 4300 digits.
             raise ConfigError(f"cannot read config file: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -625,13 +625,3 @@ def random_channel(dim_in: int, dim_out: int, env_dim: int, seed=None) -> Channe
 
 def random_bipartite_state(dim1: int, dim2: int, seed=None) -> BipartiteState:
     return BipartiteState(dim1, dim2, random_density_matrix(dim1 * dim2, seed))
-
-
-def basis_state(dim: int, index: int) -> PureState:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return PureState(v)
-
-
-def maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(np.eye(dim) / dim)

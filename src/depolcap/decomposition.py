@@ -77,17 +77,6 @@ def psi_state(d: int, k: int, a: int) -> PureState:
     return PureState(amps)
 
 
-def psi_basis(d: int, a: int) -> np.ndarray:
-    """Orthonormal basis matrix whose column k-1 is psi_{k,a}.
-
-    Unlike psi_state, the columns are not validated one by one; the channel
-    or decomposition built on it checks the whole basis against GRAM_TOL.
-    """
-    if not 1 <= a <= 2 * d * d:
-        raise ValueError(f"a must be in 1..{2 * d * d}, got {a}")
-    return psi_bases(d)[a - 1]
-
-
 def psi_bases(d: int) -> np.ndarray:
     """All 2 d^2 bases as one stack ``(2 d^2, d, d)``; entry a-1 has column
     k-1 equal to psi_{k,a}."""
@@ -166,10 +155,6 @@ class IdentityCheck:
     distance: float
     weights: tuple[float, ...]
     n_terms: int
-
-    @property
-    def weight_sum(self) -> float:
-        return float(sum(self.weights))
 
 
 def mixing_weights(d: int, lam: float) -> tuple[float, float]:

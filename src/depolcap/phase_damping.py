@@ -16,12 +16,9 @@ capacity machinery.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
-    Channel,
     InvalidChannelError,
     InvalidStateError,
     LambdaChannel,
@@ -106,15 +103,6 @@ class PhaseDampingChannel(LambdaChannel):
 
     # -- derived structure --------------------------------------------------
 
-    def projectors(self) -> list[np.ndarray]:
-        """Damping projectors E_i = |b_i><b_i|."""
-        cols = self.basis.T
-        return [np.outer(c, c.conj()) for c in cols]
-
-    @property
-    def is_computational_basis(self) -> bool:
-        return bool(np.array_equal(self.basis, np.eye(self.dim)))
-
     def is_uniform(self) -> bool:
         """True when every basis column is a uniform vector."""
         return self._stack.uniform
@@ -127,32 +115,6 @@ class PhaseDampingChannel(LambdaChannel):
         channel's own basis, diagonal untouched. The channel acts through
         it, on a matrix or a stack ``(..., d, d)``."""
         return self._stack.superoperator(self.lam, 1.0)
-
-    def kraus_channel(self) -> Channel:
-        """Kraus form built from powers of the basis-diagonal clock unitary.
-
-        With W = U diag(exp(2 pi i j / d)) U^dag, averaging conjugations by
-        W^k over k = 1..d dephases in the channel basis, so the Kraus set
-        sqrt(lam + (1-lam)/d) I together with sqrt((1-lam)/d) (W*)^k for
-        k = 1..d-1 reproduces the channel. The identity weight is
-        nonnegative exactly on the CP range, zero up to rounding at its edge.
-        """
-        d = self.dim
-        if not self.is_cp:
-            raise InvalidChannelError(
-                f"no Kraus form: lam {self.lam} outside the CP range for dim {d}")
-        w = (1.0 - self.lam) / d
-        w0 = max(self.lam + w, 0.0)
-        phases = np.exp(2j * math.pi * np.arange(d) / d)
-        ops = [math.sqrt(w0) * np.eye(d, dtype=complex)]
-        for k in range(1, d):
-            clock_k = self.basis @ np.diag(phases.conj() ** k) @ self.basis.conj().T
-            ops.append(math.sqrt(w) * clock_k)
-        return Channel(ops)
-
-    def __repr__(self) -> str:
-        tag = "computational" if self.is_computational_basis else "custom"
-        return f"PhaseDampingChannel(dim={self.dim}, lam={self.lam}, basis={tag})"
 
 
 def uniform_diag_expectation(psi: PureState, d_mat) -> complex:

@@ -117,6 +117,14 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _float(name: str, x) -> float:
+    # A JSON integer can lie beyond float range.
+    try:
+        return float(x)
+    except OverflowError:
+        raise ConfigError(f"{name} holds an integer beyond float range") from None
+
+
 def _entries(name: str, value, valid, kind: str) -> tuple:
     if not isinstance(value, (list, tuple)) or not all(valid(x) for x in value):
         raise ConfigError(f"{name} must be a list of {kind}, got {value!r}")
@@ -144,9 +152,9 @@ class RunConfig:
         # Values from a config file arrive as whatever JSON held; check the
         # types before converting, so that 2.7 is not truncated to 2.
         self.dims = _entries("dims", self.dims, _is_int, "integers")
-        self.lambdas = tuple(float(x) for x in _entries(
+        self.lambdas = tuple(_float("lambdas", x) for x in _entries(
             "lambdas", self.lambdas, _is_number, "numbers"))
-        self.p_grid = tuple(float(p) for p in _entries(
+        self.p_grid = tuple(_float("p_grid", p) for p in _entries(
             "p_grid", self.p_grid, _is_number, "numbers"))
         if not self.dims or not self.lambdas or not self.p_grid:
             raise ConfigError("dims, lambdas and p-grid must be non-empty")
@@ -182,7 +190,8 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown tolerance overrides {sorted(unknown)}")
         for name, value in self.tolerances.items():
-            if not (_is_number(value) and 0.0 <= value < math.inf):
+            if not (_is_number(value)
+                    and 0.0 <= _float(f"tolerance {name}", value) < math.inf):
                 raise ConfigError(f"tolerance {name} must be a finite "
                                   f"non-negative number, got {value!r}")
 

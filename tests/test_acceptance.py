@@ -21,8 +21,6 @@ from depolcap.bounds import (
     tensor_output_norm_bound,
 )
 from depolcap.capacity import (
-    Ensemble,
-    Povm,
     chi_additivity_check,
     holevo_quantity,
     shannon_capacity_depolarizing,
@@ -169,8 +167,7 @@ def test_08_capacity_chain():
             capacity = shannon_capacity_depolarizing(ch)
             assert abs(capacity - ch.chi_star()) <= 1e-8
             assert abs(ch.chi_star() - (math.log(d) - ch.s_min())) <= 1e-12
-            ba = shannon_capacity_fixed(
-                transition_matrix(ch, Ensemble.uniform_basis(d), Povm.basis(d)))
+            ba = shannon_capacity_fixed(transition_matrix(ch))
             assert np.max(np.abs(ba.prior - 1.0 / d)) <= 1e-8
     _report("capacity chain", t0, 30.0)
 
@@ -185,8 +182,8 @@ def test_09_relative_entropy_tensor_bound():
         assert res.converged
         # Product saturator: pure state on the first factor, heaviest
         # support state of the optimal ensemble on the second.
-        ens = res.ensemble()
-        witness = np.asarray(ens.states[int(np.argmax(ens.probs))])
+        top = res.states[int(np.argmax(res.probs))]
+        witness = np.outer(top, top.conj())
         for d in (2, 3):
             for lam in (0.3, 0.7, 1.0):
                 dep = DepolarizingChannel(d, lam)

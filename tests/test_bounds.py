@@ -24,7 +24,6 @@ from depolcap.core import (
     BipartiteState,
     Channel,
     DensityMatrix,
-    basis_state,
     hermitize,
     matrix_power_psd,
     ptrace_matrix,
@@ -44,6 +43,7 @@ from depolcap.cli import run_replay
 from depolcap.depolarizing import DepolarizingChannel, lambda_min
 from depolcap.phase_damping import PhaseDampingChannel, damping_lambda_min
 from depolcap.report import child_seed, serialize_matrix
+from reference import basis_state, damper_kraus_channel, kraus_form
 from streams import spawn_rngs
 
 # Frozen reference: (1-lam)^p + ((d lam + 1 - lam)^p - (1-lam)^p)/d
@@ -455,7 +455,7 @@ class TestLocalForms:
         phis += [PhaseDampingChannel(d, lam, basis=random_unitary(d, seed=d))
                  for lam in (damping_lambda_min(d), 0.5)]
         for phi in phis:
-            joint = tensor_channel(phi.kraus_channel(), psi)
+            joint = tensor_channel(kraus_form(phi), psi)
             out = tensor_output(phi, psi, stack)
             for t, tau in enumerate(stack):
                 ref = hermitize(joint.apply_matrix(tau))
@@ -492,7 +492,7 @@ class TestLocalForms:
         d, dp, lam, p = 3, 2, 0.6, 2.0
         ch = PhaseDampingChannel(d, lam, basis=random_unitary(d, seed=3))
         rho = np.asarray(random_density_matrix(d * dp, seed=4))
-        joint = tensor_channel(ch.kraus_channel(), identity_channel(dp))
+        joint = tensor_channel(damper_kraus_channel(ch), identity_channel(dp))
         lhs = schatten_p_norm(hermitize(joint.apply_matrix(rho)), p)
         power_sum = 0.0
         for i in range(d):

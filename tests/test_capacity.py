@@ -12,12 +12,9 @@ from depolcap.capacity import (
     AdditivityCheck,
     ClassicalChannelMatrix,
     Ensemble,
-    Povm,
     chi_additivity_check,
     entropy_lower_bound_check,
-    holevo_of_ensemble,
     holevo_quantity,
-    mutual_information,
     opwsw_certificate,
     shannon_capacity_depolarizing,
     shannon_capacity_fixed,
@@ -49,6 +46,7 @@ from depolcap.cli import main
 from depolcap.depolarizing import DepolarizingChannel
 from depolcap.phase_damping import PhaseDampingChannel
 from depolcap.report import child_seed
+from reference import holevo_of_ensemble, mutual_information, optimizer_ensemble
 
 # Capacity of the binary symmetric channel with flip probability 1/4,
 # ln 2 - (3/4 ln 4/3 + 1/4 ln 4), frozen from an independent evaluation.
@@ -63,7 +61,7 @@ def fourier_basis(d):
 
 
 # ---------------------------------------------------------------------------
-# ensembles, POVMs, transition matrices
+# ensembles and transition matrices
 # ---------------------------------------------------------------------------
 
 class TestEnsemble:
@@ -89,27 +87,6 @@ class TestEnsemble:
         assert np.allclose(np.asarray(ens.average()), np.eye(3) / 3)
 
 
-class TestPovm:
-    def test_basis_povm_completeness(self):
-        povm = Povm.basis(4)
-        assert len(povm) == 4
-        assert np.allclose(sum(povm.elements), np.eye(4))
-
-    def test_rejects_incomplete_elements(self):
-        with pytest.raises(ValueError):
-            Povm([np.diag([1.0, 0.0])])
-
-    def test_rejects_negative_element(self):
-        with pytest.raises(ValueError):
-            Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
-
-    def test_random_povm_sums_to_identity(self):
-        povm = Povm.random(3, 5, seed=2)
-        assert np.max(np.abs(sum(povm.elements) - np.eye(3))) < 1e-10
-        for e in povm.elements:
-            assert np.linalg.eigvalsh(e).min() > -1e-12
-
-
 class TestClassicalChannelMatrix:
     def test_rows_must_be_stochastic(self):
         with pytest.raises(ValueError):
@@ -125,12 +102,18 @@ class TestClassicalChannelMatrix:
 
 
 def test_transition_matrix_of_basis_design():
-    ch = DepolarizingChannel(3, 0.4)
-    t = transition_matrix(ch, Ensemble.uniform_basis(3), Povm.basis(3))
-    a = 0.4 + 0.6 / 3
-    b = 0.6 / 3
-    expected = np.full((3, 3), b) + (a - b) * np.eye(3)
-    assert np.max(np.abs(t.probs - expected)) < 1e-12
+    # p_ij = <j|Psi(|i><i|)|j>, written out: from the closed-form spectrum
+    # of Delta, and as sum_k |<j|K_k|i>|^2 over the Kraus set of a channel
+    # from C^2 to C^3, which is neither square nor unital.
+    a, b = 0.4 + 0.6 / 3, 0.6 / 3
+    kraus = random_channel(2, 3, 2, seed=12)
+    for ch, expected in (
+            (DepolarizingChannel(3, 0.4), np.full((3, 3), b) + (a - b) * np.eye(3)),
+            (kraus, sum(np.abs(k.T) ** 2 for k in kraus.kraus_ops))):
+        t = transition_matrix(ch)
+        assert (t.rows, t.cols) == expected.shape
+        assert np.max(np.abs(t.probs.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(t.probs - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +255,7 @@ class TestHolevoQuantity:
         ch = random_channel(2, 2, 2, seed=7)
         result = holevo_quantity(ch, seed=0)
         assert result.converged
-        ens = result.ensemble()
+        ens = optimizer_ensemble(result)
         assert abs(holevo_of_ensemble(ch, ens) - result.chi) < 1e-9
 
     def test_identity_channel_reaches_log_dim(self):
@@ -359,7 +342,7 @@ class TestHolevoQuantity:
                                      max_outer=max_outer)
             assert not result.converged and result.outer_iterations == max_outer
             assert result.certificate_gap >= capacity.CERT_TOL
-            ensemble_chi = holevo_of_ensemble(partner, result.ensemble())
+            ensemble_chi = holevo_of_ensemble(partner, optimizer_ensemble(result))
             assert abs(result.chi - ensemble_chi) <= 1e-14
             expected = partner.apply_matrix(np.asarray(result.average_input))
             assert np.max(np.abs(np.asarray(result.average_output) - expected)) <= 1e-14

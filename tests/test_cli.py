@@ -31,7 +31,6 @@ from depolcap.core import (
     random_unitaries,
 )
 from depolcap.depolarizing import DepolarizingChannel, lambda_min
-from depolcap.phase_damping import PhaseDampingChannel
 from depolcap.report import (
     DEFAULT_TOLERANCES,
     CheckRecord,
@@ -295,6 +294,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "trials must be an integer" in err
+
+    # A JSON integer beyond float range: float() overflows at 401 digits,
+    # and past 4300 digits the JSON reader refuses to convert it.
+    @pytest.mark.parametrize("digits", [401, 5001])
+    @pytest.mark.parametrize("key", ["tolerances", "lambdas", "p_grid"])
+    def test_config_number_beyond_float_range_exits_two(self, capsys, tmp_path,
+                                                         key, digits):
+        big = "1" + "0" * (digits - 1)
+        value = f'{{"invariance": {big}}}' if key == "tolerances" else f"[{big}]"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": {value}}}')
+        code, out, err = run_cli(["measures", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "error:" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +892,37 @@ class TestReplay:
         assert code == 2
         assert out == "" and "error:" in err and "Traceback" not in err
 
+    # p and lam follow RunConfig's rule too: numbers that are not bools, p
+    # at least 1, and a damper's lam inside its CP range, where verify
+    # builds its rows. "p": true replayed a lieb-thirring witness at p = 1,
+    # and "lam": 5.0 a norm-bound witness on a non-CP damper, with exit 0.
+    @pytest.mark.parametrize("key, value", [
+        ("p", True), ("p", "2"), ("p", 0.5),
+        ("lam", True), ("lam", "2"), ("lam", 5.0)])
+    def test_witness_p_and_lam_follow_the_config_rule(self, tmp_path, capsys,
+                                                      key, value):
+        a = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+        lieb_thirring = {
+            "check": "lieb-thirring", "inputs": {"dim": 2, "p": 2.5},
+            "seed": 0, "matrices": {"a": serialize_matrix(a),
+                                    "b": serialize_matrix(a @ a)},
+            "scalars": {"tolerance": 1e-10}}
+        # A diagonal state, which a damper at any lam leaves PSD.
+        norm_bound = _valid_witness()
+        norm_bound["matrices"]["rho12"] = serialize_matrix(
+            np.diag([0.1, 0.2, 0.3, 0.4]))
+        path = tmp_path / "w.json"
+        for witness in (lieb_thirring, norm_bound):
+            if key not in witness["inputs"]:
+                continue
+            path.write_text(json.dumps(witness))
+            assert run_cli(["verify", "--replay", str(path)], capsys)[0] == 0
+            witness["inputs"][key] = value
+            path.write_text(json.dumps(witness))
+            code, out, err = run_cli(["verify", "--replay", str(path)], capsys)
+            assert (code, out) == (2, ""), (witness["check"], err)
+            assert "error:" in err and "Traceback" not in err
+
     # The previous witness format kept only the worst trial and no
     # saturation tolerance; a saturating family's witness with either of
     # those is rejected, not replayed without its saturation clause.
@@ -1258,8 +1302,7 @@ class TestNoKrausForms:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, refuse)
-        for family in (DepolarizingChannel, PhaseDampingChannel):
-            monkeypatch.setattr(family, "kraus_channel", refuse)
+        monkeypatch.setattr(DepolarizingChannel, "kraus_channel", refuse)
         out = tmp_path / "report.json"
         assert main(argv + ["--out", str(out)]) == 0
         capsys.readouterr()

@@ -18,13 +18,11 @@ from depolcap.core import (
     ProductMap,
     PureState,
     apply_on_factor,
-    basis_state,
     check_states,
     choi_from_superoperator,
     choi_matrix,
     hermitize,
     kraus_superoperator,
-    maximally_mixed,
     min_choi_eigenvalue,
     nats_to_bits,
     psd_eigenvalues,
@@ -45,6 +43,7 @@ from depolcap.core import (
 from depolcap.decomposition import OmegaChannel
 from depolcap.depolarizing import DepolarizingChannel, lambda_min
 from depolcap.phase_damping import PhaseDampingChannel, damping_lambda_min
+from reference import basis_state, kraus_form, maximally_mixed
 
 LN2 = math.log(2.0)
 
@@ -368,7 +367,7 @@ class TestApplyOnFactor:
         # Reference: the product Kraus set, one matrix at a time.
         psi = random_channel(dp, dp + 1, 2, seed=d * dp)
         stack = random_density_matrices(d * dp, d + dp, 4)
-        first = tensor_channel(phi.kraus_channel(), identity_channel(dp))
+        first = tensor_channel(kraus_form(phi), identity_channel(dp))
         second = tensor_channel(identity_channel(d), psi)
         on_first = apply_on_factor(phi.apply_matrix, stack, d, dp, 1)
         on_second = apply_on_factor(psi.apply_matrix, stack, d, dp, 2)
@@ -528,13 +527,13 @@ PROTOCOL_CASES = {
 
 def reference_action(ch):
     """An action that does not go through ch's superoperator: the Kraus sum
-    of a Kraus channel, or of the ``kraus_channel()`` of Delta or a damper
+    of a Kraus channel, or of the Kraus form of Delta or a damper
     (each case lies inside its CP range), and for Omega its definition
     Delta_lam(rho) + ((1 - lam)/d)(rho - diag rho), written out."""
     if isinstance(ch, OmegaChannel):
         c, eye = (1.0 - ch.lam) / ch.dim, np.eye(ch.dim)
         return lambda m: ch.lam * m + c * (np.trace(m) * eye + m - m * eye)
-    ops = ch.kraus_ops if isinstance(ch, Channel) else ch.kraus_channel().kraus_ops
+    ops = kraus_form(ch).kraus_ops
     return lambda m: sum(k @ m @ k.conj().T for k in ops)
 
 
@@ -669,10 +668,6 @@ PRODUCT_CASES = {
 }
 
 
-def _kraus(ch):
-    return ch if isinstance(ch, Channel) else ch.kraus_channel()
-
-
 class TestProductMap:
     # Reference: the product Kraus set, acting through its superoperator.
     @staticmethod
@@ -691,7 +686,7 @@ class TestProductMap:
     def test_matches_product_kraus_set(self, name):
         phi, psi = PRODUCT_CASES[name]
         self.assert_acts_like(ProductMap(phi, psi),
-                              tensor_channel(_kraus(phi), _kraus(psi)))
+                              tensor_channel(kraus_form(phi), kraus_form(psi)))
 
     def test_nested_product_matches_triple_kraus_product(self):
         dep = DepolarizingChannel(2, 0.3)

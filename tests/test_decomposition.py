@@ -10,7 +10,6 @@ from depolcap.core import (
     InvalidChannelError,
     choi_matrix,
     frobenius_distance,
-    maximally_mixed,
     min_choi_eigenvalue,
     random_density_matrix,
     superoperator_from_action,
@@ -27,13 +26,13 @@ from depolcap.decomposition import (
     mixing_weights,
     omega_split_check,
     phase_average_check,
-    psi_basis,
     psi_bases,
     psi_state,
     theta_state,
 )
 from depolcap.depolarizing import DepolarizingChannel
 from depolcap.phase_damping import DamperStack, PhaseDampingChannel, is_uniform_vector
+from reference import maximally_mixed
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -47,7 +46,7 @@ CONVEX_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 def phase_channel(d, lam, a):
     """The a-th uniform phase-damping channel, basis {psi_{k,a}}_k."""
-    return PhaseDampingChannel.unchecked(d, lam, basis=psi_basis(d, a))
+    return PhaseDampingChannel.unchecked(d, lam, basis=psi_bases(d)[a - 1])
 
 
 def omega_alt_form(om, mat):
@@ -72,7 +71,7 @@ def qubit_four_term_decomposition(lam):
     weights = [[c0 / 2 + c1 / 4] * 2, [c1 / 4] * 2]
     unitaries = [np.eye(2, dtype=complex), build_g(2)]
     return ConvexDecomposition(2, lam, weights, unitaries,
-                               [psi_basis(2, 2), psi_basis(2, 4)])
+                               psi_bases(2)[[1, 3]])
 
 
 def term_actions(dec):
@@ -137,7 +136,7 @@ class TestPsiStates:
     def test_fixed_a_gives_orthonormal_basis(self):
         for d in (2, 3, 5):
             for a in (1, d, 2 * d * d):
-                b = psi_basis(d, a)
+                b = psi_bases(d)[a - 1]
                 assert np.max(np.abs(b.conj().T @ b - np.eye(d))) < 1e-10
 
     def test_all_states_uniform(self):
@@ -151,26 +150,15 @@ class TestPsiStates:
             psi_state(3, 0, 1)
         with pytest.raises(ValueError, match="a must be"):
             psi_state(3, 1, 19)
-        with pytest.raises(ValueError, match="a must be"):
-            psi_basis(3, 0)
-        with pytest.raises(ValueError, match="a must be"):
-            psi_basis(3, 19)
 
-    def test_stacked_bases_match_single_bases(self):
-        # psi_basis reads its entry from the stack; the independent
-        # reference is psi_state, in test_basis_matches_stacked_states.
+    def test_basis_matches_stacked_states(self):
         for d in (2, 3, 4, 5, 6):
             bases = psi_bases(d)
             assert bases.shape == (2 * d * d, d, d)
             for a in range(1, 2 * d * d + 1):
-                assert np.max(np.abs(bases[a - 1] - psi_basis(d, a))) <= 1e-16
-
-    def test_basis_matches_stacked_states(self):
-        for d in (2, 3, 4, 5, 6):
-            for a in range(1, 2 * d * d + 1):
                 stacked = np.column_stack([np.asarray(psi_state(d, k, a))
                                            for k in range(1, d + 1)])
-                assert np.allclose(psi_basis(d, a), stacked, rtol=0, atol=1e-15)
+                assert np.allclose(bases[a - 1], stacked, rtol=0, atol=1e-15)
 
 
 class TestOmegaChannel:
@@ -246,7 +234,7 @@ class TestOmegaSplit:
     def test_weights_sum_to_one(self):
         for d in (2, 5):
             for lam in LAMBDA_GRID:
-                assert abs(omega_split_check(d, lam).weight_sum - 1.0) < 1e-12
+                assert abs(sum(omega_split_check(d, lam).weights) - 1.0) < 1e-12
 
     def test_singular_weight_raises(self):
         with pytest.raises(ValueError, match="singular"):
@@ -379,10 +367,11 @@ class TestPhaseAverage:
 
     def _assert_damps_in_eigenbasis(self, channel, observable):
         # The damping projectors must commute with the observable, i.e. the
-        # channel basis diagonalizes it.
+        # channel basis diagonalizes it: sum_i (i + 1) E_i is diagonal in
+        # the observable's eigenbasis.
         w, vecs = np.linalg.eigh(observable)
-        rotated = vecs.conj().T @ sum(channel.projectors()[i] * (i + 1)
-                                      for i in range(2)) @ vecs
+        b = channel.basis
+        rotated = vecs.conj().T @ b @ np.diag([1.0, 2.0]) @ b.conj().T @ vecs
         off = rotated - np.diag(np.diagonal(rotated))
         assert np.max(np.abs(off)) < 1e-12
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from depolcap.core import (
     InvalidChannelError,
     LinearMap,
-    basis_state,
     frobenius_distance,
     min_choi_eigenvalue,
     random_pure_state,
@@ -22,6 +21,7 @@ from depolcap.depolarizing import (
     min_choi_eig,
     shift_matrix,
 )
+from reference import basis_state
 
 # Frozen reference values.
 S_MIN_D2_HALF = 0.5623351446188083       # -0.75 ln 0.75 - 0.25 ln 0.25

@@ -7,17 +7,15 @@ from depolcap.core import (
     InvalidChannelError,
     InvalidStateError,
     PureState,
-    basis_state,
     frobenius_distance,
     hermitize,
-    maximally_mixed,
     min_choi_eigenvalue,
     random_density_matrix,
     random_unitaries,
     random_unitary,
     superoperator_from_action,
 )
-from depolcap.decomposition import psi_basis
+from depolcap.decomposition import psi_bases
 from depolcap.phase_damping import (
     UNIFORM_TOL,
     DamperStack,
@@ -27,12 +25,13 @@ from depolcap.phase_damping import (
     is_uniform_vector,
     uniform_diag_expectation,
 )
+from reference import basis_state, damper_kraus_channel, maximally_mixed
 
 
 def projector_form(ch):
     """The action lam rho + (1 - lam) sum_i E_i rho E_i written out from the
-    channel's projectors; valid for any lam and any basis."""
-    projectors = ch.projectors()
+    projectors E_i onto the channel's basis; valid for any lam and any basis."""
+    projectors = [np.outer(b, b.conj()) for b in ch.basis.T]
     return lambda m: ch.lam * m + (1.0 - ch.lam) * sum(e @ m @ e for e in projectors)
 
 
@@ -44,7 +43,7 @@ def fourier_basis(d: int) -> np.ndarray:
 class TestConstruction:
     def test_default_basis_is_computational(self):
         ch = PhaseDampingChannel(3, 0.5)
-        assert ch.is_computational_basis
+        assert np.array_equal(ch.basis, np.eye(3))
 
     def test_range_endpoints(self):
         for d in (2, 3, 5):
@@ -123,7 +122,7 @@ class TestRepresentations:
         for d, lam in ((2, 0.5), (3, -0.3), (4, 0.0), (3, 1.0)):
             u = random_unitary(d, seed=d + 10)
             ch = PhaseDampingChannel(d, lam, basis=u)
-            dist = frobenius_distance(ch.kraus_channel().superoperator(),
+            dist = frobenius_distance(damper_kraus_channel(ch).superoperator(),
                                       ch.superoperator())
             assert dist < 1e-10, (d, lam, dist)
 
@@ -132,14 +131,14 @@ class TestRepresentations:
         # below it (d = 6, 12).
         for d in range(2, 13):
             ch = PhaseDampingChannel(d, damping_lambda_min(d))
-            err = np.max(np.abs(ch.kraus_channel().superoperator()
+            err = np.max(np.abs(damper_kraus_channel(ch).superoperator()
                                 - ch.superoperator()))
             assert err < 1e-13, (d, err)
 
     def test_kraus_refused_outside_cp_range(self):
         ch = PhaseDampingChannel.unchecked(3, damping_lambda_min(3) - 0.01)
         with pytest.raises(InvalidChannelError, match="Kraus"):
-            ch.kraus_channel()
+            damper_kraus_channel(ch)
 
     def test_choi_psd_inside_range_negative_outside(self):
         for d in (2, 3, 4):
@@ -156,7 +155,7 @@ class TestClosedFormSuperoperator:
     def _bases(d):
         return {"computational": None,
                 "haar": random_unitary(d, seed=100 + d),
-                "psi": psi_basis(d, d + 1)}
+                "psi": psi_bases(d)[d]}
 
     # Reference: the projector form, applied to one matrix unit at a time.
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
