@@ -16,7 +16,6 @@ from .phase_damping import PhaseDampingChannel
 from .decomposition import full_decomposition
 from .bounds import max_output_p_norm, min_output_entropy
 from .capacity import (
-    Ensemble,
     chi_additivity_check,
     holevo_quantity,
     shannon_capacity_depolarizing,
@@ -28,7 +27,6 @@ __all__ = [
     "Channel",
     "DensityMatrix",
     "DepolarizingChannel",
-    "Ensemble",
     "InvalidChannelError",
     "InvalidStateError",
     "PhaseDampingChannel",

@@ -20,10 +20,12 @@ set: Phi_lam (x) I is the damper on factor one, and Delta (x) Psi is a
 ``core.ProductMap``, Psi on factor two followed by Delta on factor one:
 lam (id (x) Psi) tau + (1 - lam) I/d (x) Psi(tr_1 tau). Every Monte-Carlo
 check takes a stack ``(T, d d', d d')`` of trial states as well as a single
-state and returns one value per trial, so a whole (d, d', lam, p) cell of
-``verify`` costs one stacked channel application and one stacked
-eigendecomposition. A check returns the sides it measured and no verdict;
-tolerances belong to the caller.
+state and returns one value per trial. The output-norm checks also take a
+grid of exponents as well as one p, and return one row per p: the spectra
+do not depend on p, so a whole (d, d', lam) cell of ``verify`` costs one
+stacked channel application and one stacked eigendecomposition for every
+p. A check returns the sides it measured and no verdict; tolerances belong
+to the caller.
 """
 
 from __future__ import annotations
@@ -232,12 +234,14 @@ def b_matrix_diagonal_check(d: int, lam: float, p: float) -> EqualityCheck:
 
 
 def tensor_output_norm_bound(ch: PhaseDampingChannel, rho12,
-                             p: float) -> InequalityCheck:
+                             p) -> InequalityCheck:
     """|| (Phi_lam (x) I) rho12 ||_p against
     d^(1-1/p) nu_p(Delta_lam) (sum_i Tr rho2_i^p)^(1/p).
 
     ``rho12`` is a state or a stack ``(T, d d', d d')`` of states; for a
-    stack, lhs and rhs hold one value per state."""
+    stack, lhs and rhs hold one value per state. ``p`` is one exponent or a
+    grid ``(P,)`` of them; for a grid, lhs and rhs gain a leading axis, one
+    row per p."""
     d = ch.dim
     m, dp = split_dims(d, rho12)
     lhs = schatten_p_norm(hermitize(apply_on_factor(ch.apply_matrix, m, d, dp, 1)), p)
@@ -245,26 +249,29 @@ def tensor_output_norm_bound(ch: PhaseDampingChannel, rho12,
     # (sum_i Tr rho2_i^p)^(1/p) is the p-norm of all block spectra together.
     block_norm = _p_norm_from_eigenvalues(
         blocks.reshape(blocks.shape[:-2] + (-1,)), p)
-    nu = DepolarizingChannel.unchecked(d, ch.lam)._nu_p_any(p)
-    rhs = d ** (1.0 - 1.0 / p) * nu * block_norm
-    return InequalityCheck(lhs=lhs, rhs=rhs)
+    nu = DepolarizingChannel.unchecked(d, ch.lam)._nu_p_any
+    factor = np.reshape([d ** (1.0 - 1.0 / q) * nu(q) for q in np.ravel(p).tolist()],
+                        np.shape(p) + (1,) * (np.ndim(block_norm) - np.ndim(p)))
+    return InequalityCheck(lhs=lhs, rhs=_scalar_or_stack(factor * block_norm))
 
 
 def local_unitary_invariance_check(dep: DepolarizingChannel, psi: Channel,
                                    tau12, u: np.ndarray,
-                                   p: float) -> EqualityCheck:
+                                   p) -> EqualityCheck:
     """|| (Delta (x) Psi) tau12 ||_p is unchanged by a unitary on factor one
     applied before the channel (the depolarizing part commutes with it).
 
     ``tau12`` is a state or a stack ``(T, d d', d d')``, with one unitary or
     a stack ``(T, d, d)`` of them; for a stack, both norms hold one value
-    per state."""
+    per state. ``p`` is one exponent or a grid ``(P,)`` of them; for a
+    grid, both norms gain a leading axis, one row per p."""
     m, dp = split_dims(dep.dim, tau12)
     split = m.reshape(m.shape[:-2] + (dep.dim, dp, dep.dim, dp))
     rotated = np.einsum("...ai,...ijbl,...cb->...ajcl", u, split, np.conj(u))
     norms = schatten_p_norm(tensor_output(dep, psi, np.stack(
-        [m, rotated.reshape(m.shape)])), p)
-    return EqualityCheck(value_a=norms[0], value_b=norms[1])
+        [m, rotated.reshape(m.shape)], axis=-3)), p)
+    return EqualityCheck(value_a=_scalar_or_stack(norms[..., 0]),
+                         value_b=_scalar_or_stack(norms[..., 1]))
 
 
 def diagonalize_first_factor(tau12: BipartiteState) -> tuple[BipartiteState, np.ndarray]:
@@ -377,13 +384,17 @@ def min_output_entropy(channel, restarts: int = 64, seed: int = 0) -> NumericMea
 
 
 def multiplicativity_check(dep: DepolarizingChannel, psi: Channel, tau12,
-                           p: float, bound: float) -> InequalityCheck:
+                           p, bound) -> InequalityCheck:
     """|| (Delta (x) Psi) tau12 ||_p against the product bound
     nu_p(Delta) nu_p(Psi), passed in as ``bound``.
 
     ``tau12`` is a state or a stack ``(T, d d', d d')`` of states; for a
     stack, lhs holds one norm per state. A product of per-factor maximizers
-    in the stack saturates the bound.
+    in the stack saturates the bound. ``p`` is one exponent, or a grid
+    ``(P,)`` of them with one bound each; for a grid, lhs gains a leading
+    axis, one row per p, and rhs holds the bounds as a column.
     """
-    return InequalityCheck(lhs=schatten_p_norm(tensor_output(dep, psi, tau12), p),
-                           rhs=bound)
+    lhs = schatten_p_norm(tensor_output(dep, psi, tau12), p)
+    if np.ndim(p):
+        bound = np.reshape(bound, (-1,) + (1,) * (np.ndim(lhs) - 1))
+    return InequalityCheck(lhs=lhs, rhs=bound)

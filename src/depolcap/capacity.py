@@ -61,7 +61,6 @@ from .depolarizing import DepolarizingChannel
 from .optimize import MIN_GAIN, ascend_lockstep, maximize_over_pure_states
 from .phase_damping import PhaseDampingChannel
 
-PROB_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-10
 ENTRY_TOL = 1e-12
 JOINT_STEPS = 50
@@ -83,49 +82,8 @@ WEIGHT_ROUNDS = 500
 
 
 # ---------------------------------------------------------------------------
-# Ensembles and the basis-to-basis classical channel
+# The basis-to-basis classical channel
 # ---------------------------------------------------------------------------
-
-class Ensemble:
-    """Input states with probabilities; the encoder's codebook distribution."""
-
-    def __init__(self, items) -> None:
-        pairs = list(items)
-        if not pairs:
-            raise ValueError("ensemble needs at least one state")
-        probs = np.array([float(p) for p, _ in pairs])
-        if probs.min() < -PROB_SUM_TOL:
-            raise ValueError(f"negative probability {probs.min()}")
-        if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
-        states = []
-        for _, rho in pairs:
-            states.append(rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho))
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise ValueError(f"mixed state dimensions {sorted(dims)}")
-        self.probs = probs
-        self.probs.setflags(write=False)
-        self.states = tuple(states)
-        self.dim = states[0].dim
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def average(self) -> DensityMatrix:
-        avg = sum(p * np.asarray(s, dtype=complex)
-                  for p, s in zip(self.probs, self.states))
-        return DensityMatrix(hermitize(avg))
-
-    @classmethod
-    def uniform_basis(cls, dim: int) -> "Ensemble":
-        items = []
-        for i in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, i] = 1.0
-            items.append((1.0 / dim, DensityMatrix(e)))
-        return cls(items)
-
 
 class ClassicalChannelMatrix:
     """Row-stochastic transition matrix of an induced classical channel."""

@@ -58,6 +58,7 @@ from .decomposition import (
 from .depolarizing import DepolarizingChannel, lambda_min, min_choi_eig
 from .phase_damping import PhaseDampingChannel
 from .report import (
+    MAX_TRIALS,
     CheckRecord,
     ConfigError,
     Report,
@@ -191,10 +192,12 @@ def cmd_decompose(config: RunConfig) -> Report:
 # verify
 # ---------------------------------------------------------------------------
 
-# The randomized families. Each takes its cell (channels and p), its trial
-# stacks and the scalars its verdict reads, and returns (values, slack,
-# passed, keep), where keep indexes the trials a failed record's witness
-# stores. verify runs it on a cell's samples, --replay on a witness.
+# The randomized families. Each takes its cell (channels, and a grid of p
+# for the families with one), its trial stacks and one dict of the scalars
+# its verdict reads per record, and returns one (values, slack, passed,
+# keep) per record, where keep indexes the trials a failed record's witness
+# stores. verify runs it on a cell's samples, --replay on a witness with a
+# grid of its one p.
 
 def _min_slack(slack, scalars):
     # A NaN slack is the minimum, and fails.
@@ -204,50 +207,61 @@ def _min_slack(slack, scalars):
             min_slack >= -scalars["tolerance"], [worst])
 
 
-def _lieb_thirring(p, a, b, scalars):
+def _lieb_thirring(ps, a, b, scalars):
     # Relative to rhs, since both sides reach 1e96 at p = 50.
-    return _min_slack(lieb_thirring_check(a, b, p).relative_slack, scalars)
+    return [_min_slack(lieb_thirring_check(a, b, p).relative_slack, sc)
+            for p, sc in zip(ps, scalars)]
 
 
-def _norm_bound(ph, p, rho12, scalars):
-    return _min_slack(tensor_output_norm_bound(ph, rho12, p).slack, scalars)
+def _norm_bound(ph, ps, rho12, scalars):
+    slack = tensor_output_norm_bound(ph, rho12, ps).slack
+    return [_min_slack(row, sc) for row, sc in zip(slack, scalars)]
 
 
-def _invariance(dep, psi, p, tau12, u, scalars):
-    dev = local_unitary_invariance_check(dep, psi, tau12, u, p).difference
-    worst = int(np.argmax(dev))
-    max_dev, tol = float(dev[worst]), scalars["tolerance"]
-    return ({"max_deviation": max_dev, "trials": len(tau12)}, tol - max_dev,
-            max_dev <= tol, [worst])
+def _invariance(dep, psi, ps, tau12, u, scalars):
+    deviations = local_unitary_invariance_check(dep, psi, tau12, u, ps).difference
+    out = []
+    for dev, sc in zip(deviations, scalars):
+        worst = int(np.argmax(dev))
+        max_dev, tol = float(dev[worst]), sc["tolerance"]
+        out.append(({"max_deviation": max_dev, "trials": len(tau12)},
+                    tol - max_dev, max_dev <= tol, [worst]))
+    return out
 
 
-def _multiplicativity(dep, psi, p, tau12, scalars):
-    # The last trial is the saturating product input.
-    bound, tol, sat_tol = (scalars[k] for k in ("bound", "tolerance",
-                                                "saturation"))
-    norms = multiplicativity_check(dep, psi, tau12, p, bound).lhs
-    worst = int(np.argmax(norms[:-1]))
-    top, product = float(norms[worst]), float(norms[-1])
-    return ({"max_norm": top, "bound": bound, "product_norm": product,
-             "saturation_gap": product - bound, "trials": len(tau12) - 1},
-            bound + tol - top,
-            top <= bound + tol and abs(product - bound) <= sat_tol,
-            [worst, -1])
+def _multiplicativity(dep, psi, ps, tau12, scalars):
+    # The stack ends in one saturating product input per p, in grid order.
+    trials = len(tau12) - len(ps)
+    norms = multiplicativity_check(dep, psi, tau12, ps,
+                                   [sc["bound"] for sc in scalars]).lhs
+    out = []
+    for k, (row, sc) in enumerate(zip(norms, scalars)):
+        bound, tol, sat_tol = (sc[key] for key in ("bound", "tolerance",
+                                                   "saturation"))
+        worst = int(np.argmax(row[:trials]))
+        top, product = float(row[worst]), float(row[trials + k])
+        out.append(({"max_norm": top, "bound": bound, "product_norm": product,
+                     "saturation_gap": product - bound, "trials": trials},
+                    bound + tol - top,
+                    top <= bound + tol and abs(product - bound) <= sat_tol,
+                    [worst, trials + k]))
+    return out
 
 
 def _relent(dep, psi, average_output, tau12, scalars):
     # The last trial is the saturating product input. rhs is
     # chi*(Delta) + chi*(Psi); the slack takes it as recorded.
-    rhs, tol, sat_tol = (scalars[k] for k in ("rhs", "tolerance", "saturation"))
+    (sc,) = scalars
+    rhs, tol, sat_tol = (sc[k] for k in ("rhs", "tolerance", "saturation"))
     slack = rhs - tensor_relative_entropy_bound(
         dep, psi, tau12, rhs - dep.chi_star(), average_output).lhs
     worst = int(np.argmin(slack[:-1]))
     low, sat = float(slack[worst]), float(slack[-1])
-    return ({"relent_min_slack": low, "relent_saturation_gap": sat,
-             "trials": len(tau12) - 1,
-             "certificate_gap": scalars["certificate_gap"]}, low,
-            low >= -tol and abs(sat) <= sat_tol,
-            [worst, -1])
+    return [({"relent_min_slack": low, "relent_saturation_gap": sat,
+              "trials": len(tau12) - 1,
+              "certificate_gap": sc["certificate_gap"]}, low,
+             low >= -tol and abs(sat) <= sat_tol,
+             [worst, -1])]
 
 
 # Check name -> (family function, names of its trial stacks).
@@ -260,31 +274,37 @@ _FAMILIES = {
 }
 
 
-def _family_record(name, inputs, seed, cell, stacks, scalars,
-                   shared=None) -> CheckRecord:
-    """A randomized family's record on one cell. A failed one carries the
-    witness that ``verify --replay`` re-runs: the kept trials of each stack,
-    the cell's ``shared`` matrices and the scalars."""
+def _family_records(name, inputs, seed, cell, stacks, scalars,
+                    shared=None) -> list:
+    """A randomized family's records on one cell, one per entry of
+    ``inputs`` and of ``scalars``. A failed one carries the witness that
+    ``verify --replay`` re-runs: the kept trials of each stack, the cell's
+    ``shared`` matrices and the record's scalars."""
     family, keys = _FAMILIES[name]
-    values, slack, passed, keep = family(*cell, *stacks, scalars)
-    witness = None
-    if not passed:
-        kept = {k: stack[keep] for k, stack in zip(keys, stacks)}
-        witness = {"check": name, "inputs": inputs, "seed": seed,
-                   "matrices": {k: [serialize_matrix(x) for x in m]
-                                if isinstance(m, tuple) else serialize_matrix(m)
-                                for k, m in {**kept, **(shared or {})}.items()},
-                   "scalars": scalars}
-    return CheckRecord(name, inputs=inputs, values=values, slack=slack,
-                       passed=passed, seed=seed, witness=witness)
+    records = []
+    for rec_inputs, rec_scalars, (values, slack, passed, keep) in zip(
+            inputs, scalars, family(*cell, *stacks, scalars)):
+        witness = None
+        if not passed:
+            kept = {k: stack[keep] for k, stack in zip(keys, stacks)}
+            witness = {"check": name, "inputs": rec_inputs, "seed": seed,
+                       "matrices": {k: [serialize_matrix(x) for x in m]
+                                    if isinstance(m, tuple) else serialize_matrix(m)
+                                    for k, m in {**kept, **(shared or {})}.items()},
+                       "scalars": rec_scalars}
+        records.append(CheckRecord(name, inputs=rec_inputs, values=values,
+                                   slack=slack, passed=passed, seed=seed,
+                                   witness=witness))
+    return records
 
 
-def _saturating_stack(trials, d, state) -> np.ndarray:
-    """The trial stack with |0><0| (x) |state><state| appended. Any pure
-    state maximizes the depolarizing factor, by covariance, so with the
-    partner's maximizer this product input saturates the family's bound."""
-    prod = np.kron(np.eye(d, dtype=complex)[0], state)
-    return np.concatenate([trials, np.outer(prod, prod.conj())[None]])
+def _saturating_stack(trials, d, states) -> np.ndarray:
+    """The trial stack with |0><0| (x) |s><s| appended for each of
+    ``states``, in order. Any pure state maximizes the depolarizing factor,
+    by covariance, so with the partner's maximizer this product input
+    saturates the family's bound."""
+    prods = [np.kron(np.eye(d, dtype=complex)[0], s) for s in states]
+    return np.concatenate([trials, [np.outer(x, x.conj()) for x in prods]])
 
 
 def cmd_verify(config: RunConfig) -> Report:
@@ -313,10 +333,10 @@ def cmd_verify(config: RunConfig) -> Report:
         for i_p, p in enumerate(config.p_grid):
             seed = child_seed(root, 1, i_d, i_p)
             pairs = random_psd_matrices(d, seed, (trials, 2))
-            records.append(_family_record(
-                "lieb-thirring", {"dim": d, "p": p}, seed, (p,),
+            records += _family_records(
+                "lieb-thirring", [{"dim": d, "p": p}], seed, ((p,),),
                 (pairs[:, 0], pairs[:, 1]),
-                {"tolerance": config.tolerance("lieb_thirring")}))
+                [{"tolerance": config.tolerance("lieb_thirring")}])
 
     # One random reference channel per second-factor dimension, reused by
     # the invariance, multiplicativity, and relative-entropy families. Its
@@ -324,69 +344,75 @@ def cmd_verify(config: RunConfig) -> Report:
     psis = {dp: random_channel(dp, dp, 2, seed=child_seed(root, 2, i))
             for i, dp in enumerate(config.dims)}
     psi_norms, holevo = {}, {}
-    nb_scalars = {"tolerance": config.tolerance("norm_bound")}
-    inv_scalars = {"tolerance": config.tolerance("invariance")}
+    ps = config.p_grid
+    nb_scalars = [{"tolerance": config.tolerance("norm_bound")}] * len(ps)
+    inv_scalars = [{"tolerance": config.tolerance("invariance")}] * len(ps)
     mult_scalars = {"tolerance": config.tolerance("multiplicativity"),
                     "saturation": config.tolerance("product_saturation")}
     re_scalars = {"tolerance": config.tolerance("relent_bound"),
                   "saturation": config.tolerance("relent_saturation")}
     n_unitaries = min(trials, 20)
-    # Each (d, d', lam, p) cell evaluates its trials as one stack. The phase
-    # damper is admissible at every lambda where Delta is, and below them.
-    # Families built on Delta skip the lambdas outside its range (reachable
-    # with the unchecked flag), which still get their CP witness row.
-    for (i_d, d), (i_dp, dp), (i_l, lam) in itertools.product(
-            enumerate(config.dims), enumerate(config.dims),
-            enumerate(config.lambdas)):
-        if not PhaseDampingChannel.in_cp_range(d, lam):
-            continue
+
+    def cell_records(i_d, d, i_dp, dp, i_l, lam) -> list:
+        # Each (d, d', lam) cell draws its trials once per family, seeded by
+        # the cell, and evaluates them as one stack with one stacked
+        # eigendecomposition; every p of the grid reads its norms from that
+        # spectrum. The cell's arrays end with this call.
         ph = PhaseDampingChannel.unchecked(d, lam)
         cell = {"d": d, "dp": dp, "lam": lam}
-        for i_p, p in enumerate(config.p_grid):
-            seed = child_seed(root, 3, i_d, i_dp, i_l, i_p)
-            records.append(_family_record(
-                "tensor-output-norm-bound", {**cell, "p": p}, seed, (ph, p),
-                (random_density_matrices(d * dp, seed, trials),), nb_scalars))
+        inputs = [{**cell, "p": p} for p in ps]
+        seed = child_seed(root, 3, i_d, i_dp, i_l)
+        out = _family_records(
+            "tensor-output-norm-bound", inputs, seed, (ph, ps),
+            (random_density_matrices(d * dp, seed, trials),), nb_scalars)
         if not DepolarizingChannel.in_cp_range(d, lam):
-            continue
+            return out
         psi, dep = psis[dp], DepolarizingChannel(d, lam)
         shared = {"psi_kraus": psi.kraus_ops}
         if dp not in holevo:
             holevo[dp] = holevo_quantity(psi, seed=child_seed(root, 7, i_dp))
-            for i_p, p in enumerate(config.p_grid):
+            for i_p, p in enumerate(ps):
                 psi_norms[dp, p] = max_output_p_norm(
                     psi, p, restarts=32, seed=child_seed(root, 5, i_dp, i_p))
-        for i_p, p in enumerate(config.p_grid):
-            inputs = {**cell, "p": p}
-            seed = child_seed(root, 4, i_d, i_dp, i_l, i_p)
-            # The unitaries come from a second generator of the cell, so
-            # that neither stack's first rows depend on the trial count.
-            records.append(_family_record(
-                "local-unitary-invariance", inputs, seed, (dep, psi, p),
-                (random_density_matrices(d * dp, seed, n_unitaries),
-                 random_unitaries(d, child_seed(seed, 1), n_unitaries)),
-                inv_scalars, shared))
-            measure = psi_norms[dp, p]
-            seed = child_seed(root, 6, i_d, i_dp, i_l, i_p)
-            records.append(_family_record(
-                "nu-p-multiplicativity", inputs, seed, (dep, psi, p),
-                (_saturating_stack(random_density_matrices(
-                    d * dp, seed + 1, trials), d, measure.maximizer),),
-                {"bound": dep.nu_p(p) * measure.value, **mult_scalars},
-                shared))
+        seed = child_seed(root, 4, i_d, i_dp, i_l)
+        # The unitaries come from a second generator of the cell, so that
+        # neither stack's first rows depend on the trial count.
+        out += _family_records(
+            "local-unitary-invariance", inputs, seed, (dep, psi, ps),
+            (random_density_matrices(d * dp, seed, n_unitaries),
+             random_unitaries(d, child_seed(seed, 1), n_unitaries)),
+            inv_scalars, shared)
+        measures = [psi_norms[dp, p] for p in ps]
+        seed = child_seed(root, 6, i_d, i_dp, i_l)
+        out += _family_records(
+            "nu-p-multiplicativity", inputs, seed, (dep, psi, ps),
+            (_saturating_stack(random_density_matrices(d * dp, seed + 1, trials),
+                               d, [m.maximizer for m in measures]),),
+            [{"bound": dep.nu_p(p) * m.value, **mult_scalars}
+             for p, m in zip(ps, measures)], shared)
         # The partner's side of the saturating input: the heaviest support
         # state of the optimal ensemble, whose divergence from the average
         # output equals chi* by the equalization condition.
         res = holevo[dp]
         seed = child_seed(root, 9, i_d, i_dp, i_l)
-        records.append(_family_record(
-            "relative-entropy-tensor-bound", cell, seed,
+        return out + _family_records(
+            "relative-entropy-tensor-bound", [cell], seed,
             (dep, psi, res.average_output),
             (_saturating_stack(random_density_matrices(d * dp, seed, trials),
-                               d, res.states[int(np.argmax(res.probs))]),),
-            {"rhs": float(dep.chi_star() + res.chi), **re_scalars,
-             "certificate_gap": float(res.certificate_gap)},
-            {**shared, "average_output": np.asarray(res.average_output)}))
+                               d, [res.states[int(np.argmax(res.probs))]]),),
+            [{"rhs": float(dep.chi_star() + res.chi), **re_scalars,
+              "certificate_gap": float(res.certificate_gap)}],
+            {**shared, "average_output": np.asarray(res.average_output)})
+
+    # The phase damper is admissible at every lambda where Delta is, and
+    # below them. Families built on Delta skip the lambdas outside its range
+    # (reachable with the unchecked flag), which still get their CP witness
+    # row.
+    for (i_d, d), (i_dp, dp), (i_l, lam) in itertools.product(
+            enumerate(config.dims), enumerate(config.dims),
+            enumerate(config.lambdas)):
+        if PhaseDampingChannel.in_cp_range(d, lam):
+            records += cell_records(i_d, d, i_dp, dp, i_l, lam)
 
     add_tol = config.tolerance("additivity")
     live2 = sorted(lam for lam in config.lambdas
@@ -491,13 +517,13 @@ def _replay_cell(name: str, inputs: dict, mats: dict) -> tuple:
     """A witness's cell: the arguments its family takes before the trial
     stacks, built from the witness's inputs and shared matrices."""
     if name == "lieb-thirring":
-        return (inputs["p"],)
+        return ((inputs["p"],),)
     d, lam = inputs["d"], inputs["lam"]
     if name == "tensor-output-norm-bound":
-        return PhaseDampingChannel(d, lam), inputs["p"]
+        return PhaseDampingChannel(d, lam), (inputs["p"],)
     return (DepolarizingChannel(d, lam), Channel(mats["psi_kraus"]),
             DensityMatrix(mats["average_output"])
-            if name == "relative-entropy-tensor-bound" else inputs["p"])
+            if name == "relative-entropy-tensor-bound" else (inputs["p"],))
 
 
 def _replay_stack(key: str, m: np.ndarray, inputs: dict) -> np.ndarray:
@@ -547,8 +573,8 @@ def _replay_check(data: dict):
     stacks = [_replay_stack(k, mats[k], inputs) for k in keys]
     if len({len(s) for s in stacks}) > 1:
         raise ConfigError("witness trial stacks differ in length")
-    values, slack, passed, _ = family(*_replay_cell(name, inputs, mats),
-                                      *stacks, scalars)
+    [(values, slack, passed, _)] = family(*_replay_cell(name, inputs, mats),
+                                          *stacks, [scalars])
     return name, inputs, values, slack, passed
 
 
@@ -626,7 +652,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="lambda grid")
     common.add_argument("--p-grid", type=float, nargs="+", dest="p_grid",
                         metavar="P", help="Schatten exponents (>= 1)")
-    common.add_argument("--trials", type=int, help="Monte-Carlo trials per cell")
+    common.add_argument("--trials", type=int,
+                        help=f"Monte-Carlo trials per cell (1..{MAX_TRIALS})")
     common.add_argument("--seed", type=int, help="root seed")
     common.add_argument("--out", help="output file (see also DEPOLCAP_OUT_DIR)")
     common.add_argument("--format", choices=["json", "csv"], dest="fmt",

@@ -372,22 +372,26 @@ def _power_scale(m, p: float):
     return np.where(p * np.abs(np.log(m)) > 460.0, m, 1.0)
 
 
-def _p_norm_from_eigenvalues(w: np.ndarray, p: float):
+def _p_norm_from_eigenvalues(w: np.ndarray, p):
     """(sum w^p)^(1/p) over the last axis; no domain check, the formula is
-    fine for any p > 0.
+    fine for any p > 0. For a grid ``p`` of shape (P,), the norms of each p
+    stack along a new leading axis, each row the one that p alone gives.
 
     Where the largest term m^p would underflow or overflow, the norm is
     taken max-scaled, as m (sum (w/m)^p)^(1/p). Elsewhere the scale is 1
     and the plain sum is computed bit for bit.
     """
+    if np.ndim(p):
+        return np.stack([_p_norm_from_eigenvalues(w, q) for q in p])
     scale = _power_scale(np.max(w, axis=-1), p)
     return _scalar_or_stack(
         scale * np.sum((w / scale[..., None]) ** p, axis=-1) ** (1.0 / p))
 
 
-def schatten_p_norm(a, p: float):
-    """(Tr A^p)^(1/p) for PSD A, or each A of a stack, and p >= 1."""
-    if p < 1.0:
+def schatten_p_norm(a, p):
+    """(Tr A^p)^(1/p) for PSD A, or each A of a stack, and p >= 1; for a
+    grid ``p`` of shape (P,), one row per p from one eigendecomposition."""
+    if np.min(p) < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     return _p_norm_from_eigenvalues(psd_eigenvalues(a), p)
 

@@ -105,6 +105,11 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# The largest --trials. A verify cell at d d' = 36 holds its trials as one
+# (trials, 36, 36) complex stack: about 0.2 GB at this count.
+MAX_TRIALS = 10_000
+
+
 class ConfigError(ValueError):
     """Invalid run configuration; maps to the usage-error exit code."""
 
@@ -170,8 +175,8 @@ class RunConfig:
             raise ConfigError("dimensions above 6 are out of scope")
         if any(p < 1.0 for p in self.p_grid):
             raise ConfigError("p-grid entries must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be positive")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.fmt not in ("json", "csv"):

@@ -3,14 +3,15 @@
 No command needs these: each is a second, plainer route to a value the
 package computes another way (a Kraus form beside a closed-form
 superoperator, the mutual information of a prior beside Blahut-Arimoto's
-value), or a fixture state.
+value, an input ensemble beside the optimizer's support arrays), or a
+fixture state.
 """
 
 import math
 
 import numpy as np
 
-from depolcap.capacity import PROB_SUM_TOL, ClassicalChannelMatrix, Ensemble
+from depolcap.capacity import ClassicalChannelMatrix
 from depolcap.core import (
     Channel,
     DensityMatrix,
@@ -21,6 +22,50 @@ from depolcap.core import (
 )
 from depolcap.depolarizing import DepolarizingChannel
 from depolcap.phase_damping import PhaseDampingChannel
+
+
+PROB_SUM_TOL = 1e-12
+
+
+class Ensemble:
+    """Input states with probabilities; the encoder's codebook distribution."""
+
+    def __init__(self, items) -> None:
+        pairs = list(items)
+        if not pairs:
+            raise ValueError("ensemble needs at least one state")
+        probs = np.array([float(p) for p, _ in pairs])
+        if probs.min() < -PROB_SUM_TOL:
+            raise ValueError(f"negative probability {probs.min()}")
+        if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
+        states = []
+        for _, rho in pairs:
+            states.append(rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho))
+        dims = {s.dim for s in states}
+        if len(dims) != 1:
+            raise ValueError(f"mixed state dimensions {sorted(dims)}")
+        self.probs = probs
+        self.probs.setflags(write=False)
+        self.states = tuple(states)
+        self.dim = states[0].dim
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def average(self) -> DensityMatrix:
+        avg = sum(p * np.asarray(s, dtype=complex)
+                  for p, s in zip(self.probs, self.states))
+        return DensityMatrix(hermitize(avg))
+
+    @classmethod
+    def uniform_basis(cls, dim: int) -> "Ensemble":
+        items = []
+        for i in range(dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, i] = 1.0
+            items.append((1.0 / dim, DensityMatrix(e)))
+        return cls(items)
 
 
 def basis_state(dim: int, index: int) -> PureState:

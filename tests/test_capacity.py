@@ -11,7 +11,6 @@ from depolcap.bounds import diagonalize_first_factor, pure_output_maps
 from depolcap.capacity import (
     AdditivityCheck,
     ClassicalChannelMatrix,
-    Ensemble,
     chi_additivity_check,
     entropy_lower_bound_check,
     holevo_quantity,
@@ -46,7 +45,12 @@ from depolcap.cli import main
 from depolcap.depolarizing import DepolarizingChannel
 from depolcap.phase_damping import PhaseDampingChannel
 from depolcap.report import child_seed
-from reference import holevo_of_ensemble, mutual_information, optimizer_ensemble
+from reference import (
+    Ensemble,
+    holevo_of_ensemble,
+    mutual_information,
+    optimizer_ensemble,
+)
 
 # Capacity of the binary symmetric channel with flip probability 1/4,
 # ln 2 - (3/4 ln 4/3 + 1/4 ln 4), frozen from an independent evaluation.

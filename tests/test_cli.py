@@ -31,8 +31,10 @@ from depolcap.core import (
     random_unitaries,
 )
 from depolcap.depolarizing import DepolarizingChannel, lambda_min
+from depolcap.phase_damping import PhaseDampingChannel
 from depolcap.report import (
     DEFAULT_TOLERANCES,
+    MAX_TRIALS,
     CheckRecord,
     ConfigError,
     Report,
@@ -109,6 +111,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="must not repeat"):
             RunConfig(**grid)
 
+    def test_trials_bounded(self):
+        assert RunConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
+        for trials in (0, MAX_TRIALS + 1, 10 ** 30):
+            with pytest.raises(ConfigError, match="trials must lie in"):
+                RunConfig(trials=trials)
+
     def test_rejects_unknown_tolerance(self):
         with pytest.raises(ConfigError):
             RunConfig(tolerances={"nope": 1e-3})
@@ -176,6 +184,20 @@ class TestExitCodes:
         code, _, err = run_cli(["measures", "--dims", "9"], capsys)
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_too_many_trials_exit_two(self, tmp_path, capsys, source):
+        # Refused before anything is drawn: exit 2, an error line, no
+        # traceback.
+        trials = 10 ** 30
+        argv = ["--trials", str(trials)]
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"trials": trials}))
+            argv = ["--config", str(cfg)]
+        code, out, err = run_cli(["verify"] + argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: trials must lie in 1..")
 
     def test_lambda_out_of_range_exits_two(self, capsys):
         code, _, err = run_cli(["measures", "--dims", "2",
@@ -600,14 +622,44 @@ class TestVerifyContent:
 
     def test_one_check_call_per_cell(self, capsys, monkeypatch):
         # Each cell evaluates its trials as one stack: one call per (d, p)
-        # of the trace inequality, per (d, d', lam, p) of the norm bound,
-        # invariance and multiplicativity, and per (d, d', lam) of the
-        # relative-entropy bound.
+        # of the trace inequality, and per (d, d', lam) of the norm bound,
+        # invariance, multiplicativity and relative-entropy bound, whose
+        # one call serves every p of the grid.
         calls = count_family_checks(monkeypatch)
         code, _, _ = run_cli(["verify", "--dims", "2", "3", "--trials", "3"],
                              capsys)
         assert code == 0
-        assert [calls[name] for name in FAMILY_CHECKS] == [6, 60, 60, 60, 20]
+        assert [calls[name] for name in FAMILY_CHECKS] == [6, 20, 20, 20, 20]
+
+    def test_grid_rows_match_one_p_calls(self):
+        # One cell's stack read at the whole p grid gives, bit for bit, what
+        # the family function gives with the grid (p,) alone; the
+        # multiplicativity stack keeps the trials and p's saturating row.
+        ps = (1.0, 1.5, 2.0, 3.0, 700.0)
+        d, dp, trials = 3, 2, 7
+        dep = DepolarizingChannel(d, 0.4)
+        psi = random_channel(dp, dp, 2, seed=31)
+        states = random_density_matrices(d * dp, 32, trials)
+        us = random_unitaries(d, 33, trials)
+        sat = cli._saturating_stack(states, d, random_unitaries(dp, 34, len(ps))[:, 0])
+        tol = {"tolerance": 1e-9}
+        scalars = [{"bound": 0.5 + 0.1 * k, "saturation": 1e-6, **tol}
+                   for k in range(len(ps))]
+        cases = [
+            (cli._norm_bound, (PhaseDampingChannel(d, 0.4),), (states,),
+             [tol] * len(ps), lambda k: (states,)),
+            (cli._invariance, (dep, psi), (states, us), [tol] * len(ps),
+             lambda k: (states, us)),
+            (cli._multiplicativity, (dep, psi), (sat,), scalars,
+             lambda k: (np.concatenate([sat[:trials], sat[trials + k][None]]),)),
+        ]
+        for family, channels, stacks, grid_scalars, one_stacks in cases:
+            rows = family(*channels, ps, *stacks, grid_scalars)
+            assert len(rows) == len(ps)
+            for k, p in enumerate(ps):
+                [one] = family(*channels, (p,), *one_stacks(k), [grid_scalars[k]])
+                assert rows[k][:3] == one[:3], (family.__name__, p)
+                assert rows[k][3][0] == one[3][0]
 
     # An optimizer run that did not converge is a warning, and a failure
     # under --strict.
@@ -719,8 +771,9 @@ class TestVerifyContent:
 
     def test_generator_budget_of_the_default_verify(self, capsys, monkeypatch):
         # Every Monte-Carlo cell draws its trials from one generator, and
-        # every optimizer search its starts: 289 in all. One generator per
-        # optimizer start made about 900, and one per trial 16,432.
+        # every optimizer search its starts: 129 in all. One draw per p of
+        # a (d, d', lam) cell made 289, one generator per optimizer start
+        # about 900, and one per trial 16,432.
         made = []
         inner = np.random.default_rng
 
@@ -731,7 +784,7 @@ class TestVerifyContent:
         monkeypatch.setattr(np.random, "default_rng", counted)
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 0
-        assert len(made) <= 300
+        assert len(made) <= 129
 
     def test_cp_witness_sign_flip(self, capsys):
         code, out, _ = run_cli(
@@ -831,6 +884,37 @@ class TestReplay:
                 failed["values"][key], abs=1e-12)
         assert record["slack"] == pytest.approx(
             failed["values"]["relent_min_slack"], abs=1e-12)
+
+    def test_every_zero_tolerance_witness_replays(self, tmp_path):
+        # With every randomized tolerance at 0, each witness, whatever its
+        # p's place in the grid, replays to its record's values and exit
+        # code.
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({"tolerances": {
+            k: 0 for k in ("lieb_thirring", "norm_bound", "invariance",
+                           "multiplicativity", "product_saturation",
+                           "relent_bound", "relent_saturation")}}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", "--dims", "2", "3", "--trials", "5",
+                         "--config", str(cfg)]) == 1
+        failed = [r for r in json.loads(out.getvalue())["records"]
+                  if r.get("witness")]
+        assert {r["name"] for r in failed} >= {
+            "tensor-output-norm-bound", "local-unitary-invariance",
+            "nu-p-multiplicativity"}
+        for k, rec in enumerate(failed):
+            path = tmp_path / f"w{k}.json"
+            path.write_text(json.dumps(rec["witness"]))
+            replayed, passed = run_replay(str(path))
+            assert passed is rec["passed"]
+            # A witness keeps only the worst trial, so trials reads 1.
+            assert replayed["values"].pop("trials") == 1
+            rec["values"].pop("trials")
+            assert replayed["values"] == pytest.approx(
+                rec["values"], rel=1e-12, abs=1e-12), rec["name"]
+            assert replayed["slack"] == pytest.approx(rec["slack"], rel=1e-12,
+                                                      abs=1e-12)
 
     def test_witness_written_on_failure_and_replays(self, forced_failure):
         failed, path = forced_failure

@@ -88,10 +88,6 @@ KEEP = {
     "bounds:neg_entropy_objective.<locals>.objective": TRACER,
     "bounds:min_output_entropy": EXPORT,
     "capacity:shannon_capacity_depolarizing": EXPORT,
-    "capacity:Ensemble.__init__": EXPORT,
-    "capacity:Ensemble.__len__": EXPORT,
-    "capacity:Ensemble.average": EXPORT,
-    "capacity:Ensemble.uniform_basis": EXPORT,
     "core:DensityMatrix.eigenvalues": EXPORT,
     "core:DensityMatrix.__repr__": EXPORT,
     "core:PureState.__array__": EXPORT,
