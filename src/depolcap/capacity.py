@@ -8,7 +8,10 @@ Three layers:
     by Blahut-Arimoto iteration with a duality-gap stopping rule;
   * the Holevo quantity chi* = sup over ensembles of
     S(Psi(rho_bar)) - sum pi_i S(Psi(rho_i)), computed by alternating
-    maximization over at most d^2 pure states: projected Newton steps on
+    maximization over at most d^2 + d pure states, started at the
+    computational-basis ensemble (optimal for the depolarizing channel),
+    with d^2 - d random states at zero weight as candidates the weight
+    solve may admit when the basis does not serve: projected Newton steps on
     the weights for fixed states, a joint ascent of the support states as
     one ``optimize.ascend_lockstep`` row on the product of their spheres,
     quasi-Newton ascent to find states whose output relative entropy
@@ -369,7 +372,17 @@ def holevo_quantity(channel, seed: int = 0,
     """chi* by alternating maximization with an equalization certificate.
 
     The support holds at most d^2 + d pure states (d^2 suffice for an
-    optimal ensemble). Per round: projected Newton steps that equalize the
+    optimal ensemble). It starts with the d computational-basis states at
+    weight 1/d, the ensemble that attains chi* of the depolarizing
+    channel, so that there the first weight solve only confirms it, and
+    d^2 - d random states at weight 0. The random states stay as
+    candidates: the solve's free set admits any weightless member whose
+    divergence exceeds the value, so a channel whose optimum lies off the
+    basis leaves the start in its first solve; the members that solve
+    leaves at zero weight are pruned. Where the run starts only
+    decides how many steps it takes; ``chi`` is still the value of the
+    returned ensemble and ``converged`` still rests on the certificate
+    searches. Per round: projected Newton steps that equalize the
     weights of the fixed support, a joint Riemannian BFGS ascent on the
     support states (which returns at once when the support is already
     stationary, as an optimal one is), then a multi-start ascent of
@@ -396,7 +409,7 @@ def holevo_quantity(channel, seed: int = 0,
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         states.append(v / np.linalg.norm(v))
     states = np.array(states)
-    probs = np.full(len(states), 1.0 / len(states))
+    probs = np.where(np.arange(len(states)) < dim, 1.0 / dim, 0.0)
 
     converged = False
     outer = 0

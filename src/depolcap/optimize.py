@@ -128,9 +128,8 @@ def _bfgs_update(inv_hess: np.ndarray, scaled: np.ndarray, rows: np.ndarray,
                       + ss[:, None, None] * s[:, :, None] * s[:, None, :])
 
 
-def ascend_lockstep(objective: Objective, starts: np.ndarray,
-                    max_iter: int = MAX_ITER,
-                    grad_tol: float = GRAD_TOL) -> list[AscentResult]:
+def _ascend_rows(objective: Objective, starts: np.ndarray, max_iter: int,
+                 grad_tol: float):
     """Riemannian BFGS ascent from every row of ``starts`` at once.
 
     Each row keeps its own inverse-Hessian approximation H, shape
@@ -166,6 +165,9 @@ def ascend_lockstep(objective: Objective, starts: np.ndarray,
     would, up to rounding: a stacked objective may round differently with
     the stack height, and near an optimum that can change an iteration
     count or a stop reason.
+
+    Returns the per-row arrays (values, states, iterations, gradient
+    norms, stop reasons), the fields of ``AscentResult`` row by row.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be positive, got {max_iter}")
@@ -225,10 +227,23 @@ def ascend_lockstep(objective: Objective, starts: np.ndarray,
         moved = moved[~done]
         iterations[moved] += 1
         stop[moved[grad_norm[moved] < grad_tol]] = "grad_tol"
-    return [AscentResult(float(value[r]), psi[r], int(iterations[r]),
-                         float(grad_norm[r]), bool(grad_norm[r] < grad_tol),
-                         stop[r])
-            for r in range(n)]
+    return value, psi, iterations, grad_norm, stop
+
+
+def _row_result(rows, r: int, grad_tol: float) -> AscentResult:
+    """Row r of the arrays of ``_ascend_rows`` as an ``AscentResult``."""
+    value, psi, iterations, grad_norm, stop = rows
+    return AscentResult(float(value[r]), psi[r], int(iterations[r]),
+                        float(grad_norm[r]), bool(grad_norm[r] < grad_tol),
+                        stop[r])
+
+
+def ascend_lockstep(objective: Objective, starts: np.ndarray,
+                    max_iter: int = MAX_ITER,
+                    grad_tol: float = GRAD_TOL) -> list[AscentResult]:
+    """One ``AscentResult`` per row of ``starts``, from ``_ascend_rows``."""
+    rows = _ascend_rows(objective, starts, max_iter, grad_tol)
+    return [_row_result(rows, r, grad_tol) for r in range(len(rows[0]))]
 
 
 def ascend_on_sphere(objective: Objective, start: np.ndarray,
@@ -248,11 +263,12 @@ def maximize_over_pure_states(objective: Objective, dim: int,
                               ) -> AscentResult:
     """Best ascent outcome over ``restarts`` random starts, drawn as one
     Ginibre stack from ``np.random.default_rng(seed)``, plus optional warm
-    starts; the first start reaching the best value wins ties."""
+    starts; the first start reaching the best value wins ties. Only the
+    winning row is built into an ``AscentResult``."""
     if restarts < 1 and not extra_starts:
         raise ValueError("need at least one start")
     starts = [_ginibre(np.random.default_rng(seed), dim, 1, (restarts,))[..., 0]]
     if extra_starts:
         starts.extend(np.asarray(s, dtype=complex).reshape(1, -1) for s in extra_starts)
-    results = ascend_lockstep(objective, np.vstack(starts), max_iter=max_iter)
-    return max(results, key=lambda r: r.value)
+    rows = _ascend_rows(objective, np.vstack(starts), max_iter, GRAD_TOL)
+    return _row_result(rows, int(np.argmax(rows[0])), GRAD_TOL)

@@ -273,6 +273,20 @@ class TestHolevoQuantity:
         assert result.converged
         assert abs(result.chi) < 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_fourier_measurement_away_from_the_basis_start(self, dim):
+        # Psi(rho) = sum_k <f_k|rho|f_k> |k><k| measures in the Fourier
+        # basis: every computational-basis input, where the weights start,
+        # gives I/d and carries no information, yet chi* = ln d, reached by
+        # the f_k. The zero-weight random members let the first solve leave
+        # the basis.
+        f = fourier_basis(dim)
+        kets = np.eye(dim)
+        ch = Channel([np.outer(kets[k], f[:, k].conj()) for k in range(dim)])
+        result = holevo_quantity(ch, seed=0)
+        assert result.converged and result.outer_iterations == 1
+        assert abs(result.chi - math.log(dim)) < capacity.CERT_TOL
+
     @pytest.mark.parametrize("seed", [72, 109])
     def test_random_qutrit_channels_converge_in_few_rounds(self, seed):
         # Witness admission alone piles up near-copies of support states on
@@ -285,10 +299,11 @@ class TestHolevoQuantity:
 
     def test_objective_call_budget_on_the_verify_qutrit_partner(self, monkeypatch):
         # Counts evaluations of the relative-entropy objective, the unit of
-        # work of the witness and certificate searches: 162 on this
-        # partner. The budget sits below the 370 the run needs when line
-        # searches halve the step down to MIN_STEP near an optimum and the
-        # joint support step takes its gradients from this objective.
+        # work of the witness and certificate searches: 164 on this
+        # partner (162 from uniform start weights). The budget sits below
+        # the 370 the run needs when line searches halve the step down to
+        # MIN_STEP near an optimum and the joint support step takes its
+        # gradients from this objective.
         calls = []
         inner = capacity.relative_entropy_objective
 
@@ -313,11 +328,13 @@ class TestHolevoQuantity:
     # random starts and the matrix-product weight Hessian move them again
     # by rounding, and running the joint step through ascend_lockstep by
     # -8.4e-14 (from 0.8378048340982429, gap 1.060056931123654e-09).
+    # Starting the weights at the basis ensemble moved them by rounding
+    # (from 0.8378048340981589, gap 1.0606905354038076e-09).
     def test_frozen_verify_qutrit_partner(self):
         partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
         result = holevo_quantity(partner, seed=child_seed(0, 7, 1))
-        assert result.chi == 0.8378048340981589
-        assert result.certificate_gap == 1.0606905354038076e-09
+        assert result.chi == 0.8378048340981042
+        assert result.certificate_gap == 1.0614602530267803e-09
         assert result.outer_iterations == 4 and result.converged
         assert result.chi >= 0.8378048329142747
         assert result.certificate_gap <= 3.472622500666489e-08
@@ -327,10 +344,11 @@ class TestHolevoQuantity:
         # 0.4419670730556541, 1.1e-16 from chi_star(), the value before the
         # objectives acted through a closed-form action (0.4419670730556546).
         # Skipping the weight solve on the unmoved support moves it by
-        # -7.2e-16.
+        # -7.2e-16, and starting the weights at the basis ensemble, which
+        # is optimal here, by +8.3e-16, to 2.2e-16 from chi_star().
         ch = DepolarizingChannel(6, 0.5)
         result = holevo_quantity(ch, seed=0)
-        assert result.chi == 0.44196707305565336
+        assert result.chi == 0.4419670730556542
         assert abs(result.chi - ch.chi_star()) <= 1e-15
         assert result.outer_iterations == 1 and result.converged
 
@@ -357,11 +375,13 @@ class TestHolevoQuantity:
         # max_outer = 30 puts the final certificate's seed at child 31. The
         # floors are the gradient step's values, as above (7 rounds). The
         # joint step through ascend_lockstep moved chi by +1.1e-15 (from
-        # 0.8185568306864831, gap 6.088792803282672e-10).
+        # 0.8185568306864831, gap 6.088792803282672e-10), and the basis
+        # start of the weights by -1.8e-15 (from 0.8185568306864842, gap
+        # 6.089313497881221e-10).
         result = holevo_quantity(random_channel(3, 3, 2, seed=72), seed=72,
                                  max_outer=30)
-        assert result.chi == 0.8185568306864842
-        assert result.certificate_gap == 6.089313497881221e-10
+        assert result.chi == 0.8185568306864824
+        assert result.certificate_gap == 6.089099224837469e-10
         assert result.outer_iterations == 5 and result.converged
         assert result.chi >= 0.8185568269276159
         assert result.certificate_gap <= 1.5062781577590556e-08
@@ -525,12 +545,13 @@ class TestHolevoRoundWork:
             self, weight_evaluations):
         # The first-order joint step took all JOINT_STEPS steps in each of
         # 7 rounds here, 611 weight evaluations in all; the BFGS step
-        # needs 4 rounds and 173 evaluations. The budget sits below the
-        # 188 or 212 (by last-bit rounding) it needs when its line searches
-        # halve the step down to MIN_STEP near the optimum.
+        # needs 4 rounds and 173 evaluations from uniform start weights,
+        # 166 from the basis ensemble. The budget sits below the 188 or 212
+        # (by last-bit rounding) it needed when its line searches halved
+        # the step down to MIN_STEP near the optimum.
         partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
         assert holevo_quantity(partner, seed=child_seed(0, 7, 1)).converged
-        assert len(weight_evaluations) <= 180
+        assert len(weight_evaluations) <= 166
 
     def test_joint_steps_run_through_ascend_lockstep(self, monkeypatch):
         # One joint step per round, each one ascend_lockstep row on the
@@ -590,10 +611,13 @@ class TestHolevoRoundWork:
     def test_weight_evaluation_budget_on_the_capacity_grid(
             self, dim, lam, weight_evaluations):
         # Every run here is certified in its first round, where the joint
-        # ascent stops at its first gradient: at most 12 evaluations.
+        # ascent stops at its first gradient. The weights start at the
+        # basis ensemble, which is optimal for Delta, so the solve only
+        # confirms it: at most 2 evaluations (up to 11 from uniform weights
+        # over the basis and the random members).
         result = holevo_quantity(DepolarizingChannel(dim, lam), seed=0)
         assert result.converged
-        assert len(weight_evaluations) <= 15
+        assert len(weight_evaluations) <= 2
 
 
 class TestOpwswCertificate:
