@@ -52,6 +52,7 @@ from .core import (
     ptrace_matrix,
     schatten_p_norm,
     spectral_function,
+    xlogx_sum,
 )
 from .depolarizing import DepolarizingChannel
 from .optimize import AscentResult, maximize_over_pure_states
@@ -349,14 +350,14 @@ def pnorm_power_objective(channel, p: float):
 
 def neg_entropy_objective(channel):
     """Objective -S(Psi(psi psi*)) with its gradient, on stacks of pure
-    inputs."""
+    inputs; the value takes 0 ln 0 = 0, the gradient's logarithm floors
+    the spectrum at LOG_FLOOR."""
     outputs, pullback = pure_output_maps(channel)
 
     def objective(psi: np.ndarray):
         w, u = np.linalg.eigh(outputs(psi))
-        w = np.clip(w, LOG_FLOOR, None)
-        grad = pullback(spectral_function(u, np.log(w)), psi)
-        return np.sum(w * np.log(w), axis=1), grad
+        log_w = np.log(np.clip(w, LOG_FLOOR, None))
+        return xlogx_sum(w), pullback(spectral_function(u, log_w), psi)
     return objective
 
 

@@ -18,7 +18,9 @@ Three layers:
     against the current average exceeds the ensemble value, and the
     equalization certificate
     sup_rho S(Psi(rho), Psi(rho_bar)) - chi < tol, which bounds the
-    optimizer error directly (chi <= chi* <= sup);
+    optimizer error directly (chi <= chi* <= sup); the witness search,
+    the certificate and ``opwsw_certificate`` are one min-max search,
+    ``_best_witness``;
   * inequality checks built on those quantities: the relative-entropy bound
     for depolarizing tensor factors, the output-entropy lower bound for
     uniform phase dampers, and the additivity of chi* across tensor
@@ -51,6 +53,7 @@ from .core import (
     relative_entropy,
     spectral_function,
     von_neumann_entropy,
+    xlogx_sum,
 )
 from .bounds import (
     LOG_FLOOR,
@@ -61,7 +64,7 @@ from .bounds import (
     tensor_output,
 )
 from .depolarizing import DepolarizingChannel
-from .optimize import MIN_GAIN, ascend_lockstep, maximize_over_pure_states
+from .optimize import MAX_ITER, MIN_GAIN, ascend_lockstep, maximize_over_pure_states
 from .phase_damping import PhaseDampingChannel
 
 ROW_SUM_TOL = 1e-10
@@ -173,13 +176,10 @@ def shannon_capacity_depolarizing(ch: DepolarizingChannel) -> float:
 
 def _output_logs(outs: np.ndarray):
     """(-S(out_r), log out_r) for a stack of Hermitian PSD outputs, from
-    one eigendecomposition; the spectrum is floored at LOG_FLOOR inside the
-    logarithm."""
+    one eigendecomposition; the entropy takes 0 ln 0 = 0, the matrix
+    logarithm floors the spectrum at LOG_FLOOR."""
     w, u = np.linalg.eigh(outs)
-    w = np.clip(w, 0.0, None)
-    log_w = np.log(np.clip(w, LOG_FLOOR, None))
-    own = np.sum(np.where(w > LOG_FLOOR, w * log_w, 0.0), axis=1)
-    return own, spectral_function(u, log_w)
+    return xlogx_sum(w), spectral_function(u, np.log(np.clip(w, LOG_FLOOR, None)))
 
 
 def relative_entropy_objective(channel, sigma):
@@ -197,6 +197,17 @@ def relative_entropy_objective(channel, sigma):
         return values, pullback(log_a - log_sigma, psi)
 
     return objective
+
+
+def _best_witness(channel, sigma, restarts: int, seed: int,
+                  extra_starts=None, max_iter: int = MAX_ITER):
+    """The best multi-start ``AscentResult`` of S(Psi(rho), sigma) over
+    pure rho: the one min-max search behind every witness search and
+    certificate."""
+    return maximize_over_pure_states(relative_entropy_objective(channel, sigma),
+                                     channel.dim_in, restarts=restarts,
+                                     seed=seed, extra_starts=extra_starts,
+                                     max_iter=max_iter)
 
 
 @dataclass(frozen=True)
@@ -320,9 +331,8 @@ def _solve_weights(probs: np.ndarray, outs: np.ndarray, owns: np.ndarray):
 
 
 def _own_terms(outs: np.ndarray) -> np.ndarray:
-    """-S(out_i) for each output in a stack."""
-    w = psd_eigenvalues(outs)
-    return np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=-1)
+    """-S(out_i) for each output in a stack, with 0 ln 0 = 0."""
+    return xlogx_sum(psd_eigenvalues(outs))
 
 
 def _settle_weights(states: np.ndarray, probs: np.ndarray, outputs):
@@ -361,10 +371,11 @@ def _joint_support_ascent(outputs, pullback, states: np.ndarray,
         grad = pullback(log_outs - spectral_function(u, np.log(wc)), states)
         return np.array([chi]), (probs[:, None] * grad)[None]
 
-    result = ascend_lockstep(objective, states[None], max_iter=JOINT_STEPS)[0]
-    if result.stop == "grad_tol" and result.iterations == 1:
+    _, rows, iterations, _, stop = ascend_lockstep(objective, states[None],
+                                                   max_iter=JOINT_STEPS)
+    if stop[0] == "grad_tol" and iterations[0] == 1:
         return states
-    return result.state
+    return rows[0]
 
 
 def holevo_quantity(channel, seed: int = 0,
@@ -391,7 +402,8 @@ def holevo_quantity(channel, seed: int = 0,
     that tolerance, otherwise the state enters the support, displacing the
     lightest member when full. The certificate alone decides
     ``converged``, so a stalled weight solve shows as a gap: unless a later
-    round closes it, the run ends not converged after max_outer rounds.
+    round closes it, the run ends after max_outer rounds with its weights
+    settled once more and checked by the same final certificate.
     Non-convergence is reported, not raised.
     """
     dim = channel.dim_in
@@ -411,43 +423,43 @@ def holevo_quantity(channel, seed: int = 0,
     states = np.array(states)
     probs = np.where(np.arange(len(states)) < dim, 1.0 / dim, 0.0)
 
-    converged = False
-    outer = 0
-    for outer in range(1, max_outer + 1):
+    # Round max_outer + 1 is the round limit: it only re-settles the
+    # weights, stale after the last admission, and re-certifies them, so
+    # the returned ensemble, its value and the gap describe one state.
+    # Every run ends at a certificate.
+    for outer in range(1, max_outer + 2):
         states, probs, sigma, chi = _settle_weights(states, probs, outputs)
-
-        # Move the support states themselves, and adopt the moved support
-        # only when its re-equalized value improves (an unmoved support was
-        # settled just above). Witness admission alone can limit-cycle: the
-        # search returns a slightly shifted copy of an existing member,
-        # weight oscillates between the twins, and the gap stalls.
-        moved = _joint_support_ascent(outputs, pullback, states, probs)
-        if not np.array_equal(moved, states):
-            m_settled = _settle_weights(moved, probs, outputs)
-            if m_settled[3] > chi:
-                states, probs, sigma, chi = m_settled
-        objective = relative_entropy_objective(channel, sigma)
-
-        thin = np.linalg.eigh(sigma)[1][:, 0]
-        # Mid-run witness searches only need to find some improving state;
-        # start them from the heaviest support members. The final
-        # certificate below re-checks from every member before convergence
-        # is declared.
-        starts = list(states[np.argsort(probs)[::-1][:8]])
-        if thin.size == dim:
-            starts.append(thin)
-        sup = maximize_over_pure_states(objective, dim, restarts=SUP_RESTARTS,
-                                        seed=_seed_int(seed, outer),
-                                        extra_starts=starts, max_iter=600)
-        gap = sup.value - chi
+        limit = outer > max_outer
+        starts, gap = [], -math.inf
+        if not limit:
+            # Move the support states themselves, and adopt the moved
+            # support only when its re-equalized value improves (an unmoved
+            # support was settled just above). Witness admission alone can
+            # limit-cycle: the search returns a slightly shifted copy of an
+            # existing member, weight oscillates between the twins, and the
+            # gap stalls.
+            moved = _joint_support_ascent(outputs, pullback, states, probs)
+            if not np.array_equal(moved, states):
+                m_settled = _settle_weights(moved, probs, outputs)
+                if m_settled[3] > chi:
+                    states, probs, sigma, chi = m_settled
+            thin = np.linalg.eigh(sigma)[1][:, 0]
+            # Mid-run witness searches only need to find some improving
+            # state; start them from the heaviest support members. The
+            # final certificate below re-checks from every member before
+            # convergence is declared.
+            starts = list(states[np.argsort(probs)[::-1][:8]])
+            if thin.size == dim:
+                starts.append(thin)
+            sup = _best_witness(channel, sigma, SUP_RESTARTS,
+                                _seed_int(seed, outer), starts, max_iter=600)
+            gap = sup.value - chi
         if gap < CERT_TOL:
-            final = maximize_over_pure_states(objective, dim,
-                                              restarts=FINAL_RESTARTS,
-                                              seed=final_seed,
-                                              extra_starts=list(states) + starts)
+            final = _best_witness(channel, sigma, FINAL_RESTARTS, final_seed,
+                                  list(states) + starts)
             gap = max(gap, final.value - chi)
-            if gap < CERT_TOL:
-                converged = True
+            converged = bool(gap < CERT_TOL)
+            if converged or limit:
                 break
             sup = final
         # Admit the witness into the support.
@@ -457,23 +469,12 @@ def holevo_quantity(channel, seed: int = 0,
         states = np.vstack([states, sup.state])
         probs = np.append(probs * 0.95, 0.05)
 
-    if not converged:
-        # The loop exited right after a witness admission, so the weights
-        # are stale; re-equalize and re-certify so the returned ensemble,
-        # its value, and the gap describe one consistent state.
-        states, probs, sigma, chi = _settle_weights(states, probs, outputs)
-        final = maximize_over_pure_states(
-            relative_entropy_objective(channel, sigma), dim,
-            restarts=FINAL_RESTARTS, seed=final_seed,
-            extra_starts=list(states))
-        gap = final.value - chi
-        converged = bool(gap < CERT_TOL)
-
     avg_input = hermitize(np.einsum("i,ij,ik->jk", probs, states, states.conj()))
     return HolevoResult(chi=chi, probs=probs, states=tuple(states),
                         average_input=DensityMatrix(avg_input),
                         average_output=DensityMatrix(sigma),
-                        certificate_gap=float(gap), outer_iterations=outer,
+                        certificate_gap=float(gap),
+                        outer_iterations=min(outer, max_outer),
                         converged=converged)
 
 
@@ -504,8 +505,7 @@ def opwsw_certificate(channel, omega, restarts: int = 64, seed: int = 0
         leak = channel.adjoint_apply_matrix(null @ null.conj().T)
         if np.linalg.eigvalsh(hermitize(leak))[-1] > SUPPORT_MASS_TOL:
             raise SupportError("an output leaves the support of the reference output")
-    best = maximize_over_pure_states(relative_entropy_objective(channel, sigma),
-                                     channel.dim_in, restarts=restarts, seed=seed)
+    best = _best_witness(channel, sigma, restarts, seed)
     return CertificateResult(value=best.value, witness=PureState(best.state))
 
 

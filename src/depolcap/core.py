@@ -359,11 +359,17 @@ def matrix_power_psd(a, p: float) -> np.ndarray:
     return spectral_function(u, w ** p)
 
 
+def xlogx_sum(w: np.ndarray):
+    """sum_i w_i ln w_i along the last axis, with 0 ln 0 = 0: entries at or
+    below zero contribute exactly 0. The one such sum behind every entropy
+    value; a gradient that needs ln w at zero floors it itself."""
+    return np.sum(np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0),
+                  axis=-1)
+
+
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum(lam ln lam) of a state, in nats, with 0 ln 0 = 0."""
-    w = psd_eigenvalues(rho)
-    nz = w[w > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(-xlogx_sum(psd_eigenvalues(rho)))
 
 
 def _power_scale(m, p: float):
@@ -397,7 +403,8 @@ def schatten_p_norm(a, p):
 
 
 def relative_entropy(rho, omega):
-    """Tr rho (ln rho - ln omega) in nats, for one rho or a stack of them.
+    """Tr rho (ln rho - ln omega) in nats, for one rho or a stack of them,
+    with 0 ln 0 = 0 in Tr rho ln rho.
 
     Gives math.inf when rho carries more than SUPPORT_MASS_TOL of weight
     outside the support of omega (the divergent case is a distinguished
@@ -411,10 +418,7 @@ def relative_entropy(rho, omega):
     weights = np.real(np.einsum("ij,...jk,ki->...i", u.conj().T, r, u))
     null = mu <= SUPPORT_EIG_CUTOFF
     cross = -np.sum(weights[..., ~null] * np.log(mu[~null]), axis=-1)
-    w = psd_eigenvalues(r)
-    own = np.sum(np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0),
-                 axis=-1)
-    val = own + cross
+    val = xlogx_sum(psd_eigenvalues(r)) + cross
     val = np.where((-1e-12 < val) & (val < 0.0), 0.0, val)
     val = np.where(np.sum(weights[..., null], axis=-1) > SUPPORT_MASS_TOL,
                    math.inf, val)

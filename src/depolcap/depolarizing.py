@@ -23,6 +23,7 @@ from .core import (
     _p_norm_from_eigenvalues,
     choi_from_superoperator,
     hermitize,
+    xlogx_sum,
 )
 
 DERIVATIVE_STEP = 1e-4
@@ -94,10 +95,9 @@ class DepolarizingChannel(LambdaChannel):
         return np.array([a] + [b] * (self.dim - 1))
 
     def s_min(self) -> float:
-        """Minimal output entropy in nats: -a ln a - (d-1) b ln b."""
-        spec = self.pure_output_spectrum()
-        nz = spec[spec > 0.0]
-        return float(-np.sum(nz * np.log(nz)))
+        """Minimal output entropy in nats: -a ln a - (d-1) b ln b, with
+        0 ln 0 = 0."""
+        return float(-xlogx_sum(self.pure_output_spectrum()))
 
     def nu_p(self, p: float) -> float:
         """Maximal output p-norm (a^p + (d-1) b^p)^(1/p) for p >= 1."""

@@ -60,7 +60,7 @@ class AscentResult:
     grad_norm: float
     converged: bool
     # Why the ascent ended: "grad_tol" (the tangent gradient fell below
-    # grad_tol), "line_search" (the line search ran out: its next step would
+    # GRAD_TOL), "line_search" (the line search ran out: its next step would
     # be shorter than MIN_STEP, or a candidate whose predicted gain was
     # below the value's resolution was rejected) or "max_iter".
     stop: str
@@ -128,8 +128,8 @@ def _bfgs_update(inv_hess: np.ndarray, scaled: np.ndarray, rows: np.ndarray,
                       + ss[:, None, None] * s[:, :, None] * s[:, None, :])
 
 
-def _ascend_rows(objective: Objective, starts: np.ndarray, max_iter: int,
-                 grad_tol: float):
+def ascend_lockstep(objective: Objective, starts: np.ndarray,
+                    max_iter: int = MAX_ITER):
     """Riemannian BFGS ascent from every row of ``starts`` at once.
 
     Each row keeps its own inverse-Hessian approximation H, shape
@@ -141,18 +141,18 @@ def _ascend_rows(objective: Objective, starts: np.ndarray, max_iter: int,
     MIN_GAIN * max(1, |value|), no candidate can show a gain; such a
     candidate is accepted instead when it keeps the value within that
     resolution and has a smaller tangent gradient, so that a row at an
-    optimum exact to rounding still reaches grad_tol. The accepted step s
+    optimum exact to rounding still reaches GRAD_TOL. The accepted step s
     and the gradient change y (both carried to the new point by I - x x^T)
     update H (see ``_bfgs_update``). A row stops when its tangent gradient
-    norm drops below grad_tol, after max_iter iterations, or when its line
+    norm drops below GRAD_TOL, after max_iter iterations, or when its line
     search runs out: a candidate below the resolution was rejected, or the
     next step a |p| would be shorter than MIN_STEP. The step rule stops a
     row whose gradient is wrong; the resolution rule stops a row near an
-    optimum after one or two candidates instead of about 25. ``converged``
-    is set only when the gradient norm is below grad_tol. An iteration is
-    one line search, however many candidates it tries. H is allocated at
-    the first accepted step: rows that all start below grad_tol cost one
-    objective call.
+    optimum after one or two candidates instead of about 25. A row is
+    ``converged`` only when its gradient norm is below GRAD_TOL. An
+    iteration is one line search, however many candidates it tries. H is
+    allocated at the first accepted step: rows that all start below
+    GRAD_TOL cost one objective call.
 
     Rows of ``starts`` of shape (R, n, d) are points on a product of n
     spheres, one point of R^{2nd} each: normalization and I - x x^T act on
@@ -167,7 +167,8 @@ def _ascend_rows(objective: Objective, starts: np.ndarray, max_iter: int,
     count or a stop reason.
 
     Returns the per-row arrays (values, states, iterations, gradient
-    norms, stop reasons), the fields of ``AscentResult`` row by row.
+    norms, stop reasons); ``_row_result`` reads one row of them as an
+    ``AscentResult``, for the callers that want one row.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be positive, got {max_iter}")
@@ -185,7 +186,7 @@ def _ascend_rows(objective: Objective, starts: np.ndarray, max_iter: int,
     row_alpha = alpha.reshape((n,) + (1,) * (psi.ndim - 1))
     iterations = np.ones(n, dtype=int)
     stop = np.full(n, "", dtype=object)
-    stop[grad_norm < grad_tol] = "grad_tol"
+    stop[grad_norm < GRAD_TOL] = "grad_tol"
     while True:
         rows = np.flatnonzero(stop == "")
         if rows.size == 0:
@@ -226,34 +227,24 @@ def _ascend_rows(objective: Objective, starts: np.ndarray, max_iter: int,
         stop[moved[done]] = "max_iter"
         moved = moved[~done]
         iterations[moved] += 1
-        stop[moved[grad_norm[moved] < grad_tol]] = "grad_tol"
+        stop[moved[grad_norm[moved] < GRAD_TOL]] = "grad_tol"
     return value, psi, iterations, grad_norm, stop
 
 
-def _row_result(rows, r: int, grad_tol: float) -> AscentResult:
-    """Row r of the arrays of ``_ascend_rows`` as an ``AscentResult``."""
+def _row_result(rows, r: int) -> AscentResult:
+    """Row r of the arrays of ``ascend_lockstep`` as an ``AscentResult``."""
     value, psi, iterations, grad_norm, stop = rows
     return AscentResult(float(value[r]), psi[r], int(iterations[r]),
-                        float(grad_norm[r]), bool(grad_norm[r] < grad_tol),
+                        float(grad_norm[r]), bool(grad_norm[r] < GRAD_TOL),
                         stop[r])
 
 
-def ascend_lockstep(objective: Objective, starts: np.ndarray,
-                    max_iter: int = MAX_ITER,
-                    grad_tol: float = GRAD_TOL) -> list[AscentResult]:
-    """One ``AscentResult`` per row of ``starts``, from ``_ascend_rows``."""
-    rows = _ascend_rows(objective, starts, max_iter, grad_tol)
-    return [_row_result(rows, r, grad_tol) for r in range(len(rows[0]))]
-
-
 def ascend_on_sphere(objective: Objective, start: np.ndarray,
-                     max_iter: int = MAX_ITER,
-                     grad_tol: float = GRAD_TOL) -> AscentResult:
+                     max_iter: int = MAX_ITER) -> AscentResult:
     """Quasi-Newton ascent from one starting vector: a one-row
     ``ascend_lockstep``."""
     start = np.asarray(start, dtype=complex).reshape(1, -1)
-    return ascend_lockstep(objective, start, max_iter=max_iter,
-                           grad_tol=grad_tol)[0]
+    return _row_result(ascend_lockstep(objective, start, max_iter), 0)
 
 
 def maximize_over_pure_states(objective: Objective, dim: int,
@@ -270,5 +261,5 @@ def maximize_over_pure_states(objective: Objective, dim: int,
     starts = [_ginibre(np.random.default_rng(seed), dim, 1, (restarts,))[..., 0]]
     if extra_starts:
         starts.extend(np.asarray(s, dtype=complex).reshape(1, -1) for s in extra_starts)
-    rows = _ascend_rows(objective, np.vstack(starts), max_iter, GRAD_TOL)
-    return _row_result(rows, int(np.argmax(rows[0])), GRAD_TOL)
+    rows = ascend_lockstep(objective, np.vstack(starts), max_iter)
+    return _row_result(rows, int(np.argmax(rows[0])))

@@ -621,6 +621,16 @@ class TestHolevoRoundWork:
 
 
 class TestOpwswCertificate:
+    @pytest.mark.parametrize("i, dp", enumerate([2, 3, 4]))
+    def test_agrees_with_the_certificate_of_the_holevo_run(self, i, dp):
+        # Both run the one min-max search, from different starts and seeds:
+        # at the optimizer's average input, the supremum they find is
+        # chi + certificate_gap of the run.
+        psi = random_channel(dp, dp, 2, seed=child_seed(0, 2, i))
+        res = holevo_quantity(psi, seed=child_seed(0, 7, i))
+        cert = opwsw_certificate(psi, res.average_input)
+        assert abs(cert.value - (res.chi + res.certificate_gap)) <= 1e-12
+
     def test_equals_chi_star_at_the_optimal_average(self):
         ch = DepolarizingChannel(2, 0.5)
         cert = opwsw_certificate(ch, np.eye(2) / 2, restarts=16, seed=3)

@@ -39,6 +39,7 @@ from depolcap.core import (
     superoperator_from_action,
     tensor_channel,
     von_neumann_entropy,
+    xlogx_sum,
 )
 from depolcap.decomposition import OmegaChannel
 from depolcap.depolarizing import DepolarizingChannel, lambda_min
@@ -222,6 +223,27 @@ class TestEntropy:
         u = random_unitary(4, seed=seed + 1)
         rotated = u @ rho @ u.conj().T
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) < 1e-10
+
+    def test_xlogx_sum_takes_zero_log_zero_as_zero(self):
+        assert xlogx_sum(np.zeros(4)) == 0.0
+        assert xlogx_sum(np.array([0.0, 1.0, 0.0])) == 0.0
+        assert xlogx_sum(np.array([0.25, 0.0, 0.75])) == xlogx_sum(
+            np.array([0.25, 0.75]))
+
+    def test_xlogx_sum_of_a_stack_sums_each_row(self):
+        w = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+        sums = xlogx_sum(w)
+        assert sums.shape == (3,)
+        for row, total in zip(w, sums):
+            assert total == xlogx_sum(row)
+
+    def test_xlogx_sum_matches_the_positive_entries(self):
+        rng = np.random.default_rng(29)
+        for n in (2, 5, 9, 36):
+            w = rng.random(n) * (rng.random(n) < 0.7)
+            w /= w.sum()
+            nz = w[w > 0.0]
+            assert abs(-xlogx_sum(w) - -np.sum(nz * np.log(nz))) <= 1e-15
 
     def test_nats_to_bits(self):
         assert abs(nats_to_bits(LN2) - 1.0) < 1e-15

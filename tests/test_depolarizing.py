@@ -166,6 +166,24 @@ class TestClosedForms:
         assert abs(DepolarizingChannel(3, 0.0).s_min() - math.log(3)) < 1e-14
         assert abs(DepolarizingChannel(2, 0.5).s_min() - S_MIN_D2_HALF) < 1e-15
 
+    # s_min at lam_min, 0, 0.5 and 1 for d = 2..6, frozen bit for bit from
+    # the sum over the spectrum's positive entries alone; at lam = 1 that
+    # sum is 1 ln 1 = +0.0, so s_min is -0.0, which reports print.
+    S_MIN_BITS = {
+        2: (0.6365141682948128, 0.6931471805599453, 0.5623351446188083, -0.0),
+        3: (1.0821955300387671, 1.0986122886681096, 0.8675632284814612, -0.0),
+        4: (1.3792922544726758, 1.3862943611198906, 1.0735428464085233, -0.0),
+        5: (1.605806509799547, 1.6094379124341005, 1.2275294114572126, -0.0),
+        6: (1.7896345289462088, 1.7917594692280547, 1.349792396172401, -0.0),
+    }
+
+    @pytest.mark.parametrize("d", sorted(S_MIN_BITS))
+    def test_s_min_frozen_bit_for_bit(self, d):
+        for lam, frozen in zip((lambda_min(d), 0.0, 0.5, 1.0), self.S_MIN_BITS[d]):
+            value = DepolarizingChannel(d, lam).s_min()
+            assert value == frozen
+            assert math.copysign(1.0, value) == math.copysign(1.0, frozen)
+
     def test_s_min_matches_sampled_minimum(self):
         ch = DepolarizingChannel(3, 0.4)
         sampled = min(von_neumann_entropy(ch(random_pure_state(3, seed=s).projector()))

@@ -7,6 +7,7 @@ from depolcap.capacity import holevo_quantity, relative_entropy_objective
 from depolcap.core import random_channel, random_density_matrix, random_pure_state
 from depolcap.depolarizing import DepolarizingChannel
 from depolcap.optimize import (
+    GRAD_TOL,
     ascend_lockstep,
     ascend_on_sphere,
     maximize_over_pure_states,
@@ -34,11 +35,10 @@ def random_starts(dim, n, seed):
 
 
 def test_exact_gradient_converges_to_top_eigenvector():
-    result = ascend_on_sphere(quadratic_objective(VALUE_MATRIX), UNIFORM_START,
-                              grad_tol=1e-6)
+    result = ascend_on_sphere(quadratic_objective(VALUE_MATRIX), UNIFORM_START)
     assert result.converged
     assert result.stop == "grad_tol"
-    assert result.grad_norm < 1e-6
+    assert result.grad_norm < 1e-8
     assert abs(result.value - 3.0) < 1e-12
 
 
@@ -93,8 +93,7 @@ def test_overshooting_first_step_still_backtracks_and_converges():
     # predicted gain is large, so the search halves a and gains.
     start = np.array([0.1, 1.0, 0.3], dtype=complex)
     objective, values = counted(quadratic_objective(10.0 * VALUE_MATRIX))
-    result = ascend_on_sphere(objective, start / np.linalg.norm(start),
-                              grad_tol=1e-6)
+    result = ascend_on_sphere(objective, start / np.linalg.norm(start))
     assert values[1] < values[0] < values[2]
     assert result.stop == "grad_tol" and result.converged
     assert abs(result.value - 30.0) < 1e-10
@@ -216,14 +215,13 @@ def test_lockstep_rows_match_single_ascents():
     h = g + g.conj().T
     objective = quadratic_objective(h)
     starts = random_starts(4, 6, seed=9)
-    batched = ascend_lockstep(objective, starts, grad_tol=1e-6)
-    for start, row in zip(starts, batched):
-        alone = ascend_on_sphere(objective, start, grad_tol=1e-6)
-        assert row.iterations == alone.iterations
-        assert row.stop == alone.stop == "grad_tol"
-        assert abs(row.value - alone.value) <= 1e-12
-    assert max(r.value for r in batched) == pytest.approx(np.linalg.eigvalsh(h)[-1],
-                                                          abs=1e-10)
+    values, _, iterations, _, stops = ascend_lockstep(objective, starts)
+    for start, value, its, stop in zip(starts, values, iterations, stops):
+        alone = ascend_on_sphere(objective, start)
+        assert its == alone.iterations
+        assert stop == alone.stop == "grad_tol"
+        assert abs(value - alone.value) <= 1e-12
+    assert values.max() == pytest.approx(np.linalg.eigvalsh(h)[-1], abs=1e-10)
 
 
 def test_maximize_returns_first_of_tied_maxima():
@@ -310,12 +308,11 @@ def test_lockstep_values_match_lone_runs_to_rounding():
     sigma = np.asarray(channel(random_density_matrix(3, seed=2)))
     objective = relative_entropy_objective(channel, sigma)
     starts = random_starts(3, 13, seed=3)
-    batched = ascend_lockstep(objective, starts)
+    values = ascend_lockstep(objective, starts)[0]
     alone = [ascend_on_sphere(objective, start) for start in starts]
-    for row, lone in zip(batched, alone):
-        assert abs(row.value - lone.value) <= 1e-12
-    assert abs(max(r.value for r in batched)
-               - max(r.value for r in alone)) <= 1e-12
+    for value, lone in zip(values, alone):
+        assert abs(value - lone.value) <= 1e-12
+    assert abs(values.max() - max(r.value for r in alone)) <= 1e-12
 
 
 def test_one_sphere_products_ascend_like_plain_rows():
@@ -330,14 +327,15 @@ def test_one_sphere_products_ascend_like_plain_rows():
         return values, grads[:, None]
 
     starts = random_starts(3, 13, seed=3)
-    plain = ascend_lockstep(objective, starts)
-    products = ascend_lockstep(nested, starts[:, None])
-    for row, product in zip(plain, products):
-        assert product.value == row.value
-        assert np.array_equal(product.state, row.state[None])
-        assert product.iterations == row.iterations
-        assert product.stop == row.stop
-        assert product.grad_norm == row.grad_norm
+    p_values, p_states, p_iterations, p_norms, p_stops = ascend_lockstep(
+        objective, starts)
+    values, states, iterations, norms, stops = ascend_lockstep(
+        nested, starts[:, None])
+    assert np.array_equal(values, p_values)
+    assert np.array_equal(states, p_states[:, None])
+    assert np.array_equal(iterations, p_iterations)
+    assert np.array_equal(stops, p_stops)
+    assert np.array_equal(norms, p_norms)
 
 
 def separable_objective(hs):
@@ -360,10 +358,10 @@ def test_product_of_spheres_reaches_the_sum_of_top_eigenvalues():
     objective = separable_objective(hs)
     starts = np.stack([random_starts(3, 4, seed=10 + r) for r in range(3)])
     top = np.linalg.eigvalsh(hs)[:, -1].sum()
-    for row in ascend_lockstep(objective, starts):
-        assert row.state.shape == (4, 3)
-        assert row.stop == "grad_tol" and row.converged
-        assert abs(row.value - top) <= 1e-12
+    values, states, _, norms, stops = ascend_lockstep(objective, starts)
+    assert states.shape == (3, 4, 3)
+    assert np.all(stops == "grad_tol") and np.all(norms < GRAD_TOL)
+    assert np.max(np.abs(values - top)) <= 1e-12
 
 
 def test_product_row_grad_norm_is_the_largest_sphere_norm():
@@ -371,13 +369,13 @@ def test_product_row_grad_norm_is_the_largest_sphere_norm():
     # row reports the largest of them, not the norm of the whole row.
     hs = random_hermitian_stack(4, 3, seed=6)
     objective = separable_objective(hs)
-    row = ascend_lockstep(objective, random_starts(3, 4, seed=10)[None],
-                          max_iter=2)[0]
-    assert row.stop == "max_iter"
-    sphere_norms = np.linalg.norm(tangent_part(row.state, objective(
-        row.state[None])[1][0]), axis=1)
-    assert row.grad_norm == pytest.approx(sphere_norms.max(), rel=1e-12)
-    assert row.grad_norm < np.linalg.norm(sphere_norms)
+    _, states, _, norms, stops = ascend_lockstep(
+        objective, random_starts(3, 4, seed=10)[None], max_iter=2)
+    assert stops[0] == "max_iter"
+    sphere_norms = np.linalg.norm(tangent_part(states[0], objective(
+        states)[1][0]), axis=1)
+    assert norms[0] == pytest.approx(sphere_norms.max(), rel=1e-12)
+    assert norms[0] < np.linalg.norm(sphere_norms)
 
 
 def test_product_row_stops_when_every_sphere_is_below_grad_tol():
@@ -386,10 +384,11 @@ def test_product_row_stops_when_every_sphere_is_below_grad_tol():
     # the whole row: the row has converged at its start.
     start = np.array([1.0, 7e-9, 0.0], dtype=complex)
     objective, values = counted(separable_objective(np.stack([VALUE_MATRIX] * 4)))
-    row = ascend_lockstep(objective, np.tile(start, (1, 4, 1)))[0]
-    assert row.stop == "grad_tol" and row.converged
-    assert row.iterations == 1 and len(values) == 1
-    assert 5e-9 < row.grad_norm < 1e-8
+    _, _, iterations, norms, stops = ascend_lockstep(objective,
+                                                     np.tile(start, (1, 4, 1)))
+    assert stops[0] == "grad_tol"
+    assert iterations[0] == 1 and len(values) == 1
+    assert 5e-9 < norms[0] < 1e-8
 
 
 def test_witness_search_on_the_verify_qutrit_partner():
@@ -404,9 +403,10 @@ def test_witness_search_on_the_verify_qutrit_partner():
     sigma = np.asarray(holevo_quantity(partner, seed=child_seed(0, 7, 1))
                        .average_output)
     objective = relative_entropy_objective(partner, sigma)
-    rows = ascend_lockstep(objective, random_starts(3, 13, seed=5))
-    assert max(r.iterations for r in rows) <= 60
-    assert abs(max(r.value for r in rows) - 0.8378048351595646) <= 1e-12
+    values, _, iterations, _, _ = ascend_lockstep(objective,
+                                                  random_starts(3, 13, seed=5))
+    assert iterations.max() <= 60
+    assert abs(values.max() - 0.8378048351595646) <= 1e-12
 
 
 @pytest.mark.parametrize("start", [[1e-4, 1.0, 1e-4], [1e-3, 1.0, 0.0]],
