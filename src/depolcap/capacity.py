@@ -14,13 +14,12 @@ Three layers:
     solve may admit when the basis does not serve: projected Newton steps on
     the weights for fixed states, a joint ascent of the support states as
     one ``optimize.ascend_lockstep`` row on the product of their spheres,
-    quasi-Newton ascent to find states whose output relative entropy
-    against the current average exceeds the ensemble value, and the
-    equalization certificate
-    sup_rho S(Psi(rho), Psi(rho_bar)) - chi < tol, which bounds the
-    optimizer error directly (chi <= chi* <= sup); the witness search,
-    the certificate and ``opwsw_certificate`` are one min-max search,
-    ``_best_witness``;
+    and one multi-start quasi-Newton search per round of
+    sup_rho S(Psi(rho), Psi(rho_bar)): its best row is the equalization
+    certificate sup - chi < tol, which bounds the optimizer error directly
+    (chi <= chi* <= sup), and its distinct rows that beat chi are the
+    witnesses the support admits, up to four per round; that search,
+    ``_witness_search``, is also ``opwsw_certificate``'s;
   * inequality checks built on those quantities: the relative-entropy bound
     for depolarizing tensor factors, the output-entropy lower bound for
     uniform phase dampers, and the additivity of chi* across tensor
@@ -64,7 +63,7 @@ from .bounds import (
     tensor_output,
 )
 from .depolarizing import DepolarizingChannel
-from .optimize import MAX_ITER, MIN_GAIN, ascend_lockstep, maximize_over_pure_states
+from .optimize import MIN_GAIN, ascend_lockstep, ginibre_starts, unit_rows
 from .phase_damping import PhaseDampingChannel
 
 ROW_SUM_TOL = 1e-10
@@ -75,12 +74,13 @@ BA_GAP_TOL = 1e-9
 BA_MAX_ITER = 200_000
 # The weight solver stops once max_i D_i - value falls below WEIGHT_TOL.
 WEIGHT_TOL = 1e-12
-# chi* is certified once no pure state beats the ensemble value by CERT_TOL;
-# mid-run witness searches take SUP_RESTARTS random starts, the final
-# certificate FINAL_RESTARTS.
+# chi* is certified once no pure state beats the ensemble value by CERT_TOL.
+# Each round's search takes FINAL_RESTARTS random starts; ADMIT_PER_ROUND and
+# DISTINCT_OVERLAP rule which of its rows enter the support (``_admitted_rows``).
 CERT_TOL = 1e-7
-SUP_RESTARTS = 8
 FINAL_RESTARTS = 32
+ADMIT_PER_ROUND = 4
+DISTINCT_OVERLAP = 0.99
 # Guards the weight solver against its two acceptance tests (gap shrinks,
 # value rises) taking turns forever; no measured solve has needed more
 # than 16 weight evaluations.
@@ -199,15 +199,13 @@ def relative_entropy_objective(channel, sigma):
     return objective
 
 
-def _best_witness(channel, sigma, restarts: int, seed: int,
-                  extra_starts=None, max_iter: int = MAX_ITER):
-    """The best multi-start ``AscentResult`` of S(Psi(rho), sigma) over
-    pure rho: the one min-max search behind every witness search and
-    certificate."""
-    return maximize_over_pure_states(relative_entropy_objective(channel, sigma),
-                                     channel.dim_in, restarts=restarts,
-                                     seed=seed, extra_starts=extra_starts,
-                                     max_iter=max_iter)
+def _witness_search(channel, sigma, restarts: int, seed: int, extra=()):
+    """(values, states) of every row of one ``ascend_lockstep`` of
+    S(Psi(rho), sigma) over pure rho from the ``ginibre_starts`` of restarts
+    and seed, then the rows of each array in ``extra``: the one min-max
+    search of this module."""
+    starts = np.vstack([ginibre_starts(channel.dim_in, restarts, seed), *extra])
+    return ascend_lockstep(relative_entropy_objective(channel, sigma), starts)[:2]
 
 
 @dataclass(frozen=True)
@@ -378,6 +376,21 @@ def _joint_support_ascent(outputs, pullback, states: np.ndarray,
     return rows[0]
 
 
+def _admitted_rows(values: np.ndarray, found: np.ndarray, chi: float) -> list:
+    """Indices of the witness-search rows that enter the support: up to
+    ADMIT_PER_ROUND, best first, each beating chi by CERT_TOL or more,
+    skipping any whose overlap |<a|b>|^2 with a row already taken is
+    DISTINCT_OVERLAP or more."""
+    taken = []
+    for r in np.argsort(-values, kind="stable"):
+        if values[r] - chi < CERT_TOL or len(taken) == ADMIT_PER_ROUND:
+            break
+        if all(abs(np.vdot(found[t], found[r])) ** 2 < DISTINCT_OVERLAP
+               for t in taken):
+            taken.append(r)
+    return taken
+
+
 def holevo_quantity(channel, seed: int = 0,
                     max_outer: int = 200) -> HolevoResult:
     """chi* by alternating maximization with an equalization certificate.
@@ -392,89 +405,68 @@ def holevo_quantity(channel, seed: int = 0,
     basis leaves the start in its first solve; the members that solve
     leaves at zero weight are pruned. Where the run starts only
     decides how many steps it takes; ``chi`` is still the value of the
-    returned ensemble and ``converged`` still rests on the certificate
-    searches. Per round: projected Newton steps that equalize the
-    weights of the fixed support, a joint Riemannian BFGS ascent on the
-    support states (which returns at once when the support is already
-    stationary, as an optimal one is), then a multi-start ascent of
-    S(Psi(rho), Psi(rho_bar)); if the best found state beats the ensemble
-    value by less than CERT_TOL the ensemble is equalized and optimal to
-    that tolerance, otherwise the state enters the support, displacing the
-    lightest member when full. The certificate alone decides
-    ``converged``, so a stalled weight solve shows as a gap: unless a later
-    round closes it, the run ends after max_outer rounds with its weights
-    settled once more and checked by the same final certificate.
+    returned ensemble and ``converged`` still rests on the certificate.
+    Per round: projected Newton steps that equalize the weights of the
+    fixed support, a joint Riemannian BFGS ascent on the support states
+    (which returns at once when the support is already stationary, as an
+    optimal one is), then one multi-start ascent of S(Psi(rho),
+    Psi(rho_bar)) from FINAL_RESTARTS random starts, every support state
+    and the least eigenvector of Psi(rho_bar). Its best row is the
+    certificate: if it beats the ensemble value by less than CERT_TOL the
+    ensemble is equalized and optimal to that tolerance; otherwise the
+    distinct improving rows that ``_admitted_rows`` picks enter the
+    support one by one at weight 0.05, each displacing the lightest member
+    when it is full. The certificate alone decides ``converged``, so a
+    stalled weight solve shows as a gap: unless a later round closes it,
+    the run ends after round max_outer, which admits nothing, so the
+    returned ensemble, its value and the gap describe one state.
     Non-convergence is reported, not raised.
     """
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be positive, got {max_outer}")
     dim = channel.dim_in
     # d^2 states suffice for the optimum; the extra slots give iterates
     # room before any support member has to be evicted.
     cap = dim * dim + dim
-    # Child i of the root seed seeds round i's witness search; child 0 the
-    # initial support and child max_outer + 1 every final certificate.
-    rng = np.random.default_rng(_seed_int(seed, 0))
-    final_seed = _seed_int(seed, max_outer + 1)
     outputs, pullback = pure_output_maps(channel)
-
-    states = list(np.eye(dim, dtype=complex))
-    while len(states) < dim * dim:
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        states.append(v / np.linalg.norm(v))
-    states = np.array(states)
+    # Child 0 of the root seed draws the initial support's random members,
+    # child i the random starts of round i's search.
+    states = np.vstack([np.eye(dim, dtype=complex), unit_rows(
+        ginibre_starts(dim, dim * dim - dim, _seed_int(seed, 0)))])
     probs = np.where(np.arange(len(states)) < dim, 1.0 / dim, 0.0)
 
-    # Round max_outer + 1 is the round limit: it only re-settles the
-    # weights, stale after the last admission, and re-certifies them, so
-    # the returned ensemble, its value and the gap describe one state.
-    # Every run ends at a certificate.
-    for outer in range(1, max_outer + 2):
+    for outer in range(1, max_outer + 1):
         states, probs, sigma, chi = _settle_weights(states, probs, outputs)
-        limit = outer > max_outer
-        starts, gap = [], -math.inf
-        if not limit:
-            # Move the support states themselves, and adopt the moved
-            # support only when its re-equalized value improves (an unmoved
-            # support was settled just above). Witness admission alone can
-            # limit-cycle: the search returns a slightly shifted copy of an
-            # existing member, weight oscillates between the twins, and the
-            # gap stalls.
-            moved = _joint_support_ascent(outputs, pullback, states, probs)
-            if not np.array_equal(moved, states):
-                m_settled = _settle_weights(moved, probs, outputs)
-                if m_settled[3] > chi:
-                    states, probs, sigma, chi = m_settled
-            thin = np.linalg.eigh(sigma)[1][:, 0]
-            # Mid-run witness searches only need to find some improving
-            # state; start them from the heaviest support members. The
-            # final certificate below re-checks from every member before
-            # convergence is declared.
-            starts = list(states[np.argsort(probs)[::-1][:8]])
-            if thin.size == dim:
-                starts.append(thin)
-            sup = _best_witness(channel, sigma, SUP_RESTARTS,
-                                _seed_int(seed, outer), starts, max_iter=600)
-            gap = sup.value - chi
-        if gap < CERT_TOL:
-            final = _best_witness(channel, sigma, FINAL_RESTARTS, final_seed,
-                                  list(states) + starts)
-            gap = max(gap, final.value - chi)
-            converged = bool(gap < CERT_TOL)
-            if converged or limit:
-                break
-            sup = final
-        # Admit the witness into the support.
-        if len(states) >= cap:
-            keep = np.arange(len(probs)) != np.argmin(probs)
-            states, probs = states[keep], probs[keep] / probs[keep].sum()
-        states = np.vstack([states, sup.state])
-        probs = np.append(probs * 0.95, 0.05)
+        # Move the support states themselves, and adopt the moved support
+        # only when its re-equalized value improves (an unmoved support was
+        # settled just above). Witness admission alone can limit-cycle: the
+        # search returns a slightly shifted copy of an existing member,
+        # weight oscillates between the twins, and the gap stalls.
+        moved = _joint_support_ascent(outputs, pullback, states, probs)
+        if not np.array_equal(moved, states):
+            m_settled = _settle_weights(moved, probs, outputs)
+            if m_settled[3] > chi:
+                states, probs, sigma, chi = m_settled
+        thin = np.linalg.eigh(sigma)[1][:, :1].T
+        values, found = _witness_search(
+            channel, sigma, FINAL_RESTARTS, _seed_int(seed, outer),
+            (states, thin) if thin.size == dim else (states,))
+        gap = float(values.max()) - chi
+        converged = bool(gap < CERT_TOL)
+        if converged or outer == max_outer:
+            break
+        for r in _admitted_rows(values, found, chi):
+            if len(states) >= cap:
+                keep = np.arange(len(probs)) != np.argmin(probs)
+                states, probs = states[keep], probs[keep] / probs[keep].sum()
+            states = np.vstack([states, found[r]])
+            probs = np.append(probs * 0.95, 0.05)
 
     avg_input = hermitize(np.einsum("i,ij,ik->jk", probs, states, states.conj()))
     return HolevoResult(chi=chi, probs=probs, states=tuple(states),
                         average_input=DensityMatrix(avg_input),
                         average_output=DensityMatrix(sigma),
-                        certificate_gap=float(gap),
-                        outer_iterations=min(outer, max_outer),
+                        certificate_gap=gap, outer_iterations=outer,
                         converged=converged)
 
 
@@ -505,8 +497,9 @@ def opwsw_certificate(channel, omega, restarts: int = 64, seed: int = 0
         leak = channel.adjoint_apply_matrix(null @ null.conj().T)
         if np.linalg.eigvalsh(hermitize(leak))[-1] > SUPPORT_MASS_TOL:
             raise SupportError("an output leaves the support of the reference output")
-    best = _best_witness(channel, sigma, restarts, seed)
-    return CertificateResult(value=best.value, witness=PureState(best.state))
+    values, found = _witness_search(channel, sigma, restarts, seed)
+    best = int(np.argmax(values))
+    return CertificateResult(float(values[best]), PureState(found[best]))
 
 
 # ---------------------------------------------------------------------------

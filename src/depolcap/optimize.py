@@ -247,18 +247,23 @@ def ascend_on_sphere(objective: Objective, start: np.ndarray,
     return _row_result(ascend_lockstep(objective, start, max_iter), 0)
 
 
+def ginibre_starts(dim: int, restarts: int, seed: int) -> np.ndarray:
+    """``restarts`` random starts in C^dim, shape (restarts, dim), drawn as
+    one Ginibre stack from ``np.random.default_rng(seed)``; not normalized."""
+    return _ginibre(np.random.default_rng(seed), dim, 1, (restarts,))[..., 0]
+
+
 def maximize_over_pure_states(objective: Objective, dim: int,
                               restarts: int = 64, seed: int = 0,
                               max_iter: int = MAX_ITER,
                               extra_starts: list[np.ndarray] | None = None
                               ) -> AscentResult:
-    """Best ascent outcome over ``restarts`` random starts, drawn as one
-    Ginibre stack from ``np.random.default_rng(seed)``, plus optional warm
-    starts; the first start reaching the best value wins ties. Only the
-    winning row is built into an ``AscentResult``."""
+    """Best ascent outcome over the ``ginibre_starts`` of restarts and seed
+    plus optional warm starts; the first start reaching the best value wins
+    ties. Only the winning row is built into an ``AscentResult``."""
     if restarts < 1 and not extra_starts:
         raise ValueError("need at least one start")
-    starts = [_ginibre(np.random.default_rng(seed), dim, 1, (restarts,))[..., 0]]
+    starts = [ginibre_starts(dim, restarts, seed)]
     if extra_starts:
         starts.extend(np.asarray(s, dtype=complex).reshape(1, -1) for s in extra_starts)
     rows = ascend_lockstep(objective, np.vstack(starts), max_iter)

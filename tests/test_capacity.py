@@ -297,29 +297,36 @@ class TestHolevoQuantity:
         assert result.converged
         assert result.certificate_gap < 1e-7
 
-    def test_objective_call_budget_on_the_verify_qutrit_partner(self, monkeypatch):
+    def test_objective_call_budget_on_the_verify_qutrit_partner(
+            self, objective_work):
         # Counts evaluations of the relative-entropy objective, the unit of
-        # work of the witness and certificate searches: 164 on this
-        # partner (162 from uniform start weights). The budget sits below
-        # the 370 the run needs when line searches halve the step down to
-        # MIN_STEP near an optimum and the joint support step takes its
-        # gradients from this objective.
-        calls = []
-        inner = capacity.relative_entropy_objective
-
-        def counted(*args, **kwargs):
-            objective = inner(*args, **kwargs)
-
-            def wrapped(psi):
-                calls.append(1)
-                return objective(psi)
-            return wrapped
-
-        monkeypatch.setattr(capacity, "relative_entropy_objective", counted)
+        # work of the witness and certificate searches: 99 on this partner
+        # with one search per round, 164 with a witness search and a
+        # final certificate (162 from uniform start weights). The budget
+        # sits below the 370 the run needed when line searches halved the
+        # step down to MIN_STEP near an optimum and the joint support step
+        # took its gradients from this objective.
+        _, calls = objective_work
         partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
         result = holevo_quantity(partner, seed=child_seed(0, 7, 1))
         assert result.converged
         assert len(calls) <= 170
+
+    # Each partner of `verify --dims 2 3 4 5 6` and a random channel on
+    # C^6 that needs many rounds. With one witness per round they took
+    # 2/4/3/3/19 and 22 rounds; admitting up to ADMIT_PER_ROUND distinct
+    # witnesses, 2/3/4/3/7 and 11. The six runs take about 1.4 s together
+    # on a 2-core host.
+    @pytest.mark.parametrize("channel, seed, rounds", [
+        *[(random_channel(dp, dp, 2, seed=child_seed(0, 2, i)),
+           child_seed(0, 7, i), 8) for i, dp in enumerate([2, 3, 4, 5, 6])],
+        (random_channel(6, 6, 2, seed=11), 0, 12)],
+        ids=["verify-2", "verify-3", "verify-4", "verify-5", "verify-6", "c6-11"])
+    def test_stress_partners_converge_within_their_round_budget(
+            self, channel, seed, rounds):
+        result = holevo_quantity(channel, seed=seed)
+        assert result.converged
+        assert result.outer_iterations <= rounds
 
     # Frozen bit for bit. The BFGS joint step moved these values by about
     # 1e-9 from the gradient step's 0.8378048329142747 (gap
@@ -329,13 +336,16 @@ class TestHolevoQuantity:
     # by rounding, and running the joint step through ascend_lockstep by
     # -8.4e-14 (from 0.8378048340982429, gap 1.060056931123654e-09).
     # Starting the weights at the basis ensemble moved them by rounding
-    # (from 0.8378048340981589, gap 1.0606905354038076e-09).
+    # (from 0.8378048340981589, gap 1.0606905354038076e-09). One search per
+    # round, admitting up to ADMIT_PER_ROUND distinct witnesses, moved chi
+    # by -4.0e-10, inside CERT_TOL and above the floor (from
+    # 0.8378048340981042, gap 1.0614602530267803e-09, 4 rounds).
     def test_frozen_verify_qutrit_partner(self):
         partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
         result = holevo_quantity(partner, seed=child_seed(0, 7, 1))
-        assert result.chi == 0.8378048340981042
-        assert result.certificate_gap == 1.0614602530267803e-09
-        assert result.outer_iterations == 4 and result.converged
+        assert result.chi == 0.837804833696108
+        assert result.certificate_gap == 3.2569006380711585e-09
+        assert result.outer_iterations == 3 and result.converged
         assert result.chi >= 0.8378048329142747
         assert result.certificate_gap <= 3.472622500666489e-08
 
@@ -353,13 +363,14 @@ class TestHolevoQuantity:
         assert result.outer_iterations == 1 and result.converged
 
     def test_round_limit_reports_a_consistent_unconverged_ensemble(self):
-        # The verify qutrit partner needs 4 rounds. Cut short, each run
+        # The verify qutrit partner needs 3 rounds. Cut short, each run
         # ends at its limit, not converged, with the certificate still
-        # open, and the re-settled ensemble it returns matches its own chi
-        # and average states; chi only rises with the limit.
+        # open, and the ensemble its last round settled, which admits no
+        # witness, matches its own chi and average states; chi only rises
+        # with the limit.
         partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
         chis = []
-        for max_outer in range(4):
+        for max_outer in range(1, 3):
             result = holevo_quantity(partner, seed=child_seed(0, 7, 1),
                                      max_outer=max_outer)
             assert not result.converged and result.outer_iterations == max_outer
@@ -371,18 +382,23 @@ class TestHolevoQuantity:
             chis.append(result.chi)
         assert chis == sorted(chis)
 
+    def test_round_limit_must_be_positive(self):
+        with pytest.raises(ValueError):
+            holevo_quantity(DepolarizingChannel(2, 0.5), max_outer=0)
+
     def test_frozen_short_budget_run(self):
-        # max_outer = 30 puts the final certificate's seed at child 31. The
-        # floors are the gradient step's values, as above (7 rounds). The
-        # joint step through ascend_lockstep moved chi by +1.1e-15 (from
-        # 0.8185568306864831, gap 6.088792803282672e-10), and the basis
-        # start of the weights by -1.8e-15 (from 0.8185568306864842, gap
-        # 6.089313497881221e-10).
+        # The floors are the gradient step's values, as above (7 rounds).
+        # The joint step through ascend_lockstep moved chi by +1.1e-15 (from
+        # 0.8185568306864831, gap 6.088792803282672e-10), the basis start of
+        # the weights by -1.8e-15 (from 0.8185568306864842, gap
+        # 6.089313497881221e-10), and one search per round, admitting up to
+        # ADMIT_PER_ROUND distinct witnesses, by +2.0e-10 (from
+        # 0.8185568306864824, gap 6.089099224837469e-10, 5 rounds).
         result = holevo_quantity(random_channel(3, 3, 2, seed=72), seed=72,
                                  max_outer=30)
-        assert result.chi == 0.8185568306864824
-        assert result.certificate_gap == 6.089099224837469e-10
-        assert result.outer_iterations == 5 and result.converged
+        assert result.chi == 0.8185568308875275
+        assert result.certificate_gap == 6.591116541443398e-11
+        assert result.outer_iterations == 4 and result.converged
         assert result.chi >= 0.8185568269276159
         assert result.certificate_gap <= 1.5062781577590556e-08
 
@@ -419,6 +435,26 @@ def _settle(channel, states):
     outs = pure_output_maps(channel)[0](states)
     probs = np.full(len(states), 1.0 / len(states))
     return _solve_weights(probs, outs, _own_terms(outs))
+
+
+@pytest.fixture
+def objective_work(monkeypatch):
+    """Two lists that grow by one entry per relative_entropy_objective
+    built and per call of a built objective."""
+    builds, calls = [], []
+    inner = capacity.relative_entropy_objective
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        objective = inner(*args, **kwargs)
+
+        def wrapped(psi):
+            calls.append(1)
+            return objective(psi)
+        return wrapped
+
+    monkeypatch.setattr(capacity, "relative_entropy_objective", counted)
+    return builds, calls
 
 
 @pytest.fixture
@@ -546,7 +582,8 @@ class TestHolevoRoundWork:
         # The first-order joint step took all JOINT_STEPS steps in each of
         # 7 rounds here, 611 weight evaluations in all; the BFGS step
         # needs 4 rounds and 173 evaluations from uniform start weights,
-        # 166 from the basis ensemble. The budget sits below the 188 or 212
+        # 166 from the basis ensemble, and 3 rounds and 145 evaluations
+        # with one search per round. The budget sits below the 188 or 212
         # (by last-bit rounding) it needed when its line searches halved
         # the step down to MIN_STEP near the optimum.
         partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
@@ -555,7 +592,8 @@ class TestHolevoRoundWork:
 
     def test_joint_steps_run_through_ascend_lockstep(self, monkeypatch):
         # One joint step per round, each one ascend_lockstep row on the
-        # product of the support's spheres.
+        # product of the support's spheres; the (R, d) stacks are the
+        # rounds' witness searches.
         shapes = []
         inner = capacity.ascend_lockstep
 
@@ -567,9 +605,63 @@ class TestHolevoRoundWork:
         partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
         result = holevo_quantity(partner, seed=child_seed(0, 7, 1))
         assert result.converged
-        assert len(shapes) == result.outer_iterations
-        assert all(len(shape) == 3 and shape[0] == 1 and shape[2] == 3
-                   for shape in shapes)
+        joint = [shape for shape in shapes if len(shape) == 3]
+        assert len(joint) == result.outer_iterations
+        assert all(shape[0] == 1 and shape[2] == 3 for shape in joint)
+
+    def test_one_objective_build_per_round_on_the_verify_qutrit_partner(
+            self, objective_work):
+        # Each round runs one witness search, whose best row is also the
+        # certificate; a witness search and a final certificate at the same
+        # sigma built the objective twice per certifying round.
+        builds, _ = objective_work
+        partner = random_channel(3, 3, 2, seed=child_seed(0, 2, 1))
+        result = holevo_quantity(partner, seed=child_seed(0, 7, 1))
+        assert result.converged and result.outer_iterations == 3
+        assert len(builds) == result.outer_iterations
+
+    @pytest.mark.parametrize("i_d, dim", enumerate([2, 3, 4, 5, 6]))
+    @pytest.mark.parametrize("i_l, lam", enumerate([0.0, 0.25, 0.5, 0.75, 1.0]))
+    def test_one_objective_build_per_capacity_cell(self, i_d, dim, i_l, lam,
+                                                   objective_work):
+        # The Delta cells of `capacity --dims 2 3 4 5 6`, at their seeds:
+        # each certifies in its first round, from one search.
+        builds, _ = objective_work
+        result = holevo_quantity(DepolarizingChannel(dim, lam),
+                                 seed=child_seed(0, 11, i_d, i_l))
+        assert result.converged and result.outer_iterations == 1
+        assert len(builds) == 1
+
+    def test_admitted_witnesses_improve_and_are_distinct(self, monkeypatch):
+        # The d' = 6 partner of `verify --dims 2 3 4 5 6` admits witnesses
+        # in 6 of its 7 rounds, and its searches return many near-copies of
+        # one maximizer. Each admitted row beats chi by CERT_TOL, no two
+        # overlap by DISTINCT_OVERLAP, and an improving row is left out
+        # only when ADMIT_PER_ROUND rows were taken or it nearly copies a
+        # better one that was.
+        rounds, inner = [], capacity._admitted_rows
+
+        def recorded(values, found, chi):
+            taken = inner(values, found, chi)
+            rounds.append((values, found, chi, taken))
+            return taken
+
+        monkeypatch.setattr(capacity, "_admitted_rows", recorded)
+        partner = random_channel(6, 6, 2, seed=child_seed(0, 2, 4))
+        assert holevo_quantity(partner, seed=child_seed(0, 7, 4)).converged
+        assert len(rounds) >= 5
+        for values, found, chi, taken in rounds:
+            assert 1 <= len(taken) <= capacity.ADMIT_PER_ROUND
+            assert all(values[r] - chi >= capacity.CERT_TOL for r in taken)
+            overlaps = np.abs(found[taken].conj() @ found[taken].T) ** 2
+            assert np.all(overlaps[np.triu_indices(len(taken), 1)]
+                          < capacity.DISTINCT_OVERLAP)
+            if len(taken) < capacity.ADMIT_PER_ROUND:
+                for r in np.flatnonzero(values - chi >= capacity.CERT_TOL):
+                    copies = np.abs(found[taken].conj() @ found[r]) ** 2
+                    assert r in taken or np.any(
+                        (copies >= capacity.DISTINCT_OVERLAP)
+                        & (values[taken] >= values[r]))
 
     def test_unmoved_support_is_settled_once_per_round(self, monkeypatch):
         # The uniform basis ensemble is optimal for Delta_3, so the joint
