@@ -16,6 +16,7 @@ output apart from the timestamp field. Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -546,19 +547,21 @@ def _replay_check(data: dict):
     """(name, inputs, values, slack, passed) of a witness re-run through its
     family's function."""
     name, inputs = data["check"], data["inputs"]
-    dims = [inputs[k] for k in ("d", "dp", "dim") if k in inputs]
-    if not all(isinstance(d, int) and 2 <= d <= 6 for d in dims):
-        raise ConfigError(f"witness dimensions {dims} are out of scope")
     if name not in _FAMILIES:
         raise ConfigError(f"witness file names unknown check {name!r}")
-    # As in RunConfig: p and lam are numbers (JSON holds no non-finite
-    # one), p >= 1; the channels built on lam refuse it outside their CP
-    # range, as verify builds none there.
-    for key in ("p", "lam"):
-        if key in inputs and not (_is_number(inputs[key])
-                                  and (key == "lam" or inputs[key] >= 1.0)):
-            raise ConfigError(f"witness input {key} must be a number"
-                              f"{' >= 1' if key == 'p' else ''}, got {inputs[key]!r}")
+    # The inputs obey RunConfig's rules for d, d', dim, p and lam. Its CP
+    # range is left to the channels built on lam, which refuse it outside
+    # theirs, as verify builds none there. d = d' is one entry of dims, but
+    # d = 2, d' = 2.0 is two, so that the float is refused.
+    dims = {(type(inputs[k]), inputs[k]): inputs[k]
+            for k in ("d", "dp", "dim") if k in inputs}
+    grids = {"lambdas": "lam", "p_grid": "p"}
+    try:
+        RunConfig(dims=list(dims.values()),
+                  **{g: [inputs[k]] for g, k in grids.items() if k in inputs},
+                  unchecked_lambda=True)
+    except ConfigError as exc:
+        raise ConfigError(f"witness inputs: {exc}") from None
     scalars = data["scalars"]
     # Every scalar is a number, and the tolerances are not negative.
     for key, value in scalars.items():
@@ -585,19 +588,29 @@ def _finite_float(token: str) -> float:
     return value
 
 
-def run_replay(path: str) -> tuple[dict, bool]:
-    """Re-run a single serialized failure witness; returns (record, passed).
-
-    A file that cannot be read, is not a JSON object, lacks a key or holds
-    values that do not fit its check raises ConfigError."""
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the ``what`` file at path. A file that cannot be
+    read, is not JSON, holds a non-finite number or holds no object raises
+    ConfigError."""
     try:
         with open(path) as fh:
             data = json.load(fh, parse_float=_finite_float,
                              parse_constant=_finite_float)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read witness file: {exc}")
+        # ValueError: malformed JSON, a non-finite number, or an integer of
+        # over 4300 digits.
+        raise ConfigError(f"cannot read {what} file: {exc}")
     if not isinstance(data, dict):
-        raise ConfigError("witness file must hold a JSON object")
+        raise ConfigError(f"{what} file must hold a JSON object")
+    return data
+
+
+def run_replay(path: str) -> tuple[dict, bool]:
+    """Re-run a single serialized failure witness; returns (record, passed).
+
+    A file that cannot be read, is not a JSON object, lacks a key or holds
+    values that do not fit its check raises ConfigError."""
+    data = _read_json_object(path, "witness")
     try:
         name, inputs, values, slack, passed = _replay_check(data)
     except KeyError as exc:
@@ -656,8 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"Monte-Carlo trials per cell (1..{MAX_TRIALS})")
     common.add_argument("--seed", type=int, help="root seed")
     common.add_argument("--out", help="output file (see also DEPOLCAP_OUT_DIR)")
-    common.add_argument("--format", choices=["json", "csv"], dest="fmt",
-                        help="report format")
+    common.add_argument("--format", help="report format: json or csv")
     common.add_argument("--bits", action="store_const", const=True,
                         help="display entropy-like values in bits")
     common.add_argument("--strict", action="store_const", const=True,
@@ -676,27 +688,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = ("dims", "lambdas", "p_grid", "trials", "seed", "out", "fmt",
-                "bits", "strict", "unchecked_lambda", "tolerances")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    merged: dict = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            # ValueError: malformed JSON, or an integer of over 4300 digits.
-            raise ConfigError(f"cannot read config file: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        aliases = {"format": "fmt"}
-        for key, value in raw.items():
-            key = aliases.get(key, key)
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
+    merged = _read_json_object(args.config, "config") if args.config else {}
+    for key in merged:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -705,7 +704,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(report: Report, config: RunConfig) -> None:
-    path = resolve_out_path(config.out, report.command, config.fmt)
+    path = resolve_out_path(config.out, report.command, config.format)
     text = report.render()
     if path is None:
         sys.stdout.write(text)

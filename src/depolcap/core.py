@@ -544,14 +544,8 @@ def min_choi_eigenvalue(apply_fn: Callable[[np.ndarray], np.ndarray], dim: int) 
 # Random generation (seedable, cross-run stable)
 # ---------------------------------------------------------------------------
 # All randomness flows through numpy's PCG64 via default_rng, so an integer
-# seed reproduces results bit for bit across runs and platforms.
-
-def rng_from_seed(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, None, or a ready Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
+# seed reproduces results bit for bit across runs and platforms. A seed is
+# an int, a SeedSequence, None, or a Generator, which is used as it is.
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int,
              lead: tuple = ()) -> np.ndarray:
@@ -563,14 +557,13 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int,
 
 
 def random_pure_state(dim: int, seed=None) -> PureState:
-    rng = rng_from_seed(seed)
-    v = _ginibre(rng, dim, 1).reshape(-1)
+    v = _ginibre(np.random.default_rng(seed), dim, 1).reshape(-1)
     return PureState(v / np.linalg.norm(v))
 
 
 def random_density_matrix(dim: int, seed=None, rank: int | None = None) -> DensityMatrix:
     """Ginibre-induced random state G G^dag / Tr(G G^dag)."""
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     g = _ginibre(rng, dim, rank if rank is not None else dim)
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace())
@@ -579,7 +572,7 @@ def random_density_matrix(dim: int, seed=None, rank: int | None = None) -> Densi
 def random_psd_matrices(dim: int, seed, lead: tuple) -> np.ndarray:
     """Unnormalized Wishart matrices G G^dag, G complex Ginibre, in a stack
     of shape ``lead + (dim, dim)`` drawn from one generator in one call."""
-    g = _ginibre(rng_from_seed(seed), dim, dim, lead)
+    g = _ginibre(np.random.default_rng(seed), dim, dim, lead)
     return g @ np.swapaxes(g.conj(), -1, -2)
 
 
@@ -603,20 +596,20 @@ def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
 
 def random_unitary(dim: int, seed=None) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    return _phase_fixed_q(_ginibre(rng_from_seed(seed), dim, dim))
+    return _phase_fixed_q(_ginibre(np.random.default_rng(seed), dim, dim))
 
 
 def random_unitaries(dim: int, seed, n: int) -> np.ndarray:
     """A stack ``(n, dim, dim)`` of Haar unitaries from one generator, by
     one stacked QR; row 0 is ``random_unitary(dim, seed)``."""
-    return _phase_fixed_q(_ginibre(rng_from_seed(seed), dim, dim, (n,)))
+    return _phase_fixed_q(_ginibre(np.random.default_rng(seed), dim, dim, (n,)))
 
 
 def random_isometry(rows: int, cols: int, seed=None) -> np.ndarray:
     """Haar-distributed isometry (rows x cols, rows >= cols), V^dag V = I."""
     if rows < cols:
         raise ValueError(f"isometry needs rows >= cols, got {rows} < {cols}")
-    return _phase_fixed_q(_ginibre(rng_from_seed(seed), rows, cols))
+    return _phase_fixed_q(_ginibre(np.random.default_rng(seed), rows, cols))
 
 
 def random_channel(dim_in: int, dim_out: int, env_dim: int, seed=None) -> Channel:

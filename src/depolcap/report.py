@@ -22,7 +22,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -147,7 +147,7 @@ class RunConfig:
     trials: int = 100
     seed: int = 0
     out: str | None = None
-    fmt: str = "json"
+    format: str = "json"
     bits: bool = False
     strict: bool = False
     unchecked_lambda: bool = False
@@ -169,6 +169,12 @@ class RunConfig:
             if not _is_int(getattr(self, name)):
                 raise ConfigError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("bits", "strict", "unchecked_lambda"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(
+                    f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ConfigError(f"out must be a string, got {self.out!r}")
         if any(d < 2 for d in self.dims):
             raise ConfigError("dimensions must be at least 2")
         if any(d > 6 for d in self.dims):
@@ -179,8 +185,9 @@ class RunConfig:
             raise ConfigError(f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
+        if self.format not in ("json", "csv"):
+            raise ConfigError(f"unknown format {self.format!r}, "
+                              "expected json or csv")
         if not self.unchecked_lambda:
             for d in self.dims:
                 lo = lambda_min(d)
@@ -202,21 +209,6 @@ class RunConfig:
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
-
-    def as_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "lambdas": list(self.lambdas),
-            "p_grid": list(self.p_grid),
-            "trials": self.trials,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.fmt,
-            "bits": self.bits,
-            "strict": self.strict,
-            "unchecked_lambda": self.unchecked_lambda,
-            "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
-        }
 
 
 def child_seed(root: int, *index) -> int:
@@ -355,7 +347,7 @@ class Report:
             "version": __version__,
             "command": self.command,
             "units": "bits" if self.config.bits else "nats",
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
             "records": [r.to_dict(bits=self.config.bits) for r in self.records],
             "summary": self.summary(),
             "timestamp": self.timestamp,
@@ -387,7 +379,7 @@ class Report:
         return buf.getvalue()
 
     def render(self) -> str:
-        if self.config.fmt == "csv":
+        if self.config.format == "csv":
             return self.to_csv()
         return self.to_json()
 

@@ -83,7 +83,7 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.dims == (2, 3)
-        assert cfg.fmt == "json"
+        assert cfg.format == "json"
         assert cfg.tolerance("additivity") == 1e-4
 
     def test_rejects_bad_dim(self):
@@ -272,6 +272,12 @@ class TestExitCodes:
         {"seed": -1},
         {"tolerances": {"additivity": "x"}},
         {"tolerances": {"additivity": -1}},
+        {"out": 5},
+        {"out": ["a"]},
+        {"bits": "no"},
+        {"strict": 1},
+        {"unchecked_lambda": "no"},
+        {"fmt": "csv"},
     ])
     def test_wrongly_typed_config_value_exits_two(self, capsys, tmp_path,
                                                    config):
@@ -282,6 +288,21 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "error:" in err and "Traceback" not in err
+
+    def test_unknown_format_exits_two(self, capsys):
+        # The parser lists no formats: RunConfig alone names them.
+        code, out, err = run_cli(["measures", "--format", "xml"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown format 'xml'")
+
+    # A non-finite token anywhere in a config file, as in a witness file.
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_config_number_exits_two(self, capsys, tmp_path, token):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"tolerances": {{"additivity": {token}}}}}')
+        code, out, err = run_cli(["measures", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "non-finite number" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("content", [
         None, "{bad", "{}",
@@ -980,9 +1001,11 @@ class TestReplay:
     # at least 1, and a damper's lam inside its CP range, where verify
     # builds its rows. "p": true replayed a lieb-thirring witness at p = 1,
     # and "lam": 5.0 a norm-bound witness on a non-CP damper, with exit 0.
+    # A dimension is an integer, also when it equals the other one.
     @pytest.mark.parametrize("key, value", [
         ("p", True), ("p", "2"), ("p", 0.5),
-        ("lam", True), ("lam", "2"), ("lam", 5.0)])
+        ("lam", True), ("lam", "2"), ("lam", 5.0),
+        ("dim", 2.0), ("dp", 2.0)])
     def test_witness_p_and_lam_follow_the_config_rule(self, tmp_path, capsys,
                                                       key, value):
         a = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
